@@ -20,7 +20,7 @@ import numpy as np
 from . import graph as graph_mod
 from .gmrf import GmrfModel, MulticlassModel, spd_inverse
 from .graph import LabeledGraph, regularized_laplacian
-from .strategies import Strategy, select
+from .strategies import BINARY_ONLY_KINDS, Strategy, select
 
 EVAL_MODES = ("remaining", "initial")
 
@@ -117,21 +117,46 @@ def _observe_class(model, node: int, class_id: int) -> None:
         model.observe(node, 1.0 if class_id == 1 else -1.0)
 
 
+def _class_ids(model) -> np.ndarray:
+    """Predicted class id per position of ``model.unlabeled``."""
+    if isinstance(model, MulticlassModel):
+        return np.argmax(model.means, axis=0)
+    return (model.mu > 0).astype(np.int64)
+
+
 def predicted_classes(model) -> dict[int, int]:
     """Predictions as class ids: binary +1 maps to class 1, -1 to class 0."""
-    if isinstance(model, MulticlassModel):
-        return model.predict()
-    return {node: (1 if value > 0 else 0) for node, value in model.predict().items()}
+    return dict(zip(model.unlabeled.tolist(), _class_ids(model).tolist()))
 
 
-def accuracy(model, oracle) -> float:
-    """Fraction of unlabeled nodes whose prediction matches the oracle."""
-    labels = oracle.labels if isinstance(oracle, LabelOracle) else oracle
-    preds = predicted_classes(model)
-    if not preds:
+def _label_array(labels) -> np.ndarray:
+    if isinstance(labels, LabelOracle):
+        labels = labels.labels
+    if isinstance(labels, Mapping):
+        return np.array([labels[i] for i in range(len(labels))], dtype=np.int64)
+    return np.asarray(labels)
+
+
+def accuracy(model, labels, eval_on: str = "remaining") -> float:
+    """Fraction of correctly predicted nodes.
+
+    ``labels`` gives the true class of every node: a :class:`LabelOracle`, a
+    node id -> class mapping, or an array indexed by node id. With
+    ``eval_on="remaining"`` the fraction is over the unlabeled nodes; with
+    ``"initial"`` it is over all nodes, and the queried ones count as correct
+    because they carry their disclosed label.
+    """
+    if eval_on not in EVAL_MODES:
+        raise ValueError(f"eval_on must be one of {EVAL_MODES}")
+    truth = _label_array(labels)
+    ids = model.unlabeled
+    if ids.size == 0:
         raise ValueError("no unlabeled nodes left to evaluate")
-    hits = sum(1 for node, cls in preds.items() if labels[node] == cls)
-    return hits / len(preds)
+    hits = int(np.count_nonzero(_class_ids(model) == truth[ids]))
+    if eval_on == "remaining":
+        return hits / ids.size
+    n = truth.size
+    return (hits + (n - ids.size)) / n
 
 
 def baseline_accuracy(labels) -> float:
@@ -142,13 +167,18 @@ def baseline_accuracy(labels) -> float:
     return Counter(values).most_common(1)[0][1] / len(values)
 
 
-def _accuracy_value(model, labels: dict[int, int], eval_on: str, n: int) -> float:
-    preds = predicted_classes(model)
-    hits = sum(1 for node, cls in preds.items() if labels[node] == cls)
-    if eval_on == "remaining":
-        return hits / len(preds)
-    # queried nodes carry their disclosed label and count as correct
-    return (hits + (n - len(preds))) / n
+def _check_graph(cfg: ExperimentConfig, lg: LabeledGraph) -> None:
+    """Reject a config the graph cannot run, before any inverse is built."""
+    n = lg.graph.n
+    if cfg.budget >= n:
+        raise ValueError(f"budget {cfg.budget} must be smaller than the node count {n}")
+    if lg.num_classes > 2:
+        for strat in cfg.strategies:
+            if strat.kind in BINARY_ONLY_KINDS:
+                raise ValueError(
+                    f"strategy {strat.label!r} ({strat.kind}) is defined for binary models only, "
+                    f"but the graph has {lg.num_classes} classes"
+                )
 
 
 def _run_graph(cfg: ExperimentConfig, run_seed: int) -> LabeledGraph:
@@ -169,21 +199,18 @@ def run_experiment(cfg: ExperimentConfig,
     for r in range(cfg.runs):
         run_seed = cfg.seed + r
         lg = _run_graph(cfg, run_seed)
-        n = lg.graph.n
-        if cfg.budget >= n:
-            raise ValueError(f"budget {cfg.budget} must be smaller than the node count {n}")
+        _check_graph(cfg, lg)
         lap = regularized_laplacian(lg.graph, cfg.delta)
         inverse = spd_inverse(lap.matrix)
         oracle = LabelOracle(dict(lg.labels))
+        truth = lg.label_vector()
         for strat in cfg.strategies:
             model = _fresh_model(inverse, cfg.delta, lg.num_classes)
             rng = np.random.default_rng(run_seed)
             for t in range(1, cfg.budget + 1):
                 node = select(strat, model, t, rng)
                 _observe_class(model, node, oracle.query(node))
-                curves[strat.label][r, t - 1] = _accuracy_value(
-                    model, oracle.labels, cfg.eval_on, n
-                )
+                curves[strat.label][r, t - 1] = accuracy(model, truth, cfg.eval_on)
                 if step_hook is not None:
                     step_hook(strategy=strat, model=model, run=r, t=t)
     return {s.label: AccuracyCurve(s.label, curves[s.label]) for s in cfg.strategies}

@@ -8,7 +8,9 @@ Schur-complement downdate of ``G``; no refactorization happens after
 initialization. :func:`conditional_mean_direct` re-solves the linear system
 from scratch and serves as the reference implementation the incremental path
 is tested against. :class:`MulticlassModel` lifts the binary machinery to C
-classes with one-vs-rest fields.
+classes with one-vs-rest fields. The downdate of ``G`` does not depend on the
+observed value, so the C fields share one ``G`` and differ only in their
+means: one ``O(|U|^2)`` downdate per label whatever the class count.
 """
 
 from __future__ import annotations
@@ -59,7 +61,57 @@ def jacobi_inverse(matrix: np.ndarray, tol: float = 1e-10,
     return (X + X.T) / 2.0
 
 
-class GmrfModel:
+class _SharedInverse:
+    """Index bookkeeping and the inverse block ``G`` that every field shares.
+
+    ``unlabeled`` holds the sorted original node ids that are still
+    unlabeled; ``G`` and the means are indexed positionally against it.
+    """
+
+    def __init__(self, unlabeled, G, delta):
+        self.unlabeled = np.asarray(unlabeled, dtype=np.int64)
+        self.G = np.asarray(G, dtype=float)
+        self.delta = float(delta)
+        self.retrain_calls = 0
+
+    @property
+    def num_unlabeled(self) -> int:
+        return int(self.unlabeled.size)
+
+    def position(self, node: int) -> int:
+        """Positional index of an unlabeled node id; raises if labeled."""
+        pos = int(np.searchsorted(self.unlabeled, node))
+        if pos >= self.unlabeled.size or self.unlabeled[pos] != node:
+            raise ValueError(f"node {node} is not unlabeled")
+        return pos
+
+    def _pivot(self, pos: int) -> float:
+        gkk = float(self.G[pos, pos])
+        if gkk < PIVOT_FLOOR:
+            raise ValueError(
+                f"degenerate pivot g_kk={gkk:.3e} at node {int(self.unlabeled[pos])}"
+            )
+        return gkk
+
+    def _downdate(self, pos: int, gk: np.ndarray, gkk: float) -> None:
+        """Subtract ``g_k g_k^T / g_kk`` from ``G``, then drop node ``pos``."""
+        self.G = self.G - np.outer(gk, gk) / gkk
+        self.G = np.delete(np.delete(self.G, pos, axis=0), pos, axis=1)
+        self.unlabeled = np.delete(self.unlabeled, pos)
+
+    def validate(self, atol: float = 1e-10) -> None:
+        """Spot-check structural invariants; raises on violation."""
+        if self.G.shape != (self.num_unlabeled, self.num_unlabeled):
+            raise AssertionError("G shape does not match unlabeled count")
+        if self.num_unlabeled and np.diagonal(self.G).min() <= 0:
+            raise AssertionError("G has a non-positive diagonal entry")
+        if self.num_unlabeled and np.abs(self.G - self.G.T).max() > atol:
+            raise AssertionError("G is not symmetric")
+        if set(map(int, self.unlabeled)) & set(self.labeled):
+            raise AssertionError("labeled and unlabeled sets overlap")
+
+
+class GmrfModel(_SharedInverse):
     """State of one binary Gaussian label field.
 
     Attributes
@@ -84,12 +136,9 @@ class GmrfModel:
     """
 
     def __init__(self, unlabeled, labeled, G, mu, delta):
-        self.unlabeled = np.asarray(unlabeled, dtype=np.int64)
+        super().__init__(unlabeled, G, delta)
         self.labeled = {int(k): float(v) for k, v in labeled.items()}
-        self.G = np.asarray(G, dtype=float)
         self.mu = np.asarray(mu, dtype=float)
-        self.delta = float(delta)
-        self.retrain_calls = 0
 
     @classmethod
     def from_laplacian(cls, lap: RegularizedLaplacian, method: str = "cholesky") -> "GmrfModel":
@@ -115,25 +164,6 @@ class GmrfModel:
         dup.retrain_calls = self.retrain_calls
         return dup
 
-    @property
-    def num_unlabeled(self) -> int:
-        return int(self.unlabeled.size)
-
-    def position(self, node: int) -> int:
-        """Positional index of an unlabeled node id; raises if labeled."""
-        pos = int(np.searchsorted(self.unlabeled, node))
-        if pos >= self.unlabeled.size or self.unlabeled[pos] != node:
-            raise ValueError(f"node {node} is not unlabeled")
-        return pos
-
-    def _pivot(self, pos: int) -> float:
-        gkk = float(self.G[pos, pos])
-        if gkk < PIVOT_FLOOR:
-            raise ValueError(
-                f"degenerate pivot g_kk={gkk:.3e} at node {int(self.unlabeled[pos])}"
-            )
-        return gkk
-
     def observe(self, node: int, value) -> "GmrfModel":
         """Absorb an observed label and shrink the model to ``U \\ {node}``.
 
@@ -149,9 +179,7 @@ class GmrfModel:
         gk = self.G[:, pos].copy()
         self.mu = self.mu + ((value - self.mu[pos]) / gkk) * gk
         self.mu = np.delete(self.mu, pos)
-        self.G = self.G - np.outer(gk, gk) / gkk
-        self.G = np.delete(np.delete(self.G, pos, axis=0), pos, axis=1)
-        self.unlabeled = np.delete(self.unlabeled, pos)
+        self._downdate(pos, gk, gkk)
         self.labeled[int(node)] = value
         return self
 
@@ -182,17 +210,6 @@ class GmrfModel:
             for node, m in zip(self.unlabeled, self.mu)
         }
 
-    def validate(self, atol: float = 1e-10) -> None:
-        """Spot-check structural invariants; raises on violation."""
-        if self.G.shape != (self.num_unlabeled, self.num_unlabeled):
-            raise AssertionError("G shape does not match unlabeled count")
-        if self.num_unlabeled and np.diagonal(self.G).min() <= 0:
-            raise AssertionError("G has a non-positive diagonal entry")
-        if self.num_unlabeled and np.abs(self.G - self.G.T).max() > atol:
-            raise AssertionError("G is not symmetric")
-        if set(map(int, self.unlabeled)) & set(self.labeled):
-            raise AssertionError("labeled and unlabeled sets overlap")
-
 
 def conditional_mean_direct(lap: RegularizedLaplacian, labeled: dict) -> np.ndarray:
     """Conditional mean over the unlabeled nodes by a fresh SPD solve.
@@ -217,74 +234,76 @@ def conditional_mean_direct(lap: RegularizedLaplacian, labeled: dict) -> np.ndar
     return scipy.linalg.cho_solve(factor, -B @ y)
 
 
-class MulticlassModel:
-    """One-vs-rest stack of binary field models sharing index bookkeeping.
+class MulticlassModel(_SharedInverse):
+    """C one-vs-rest Gaussian fields sharing one inverse.
 
-    Observing class ``c`` at a node feeds ``+1`` into model ``c`` and ``-1``
-    into every other model, so all per-class models always agree on the
-    labeled/unlabeled split (and, since the downdate of ``G`` does not
-    depend on the observed value, on ``G`` itself).
+    Observing class ``c`` at a node feeds ``+1`` into field ``c`` and ``-1``
+    into every other field. The downdate of ``G`` does not depend on the
+    observed value, so all fields share one ``G`` and one unlabeled set and
+    differ only in their means, the rows of ``means`` with shape
+    ``(num_classes, |U|)``. Entry for entry, one :meth:`observe` does the
+    same arithmetic as C separate :meth:`GmrfModel.observe` calls fed ``+/-1``.
+    ``labeled`` maps node id -> observed class id.
     """
 
-    def __init__(self, models: list[GmrfModel], labeled_classes: dict[int, int] | None = None):
-        if len(models) < 2:
-            raise ValueError("need at least two class models")
-        self.models = list(models)
-        self.labeled = dict(labeled_classes or {})
+    def __init__(self, unlabeled, labeled_classes, G, means, delta):
+        super().__init__(unlabeled, G, delta)
+        self.means = np.asarray(means, dtype=float)
+        if self.means.ndim != 2 or self.means.shape[0] < 2:
+            raise ValueError("need at least two class fields")
+        self.labeled = {int(k): int(v) for k, v in labeled_classes.items()}
 
     @classmethod
     def from_laplacian(cls, lap: RegularizedLaplacian, num_classes: int) -> "MulticlassModel":
-        base = GmrfModel.from_laplacian(lap)
-        models = [base] + [base.copy() for _ in range(num_classes - 1)]
-        return cls(models)
+        """Fresh model with all nodes unlabeled and zero means."""
+        return cls(np.arange(lap.n), {}, spd_inverse(lap.matrix),
+                   np.zeros((num_classes, lap.n)), lap.delta)
 
     @classmethod
     def from_inverse(cls, G: np.ndarray, delta: float, num_classes: int) -> "MulticlassModel":
-        return cls([GmrfModel.from_inverse(G, delta) for _ in range(num_classes)])
+        """Fresh model from a precomputed full inverse (copied, not aliased)."""
+        n = G.shape[0]
+        return cls(np.arange(n), {}, np.array(G, dtype=float, copy=True),
+                   np.zeros((num_classes, n)), delta)
 
     def copy(self) -> "MulticlassModel":
-        return MulticlassModel([m.copy() for m in self.models], dict(self.labeled))
+        dup = MulticlassModel(self.unlabeled.copy(), dict(self.labeled),
+                              self.G.copy(), self.means.copy(), self.delta)
+        dup.retrain_calls = self.retrain_calls
+        return dup
 
     @property
     def num_classes(self) -> int:
-        return len(self.models)
-
-    @property
-    def unlabeled(self) -> np.ndarray:
-        return self.models[0].unlabeled
-
-    @property
-    def num_unlabeled(self) -> int:
-        return self.models[0].num_unlabeled
-
-    @property
-    def delta(self) -> float:
-        return self.models[0].delta
-
-    @property
-    def retrain_calls(self) -> int:
-        return sum(m.retrain_calls for m in self.models)
-
-    def position(self, node: int) -> int:
-        return self.models[0].position(node)
+        return int(self.means.shape[0])
 
     def class_means(self) -> np.ndarray:
-        """Stacked per-class means, shape (num_classes, |U|)."""
-        return np.vstack([m.mu for m in self.models])
+        """Copy of the per-class means, shape (num_classes, |U|)."""
+        return self.means.copy()
 
     def observe(self, node: int, class_id: int) -> "MulticlassModel":
+        """Absorb an observed class and shrink the model to ``U \\ {node}``.
+
+        Every field's mean moves by ``(v_c - mu_ck) / g_kk * g_k`` with
+        ``v_c = +1`` for the observed class and ``-1`` otherwise; ``G`` is
+        downdated once. Cost ``O(|U|^2)``, independent of the class count.
+        """
         class_id = int(class_id)
         if not 0 <= class_id < self.num_classes:
             raise ValueError(f"class id {class_id} outside 0..{self.num_classes - 1}")
-        for c, model in enumerate(self.models):
-            model.observe(node, 1.0 if c == class_id else -1.0)
+        pos = self.position(node)
+        gkk = self._pivot(pos)
+        gk = self.G[:, pos].copy()
+        values = np.full(self.num_classes, -1.0)
+        values[class_id] = 1.0
+        self.means = self.means + ((values - self.means[:, pos]) / gkk)[:, None] * gk
+        self.means = np.delete(self.means, pos, axis=1)
+        self._downdate(pos, gk, gkk)
         self.labeled[int(node)] = class_id
         return self
 
     def predict(self) -> dict[int, int]:
         """Per-node argmax over the class means; ties go to the lowest class."""
-        means = self.class_means()
-        winners = np.argmax(means, axis=0)
+        winners = np.argmax(self.means, axis=0)
         return {int(node): int(c) for node, c in zip(self.unlabeled, winners)}
 
     def posteriors(self, node: int) -> np.ndarray:
@@ -295,7 +314,7 @@ class MulticlassModel:
         falls back to the uniform distribution.
         """
         pos = self.position(node)
-        shifted = np.clip((self.class_means()[:, pos] + 1.0) / 2.0, 0.0, 1.0)
+        shifted = np.clip((self.means[:, pos] + 1.0) / 2.0, 0.0, 1.0)
         total = shifted.sum()
         if total <= 0.0:
             return np.full(self.num_classes, 1.0 / self.num_classes)

@@ -124,12 +124,18 @@ def _validate_alpha(alpha: float) -> None:
         raise ValueError(f"confidence weight must lie in [0, 1], got {alpha}")
 
 
-def _column(model: GmrfModel, node: int) -> tuple[int, np.ndarray, float, float]:
+def _gcol(model, node: int) -> tuple[int, np.ndarray, float]:
+    """Position, column ``g_i`` and diagonal ``g_ii`` of ``node`` in ``model.G``."""
     pos = model.position(node)
     gii = float(model.G[pos, pos])
     if gii < PIVOT_FLOOR:
         raise ValueError(f"degenerate diagonal g_ii={gii:.3e} at node {node}")
-    return pos, model.G[:, pos], gii, float(model.mu[pos])
+    return pos, model.G[:, pos], gii
+
+
+def _column(model: GmrfModel, node: int) -> tuple[int, np.ndarray, float, float]:
+    pos, gi, gii = _gcol(model, node)
+    return pos, gi, gii, float(model.mu[pos])
 
 
 def score_klg(model: GmrfModel, node: int) -> float:
@@ -178,7 +184,7 @@ def score_fl(model: GmrfModel, node: int, alpha: float = 0.0, maxmin: bool = Fal
     the minimum when ``maxmin`` is set.
     """
     _validate_alpha(alpha)
-    pos, _, _, _ = _column(model, node)
+    pos, _, _ = _gcol(model, node)
     base = model.mu > 0
     flips = {}
     for value in (1.0, -1.0):
@@ -216,7 +222,7 @@ def score_kl(model: GmrfModel, node: int, alpha: float = 0.0, maxmin: bool = Fal
     two label branches combined like :func:`score_fl`.
     """
     _validate_alpha(alpha)
-    pos, _, _, _ = _column(model, node)
+    pos, _, _ = _gcol(model, node)
     q = np.clip((model.mu + 1.0) / 2.0, 0.0, 1.0)
     totals = {}
     for value in (1.0, -1.0):
@@ -234,8 +240,7 @@ def score_kl(model: GmrfModel, node: int, alpha: float = 0.0, maxmin: bool = Fal
 def score_unc(model, node: int) -> float:
     """Negative top-two soft-label margin (higher = more uncertain)."""
     if isinstance(model, MulticlassModel):
-        pos = model.position(node)
-        col = model.class_means()[:, pos]
+        col = model.means[:, model.position(node)]
         c = col.size
         top2 = np.partition(col, (c - 2, c - 1))[-2:]
         return -float(top2[1] - top2[0])
@@ -245,7 +250,7 @@ def score_unc(model, node: int) -> float:
 
 def _class_spread(mm: MulticlassModel) -> np.ndarray:
     """``sum_c (1 - pbar_c^2)`` per node, with pbar the normalized shifted means."""
-    shifted = np.clip((mm.class_means() + 1.0) / 2.0, 0.0, 1.0)
+    shifted = np.clip((mm.means + 1.0) / 2.0, 0.0, 1.0)
     total = shifted.sum(axis=0)
     safe = np.where(total > 0, total, 1.0)
     pbar = np.where(total > 0, shifted / safe, 1.0 / mm.num_classes)
@@ -254,17 +259,13 @@ def _class_spread(mm: MulticlassModel) -> np.ndarray:
 
 def score_tv_mc(mm: MulticlassModel, node: int) -> float:
     """Multi-class total-variation score ``sum_c (1 - pbar_c^2) ||g_i||_1 / g_ii``."""
-    base = mm.models[0]
-    _, gi, gii, _ = _column(base, node)
-    pos = base.position(node)
+    pos, gi, gii = _gcol(mm, node)
     return float(_class_spread(mm)[pos]) * float(np.abs(gi).sum()) / gii
 
 
 def score_msd_mc(mm: MulticlassModel, node: int) -> float:
     """Multi-class deviation score ``sum_c (1 - pbar_c^2) ||g_i||_2^2 / g_ii^2``."""
-    base = mm.models[0]
-    _, gi, gii, _ = _column(base, node)
-    pos = base.position(node)
+    pos, gi, gii = _gcol(mm, node)
     return float(_class_spread(mm)[pos]) * float(gi @ gi) / (gii * gii)
 
 
@@ -277,67 +278,66 @@ def _scan_diag(G: np.ndarray) -> np.ndarray:
     return dg
 
 
+def _ensemble_scan(G: np.ndarray, dg: np.ndarray, kind: str) -> np.ndarray:
+    """Label-independent vm / sigma-opt scores of every column of ``G``."""
+    if kind == "vm":
+        return (G * G).sum(axis=0) / dg
+    l1 = np.abs(G).sum(axis=0)
+    return l1 * l1 / dg
+
+
+def _change_scan(G: np.ndarray, dg: np.ndarray, kind: str, alpha: float,
+                 weight: np.ndarray) -> np.ndarray:
+    """tv / msd scores with per-node label weight ``weight``.
+
+    With ``alpha > 0`` tv blends toward the sigma-opt score and msd toward
+    the vm score: ``0.5 alpha * ensemble + (1 - alpha) * adaptive``.
+    """
+    if kind == "tv":
+        l1 = np.abs(G).sum(axis=0)
+        base = weight * l1 / dg
+        if alpha == 0.0:
+            return base
+        return 0.5 * alpha * (l1 * l1 / dg) + (1.0 - alpha) * base
+    if kind == "msd":
+        l2sq = (G * G).sum(axis=0)
+        base = weight * l2sq / (dg * dg)
+        if alpha == 0.0:
+            return base
+        return 0.5 * alpha * (l2sq / dg) + (1.0 - alpha) * base
+    raise ValueError(f"unknown strategy kind {kind!r}")
+
+
 def _binary_scan(model: GmrfModel, kind: str, alpha: float) -> np.ndarray:
     G = model.G
     dg = _scan_diag(G)
     mu = model.mu
     if kind == "unc":
         return -2.0 * np.abs(mu)
-    if kind == "vm":
-        return (G * G).sum(axis=0) / dg
-    if kind == "sigma-opt":
-        l1 = np.abs(G).sum(axis=0)
-        return l1 * l1 / dg
+    if kind in ("vm", "sigma-opt"):
+        return _ensemble_scan(G, dg, kind)
     unc_term = 1.0 - mu * mu
     if kind == "klg":
         if alpha == 0.0:
             return unc_term / (2.0 * dg)
         w_plus = 0.5 * alpha + (1.0 - alpha) * np.clip((mu + 1.0) / 2.0, 0.0, 1.0)
         return (w_plus * (1.0 - mu) ** 2 + (1.0 - w_plus) * (1.0 + mu) ** 2) / (2.0 * dg)
-    if kind == "tv":
-        l1 = np.abs(G).sum(axis=0)
-        base = 2.0 * unc_term * l1 / dg
-        if alpha == 0.0:
-            return base
-        return 0.5 * alpha * (l1 * l1 / dg) + (1.0 - alpha) * base
-    if kind == "msd":
-        l2sq = (G * G).sum(axis=0)
-        base = unc_term * l2sq / (dg * dg)
-        if alpha == 0.0:
-            return base
-        return 0.5 * alpha * (l2sq / dg) + (1.0 - alpha) * base
-    raise ValueError(f"unknown strategy kind {kind!r}")
+    return _change_scan(G, dg, kind, alpha, 2.0 * unc_term if kind == "tv" else unc_term)
 
 
 def _multiclass_scan(mm: MulticlassModel, kind: str, alpha: float) -> np.ndarray:
     if kind in BINARY_ONLY_KINDS:
         raise ValueError(f"strategy {kind!r} is defined for binary models only")
-    G = mm.models[0].G
+    G = mm.G
     dg = _scan_diag(G)
-    if kind == "vm":
-        return (G * G).sum(axis=0) / dg
-    if kind == "sigma-opt":
-        l1 = np.abs(G).sum(axis=0)
-        return l1 * l1 / dg
+    if kind in ("vm", "sigma-opt"):
+        return _ensemble_scan(G, dg, kind)
     if kind == "unc":
-        means = mm.class_means()
+        means = mm.means
         c = means.shape[0]
         top2 = np.partition(means, (c - 2, c - 1), axis=0)[-2:, :]
         return -(top2[1] - top2[0])
-    spread = _class_spread(mm)
-    if kind == "tv":
-        l1 = np.abs(G).sum(axis=0)
-        base = spread * l1 / dg
-        if alpha == 0.0:
-            return base
-        return 0.5 * alpha * (l1 * l1 / dg) + (1.0 - alpha) * base
-    if kind == "msd":
-        l2sq = (G * G).sum(axis=0)
-        base = spread * l2sq / (dg * dg)
-        if alpha == 0.0:
-            return base
-        return 0.5 * alpha * (l2sq / dg) + (1.0 - alpha) * base
-    raise ValueError(f"unknown strategy kind {kind!r}")
+    return _change_scan(G, dg, kind, alpha, _class_spread(mm))
 
 
 def utility_scores(strategy: Strategy, model, t: int) -> np.ndarray:

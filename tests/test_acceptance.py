@@ -46,7 +46,7 @@ class _MuBounds:
         self.hi = 0.0
 
     def __call__(self, strategy, model, run, t):
-        mus = [m.mu for m in model.models] if hasattr(model, "models") else [model.mu]
+        mus = model.class_means() if hasattr(model, "class_means") else [model.mu]
         for mu in mus:
             if mu.size:
                 self.lo = min(self.lo, float(mu.min()))

@@ -20,6 +20,7 @@ from gmrf_active import (
     regularized_laplacian,
     run_experiment,
 )
+from gmrf_active import bench
 from gmrf_active.checks import random_connected_graph
 
 
@@ -51,6 +52,20 @@ class TestConfigValidation:
     def test_budget_must_stay_below_node_count(self):
         cfg = ExperimentConfig(small_labeled_graph(), [Strategy("random")], budget=12, runs=1)
         with pytest.raises(ValueError, match="smaller than the node count"):
+            run_experiment(cfg)
+
+    def test_binary_only_kind_on_multiclass_graph_fails_before_any_inverse(self, monkeypatch):
+        def no_inverse(matrix):
+            raise AssertionError("an inverse was computed")
+
+        monkeypatch.setattr(bench, "spd_inverse", no_inverse)
+        cfg = ExperimentConfig(
+            "community:5,5,5:pin=0.8:pout=0.1",
+            [Strategy("tv"), Strategy("klg")],
+            budget=3,
+            runs=2,
+        )
+        with pytest.raises(ValueError, match=r"'klg' \(klg\).*3 classes"):
             run_experiment(cfg)
 
 
@@ -159,6 +174,26 @@ class TestAccuracy:
             1 for i in range(20) if (1 if model.mu[i] > 0 else 0) == labels[i]
         ) / 20
         assert accuracy(model, labels) == pytest.approx(hand)
+
+    def test_label_forms_agree_and_initial_counts_queried_as_correct(self):
+        lg = small_labeled_graph(seed=11)
+        lap = regularized_laplacian(lg.graph, 0.1)
+        model = GmrfModel.from_laplacian(lap)
+        for node in (0, 1, 5):
+            model.observe(node, 1.0 if lg.labels[node] == 1 else -1.0)
+        labels = dict(lg.labels)
+        remaining = accuracy(model, labels)
+        assert accuracy(model, LabelOracle(labels)) == remaining
+        assert accuracy(model, lg.label_vector()) == remaining
+        n = lg.graph.n
+        hits = round(remaining * (n - 3))
+        assert accuracy(model, labels, eval_on="initial") == (hits + 3) / n
+
+    def test_rejects_bad_eval_mode(self):
+        lg = small_labeled_graph(seed=12)
+        model = GmrfModel.from_laplacian(regularized_laplacian(lg.graph, 0.1))
+        with pytest.raises(ValueError, match="eval_on"):
+            accuracy(model, lg.labels, eval_on="test-split")
 
 
 class TestBaselineAccuracy:

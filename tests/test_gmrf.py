@@ -316,15 +316,30 @@ class TestMulticlass:
         with pytest.raises(ValueError, match="class id"):
             mm.observe(0, 3)
 
-    def test_models_share_index_bookkeeping(self):
+    def test_shared_inverse_is_bit_identical_to_per_class_fields(self):
         rng = np.random.default_rng(16)
-        mm = MulticlassModel.from_laplacian(random_lap(rng, 8), 3)
-        mm.observe(2, 1)
-        mm.observe(6, 0)
-        for m in mm.models[1:]:
-            assert np.array_equal(m.unlabeled, mm.models[0].unlabeled)
-            assert set(m.labeled) == set(mm.models[0].labeled)
-        assert mm.labeled == {2: 1, 6: 0}
+        lap = random_lap(rng, 12)
+        G = spd_inverse(lap.matrix)
+        mm = MulticlassModel.from_inverse(G, lap.delta, 3)
+        fields = [GmrfModel.from_inverse(G, lap.delta) for _ in range(3)]
+        for node, cls in ((2, 1), (6, 0), (11, 2), (0, 1), (7, 2)):
+            mm.observe(node, cls)
+            for c, field in enumerate(fields):
+                field.observe(node, 1.0 if c == cls else -1.0)
+            means = mm.class_means()
+            for c, field in enumerate(fields):
+                assert np.array_equal(mm.G, field.G)
+                assert np.array_equal(means[c], field.mu)
+                assert np.array_equal(mm.unlabeled, field.unlabeled)
+        assert mm.labeled == {2: 1, 6: 0, 11: 2, 0: 1, 7: 2}
+
+    def test_class_means_is_a_copy(self):
+        rng = np.random.default_rng(17)
+        mm = MulticlassModel.from_laplacian(random_lap(rng, 6), 3)
+        snapshot = mm.class_means()
+        mm.observe(1, 2)
+        assert snapshot.shape == (3, 6)
+        assert not snapshot.any()
 
 
 class TestSpdHelpers:

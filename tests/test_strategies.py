@@ -267,8 +267,7 @@ class TestUnc:
         assert score_unc(model_with_state([-1.0], [[1.0]]), 0) == -2.0
 
     def test_multiclass_top_two_gap(self):
-        models = [model_with_state([m], [[1.0]]) for m in (0.9, 0.1, -0.5)]
-        mm = MulticlassModel(models)
+        mm = MulticlassModel([0], {}, [[1.0]], [[0.9], [0.1], [-0.5]], 0.1)
         assert score_unc(mm, 0) == pytest.approx(-0.8)
 
 
