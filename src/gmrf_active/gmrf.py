@@ -3,11 +3,14 @@
 A :class:`GmrfModel` tracks, for one binary labeling problem, the inverse
 ``G`` of the regularized Laplacian restricted to the unlabeled nodes and the
 conditional mean ``mu`` of the field given the labels observed so far.
-Observing a label costs ``O(|U|^2)`` via a rank-one mean update followed by a
+Observing a label costs ``O(|U|^2)`` via a rank-one mean update and a
 Schur-complement downdate of ``G``; no refactorization happens after
-initialization. :func:`conditional_mean_direct` re-solves the linear system
-from scratch and serves as the reference implementation the incremental path
-is tested against. :class:`MulticlassModel` lifts the binary machinery to C
+initialization. The downdate compacts: the kept rows and columns of ``G`` are
+copied once into a fresh array and the rank-one term is subtracted from that
+copy in place, so :meth:`observe` never writes an array a caller holds.
+:func:`conditional_mean_direct` re-solves the linear system from scratch and
+serves as the reference implementation the incremental path is tested
+against. :class:`MulticlassModel` lifts the binary machinery to C
 classes with one-vs-rest fields. The downdate of ``G`` does not depend on the
 observed value, so the C fields share one ``G`` and differ only in their
 means: one ``O(|U|^2)`` downdate per label whatever the class count.
@@ -40,27 +43,9 @@ def spd_inverse(matrix: np.ndarray) -> np.ndarray:
     return (inv + inv.T) / 2.0
 
 
-def jacobi_inverse(matrix: np.ndarray, tol: float = 1e-10,
-                   max_iter: int = 200_000) -> np.ndarray:
-    """Invert a diagonally dominant SPD matrix by Jacobi iteration.
-
-    Iterates ``X <- X + D^{-1} (I - A X)``. Convergence is slow when the
-    dominance margin (the regularizer) is small relative to the degrees, so
-    this is an optional alternative to :func:`spd_inverse`, not the default.
-    """
-    A = np.asarray(matrix, dtype=float)
-    n = A.shape[0]
-    d_inv = 1.0 / np.diagonal(A)
-    X = np.diag(d_inv.copy())
-    eye = np.eye(n)
-    for _ in range(max_iter):
-        residual = eye - A @ X
-        if np.abs(residual).max() < tol:
-            break
-        X = X + d_inv[:, None] * residual
-    else:
-        raise ValueError(f"Jacobi inversion did not reach tol={tol} in {max_iter} iterations")
-    return (X + X.T) / 2.0
+def _without(a: np.ndarray, pos: int) -> np.ndarray:
+    """Copy of ``a`` without entry ``pos`` along its last axis."""
+    return np.concatenate((a[..., :pos], a[..., pos + 1:]), axis=-1)
 
 
 class _SharedInverse:
@@ -95,11 +80,31 @@ class _SharedInverse:
             )
         return gkk
 
-    def _downdate(self, pos: int, gk: np.ndarray, gkk: float) -> None:
-        """Subtract ``g_k g_k^T / g_kk`` from ``G``, then drop node ``pos``."""
-        self.G = self.G - np.outer(gk, gk) / gkk
-        self.G = np.delete(np.delete(self.G, pos, axis=0), pos, axis=1)
-        self.unlabeled = np.delete(self.unlabeled, pos)
+    def _downdate(self, pos: int, gkk: float) -> np.ndarray:
+        """Drop node ``pos`` from ``G`` and subtract ``g g^T / g_kk``.
+
+        ``g`` is column ``pos`` of ``G`` without its own entry. The kept
+        blocks of ``G`` are copied once into a fresh ``(k, k)`` array, and the
+        rank-one term is subtracted from it in place, on contiguous memory.
+        Every kept entry is ``G_ij - (g_i g_j) / g_kk``, the same arithmetic
+        as downdating the full ``G`` and deleting row and column ``pos``
+        afterwards. The old ``G`` is replaced, never written. Returns ``g``.
+        """
+        G = self.G
+        k = G.shape[0] - 1
+        g = _without(G[:, pos], pos)
+        D = np.empty((k, k))
+        D[:pos, :pos] = G[:pos, :pos]
+        D[:pos, pos:] = G[:pos, pos + 1:]
+        D[pos:, :pos] = G[pos + 1:, :pos]
+        D[pos:, pos:] = G[pos + 1:, pos + 1:]
+        self.G = D
+        del G  # lets the old G be freed before the rank-one temporary exists
+        T = np.multiply.outer(g, g)
+        T /= gkk
+        D -= T
+        self.unlabeled = _without(self.unlabeled, pos)
+        return g
 
     def validate(self, atol: float = 1e-10) -> None:
         """Spot-check structural invariants; raises on violation."""
@@ -143,15 +148,9 @@ class GmrfModel(_SharedInverse):
         self.mu = np.asarray(mu, dtype=float)
 
     @classmethod
-    def from_laplacian(cls, lap: RegularizedLaplacian, method: str = "cholesky") -> "GmrfModel":
+    def from_laplacian(cls, lap: RegularizedLaplacian) -> "GmrfModel":
         """Fresh model with all nodes unlabeled, zero mean, full inverse."""
-        if method == "cholesky":
-            G = spd_inverse(lap.matrix)
-        elif method == "jacobi":
-            G = jacobi_inverse(lap.matrix)
-        else:
-            raise ValueError(f"unknown initialization method {method!r}")
-        return cls(np.arange(lap.n), {}, G, np.zeros(lap.n), lap.delta)
+        return cls(np.arange(lap.n), {}, spd_inverse(lap.matrix), np.zeros(lap.n), lap.delta)
 
     @classmethod
     def from_inverse(cls, G: np.ndarray, delta: float) -> "GmrfModel":
@@ -169,19 +168,18 @@ class GmrfModel(_SharedInverse):
     def observe(self, node: int, value) -> "GmrfModel":
         """Absorb an observed label and shrink the model to ``U \\ {node}``.
 
-        The mean moves by ``(value - mu_k) / g_kk * g_k`` before entry ``k``
-        is dropped; ``G`` is downdated by ``g_k g_k^T / g_kk`` before row and
-        column ``k`` are dropped. Cost ``O(|U|^2)``.
+        Entry ``k`` is dropped and every kept entry of the mean moves by
+        ``(value - mu_k) / g_kk * g_k``; :meth:`_downdate` shrinks ``G``.
+        Cost ``O(|U|^2)``.
         """
         value = float(value)
         if value not in (-1.0, 1.0):
             raise ValueError(f"observed value must be -1 or +1, got {value}")
         pos = self.position(node)
         gkk = self._pivot(pos)
-        gk = self.G[:, pos].copy()
-        self.mu = self.mu + ((value - self.mu[pos]) / gkk) * gk
-        self.mu = np.delete(self.mu, pos)
-        self._downdate(pos, gk, gkk)
+        step = (value - self.mu[pos]) / gkk
+        g = self._downdate(pos, gkk)
+        self.mu = _without(self.mu, pos) + step * g
         self.labeled[int(node)] = value
         return self
 
@@ -309,21 +307,21 @@ class MulticlassModel(_SharedInverse):
     def observe(self, node: int, class_id: int) -> "MulticlassModel":
         """Absorb an observed class and shrink the model to ``U \\ {node}``.
 
-        Every field's mean moves by ``(v_c - mu_ck) / g_kk * g_k`` with
-        ``v_c = +1`` for the observed class and ``-1`` otherwise; ``G`` is
-        downdated once. Cost ``O(|U|^2)``, independent of the class count.
+        Column ``k`` is dropped and every kept entry of field ``c`` moves by
+        ``(v_c - mu_ck) / g_kk * g_k`` with ``v_c = +1`` for the observed
+        class and ``-1`` otherwise; :meth:`_downdate` shrinks ``G`` once.
+        Cost ``O(|U|^2)``, independent of the class count.
         """
         class_id = int(class_id)
         if not 0 <= class_id < self.num_classes:
             raise ValueError(f"class id {class_id} outside 0..{self.num_classes - 1}")
         pos = self.position(node)
         gkk = self._pivot(pos)
-        gk = self.G[:, pos].copy()
         values = np.full(self.num_classes, -1.0)
         values[class_id] = 1.0
-        self.means = self.means + ((values - self.means[:, pos]) / gkk)[:, None] * gk
-        self.means = np.delete(self.means, pos, axis=1)
-        self._downdate(pos, gk, gkk)
+        step = (values - self.means[:, pos]) / gkk
+        g = self._downdate(pos, gkk)
+        self.means = _without(self.means, pos) + step[:, None] * g
         self.labeled[int(node)] = class_id
         return self
 

@@ -79,13 +79,6 @@ class Graph:
             W[j, i] = w
         return W
 
-    def adjacency_lists(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
-
     def component_count(self) -> int:
         parent = list(range(self.n))
 

@@ -46,8 +46,9 @@ class Strategy:
     ``pi_t = min(1, scale / sqrt(t))``, the per-iteration probability of a
     uniform exploration query; 0 disables it. ``maxmin`` replaces the
     expectation over candidate labels by the worst case and applies only to
-    the retraining-based scorers (fl, kl). ``seed`` is the default RNG seed
-    for standalone use; the experiment harness supplies per-run generators.
+    the retraining-based scorers (fl, kl). ``seed`` is only recorded (the
+    CLI copies its ``--seed`` here); the experiment harness supplies the
+    per-run generators.
     """
 
     kind: str
@@ -84,9 +85,6 @@ class Strategy:
         if self.hybrid_scale == 0.0:
             return 0.0
         return min(1.0, self.hybrid_scale / math.sqrt(max(t, 1)))
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
 
 
 def _parse_confidence(text: str) -> tuple[str, float]:

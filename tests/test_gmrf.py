@@ -16,7 +16,8 @@ from gmrf_active import (
 )
 from gmrf_active.bench import predicted_classes
 from gmrf_active.checks import random_connected_graph
-from gmrf_active.gmrf import class_decision, jacobi_inverse
+from gmrf_active.gmrf import class_decision
+from gmrf_active.strategies import Strategy, select
 
 
 def two_node_lap(delta=0.1):
@@ -53,19 +54,6 @@ class TestInit:
         lap.matrix = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
         with pytest.raises(ValueError, match="positive definite"):
             GmrfModel.from_laplacian(lap)
-
-    def test_jacobi_option_matches_cholesky(self):
-        rng = np.random.default_rng(2)
-        lap = random_lap(rng, 8, delta=1.0)
-        a = GmrfModel.from_laplacian(lap)
-        b = GmrfModel.from_laplacian(lap, method="jacobi")
-        assert np.abs(a.G - b.G).max() < 1e-8
-
-    def test_jacobi_inverse_identity(self):
-        rng = np.random.default_rng(3)
-        lap = random_lap(rng, 6, delta=2.0)
-        X = jacobi_inverse(lap.matrix)
-        assert np.abs(X @ lap.matrix - np.eye(6)).max() < 1e-8
 
 
 class TestConditionalMeanDirect:
@@ -179,6 +167,76 @@ class TestObserve:
             model_b.observe(node, value)
         assert np.abs(model_a.mu - model_b.mu).max() < 1e-10
         assert np.abs(model_a.G / scale - model_b.G).max() < 1e-10
+
+
+class TestCompactingDowndate:
+    """``observe`` against the delete-after-downdate formula, bit for bit."""
+
+    @staticmethod
+    def reference_step(G, pos, gkk):
+        gk = G[:, pos].copy()
+        shrunk = np.delete(np.delete(G - np.outer(gk, gk) / gkk, pos, 0), pos, 1)
+        return gk, shrunk
+
+    @staticmethod
+    def positions(rng, n):
+        # first, middle and last position, then random ones down to |U| = 0
+        sizes = range(n, 0, -1)
+        fixed = [0, (n - 1) // 2, n - 3]
+        return [fixed[i] if i < 3 else int(rng.integers(k)) for i, k in enumerate(sizes)]
+
+    def check_observe_sequence(self, model, state, draw_label, update_ref):
+        rng = np.random.default_rng(12)
+        G_ref = model.G.copy()
+        ref = state(model).copy()
+        ids = model.unlabeled.copy()
+        for pos in self.positions(rng, ids.size):
+            held, held_copy = model.G, model.G.copy()
+            gkk = G_ref[pos, pos]
+            gk, G_ref = self.reference_step(G_ref, pos, gkk)
+            label = draw_label(rng)
+            ref = update_ref(ref, pos, gk, gkk, label)
+            model.observe(int(ids[pos]), label)
+            ids = np.delete(ids, pos)
+            assert np.array_equal(held, held_copy)
+            assert np.array_equal(model.G, G_ref)
+            assert np.array_equal(state(model), ref)
+            assert np.array_equal(model.unlabeled, ids)
+        assert model.G.shape == (0, 0)
+        with pytest.raises(ValueError, match="no unlabeled nodes"):
+            select(Strategy("tv"), model, 2, rng)
+
+    def test_binary_matches_delete_formula(self):
+        lap = random_lap(np.random.default_rng(10), 11)
+        passed = spd_inverse(lap.matrix)
+        kept = passed.copy()
+
+        def update_ref(mu, pos, gk, gkk, value):
+            return np.delete(mu + ((value - mu[pos]) / gkk) * gk, pos)
+
+        for model in (GmrfModel.from_inverse(passed, lap.delta),
+                      GmrfModel(np.arange(11), {}, passed, np.zeros(11), lap.delta)):
+            self.check_observe_sequence(
+                model, lambda m: m.mu,
+                lambda rng: 1.0 if rng.random() < 0.5 else -1.0, update_ref)
+            assert np.array_equal(passed, kept)
+
+    def test_multiclass_matches_delete_formula(self):
+        lap = random_lap(np.random.default_rng(11), 10)
+        passed = spd_inverse(lap.matrix)
+        kept = passed.copy()
+
+        def update_ref(means, pos, gk, gkk, class_id):
+            values = np.full(3, -1.0)
+            values[class_id] = 1.0
+            moved = means + ((values - means[:, pos]) / gkk)[:, None] * gk
+            return np.delete(moved, pos, axis=1)
+
+        for model in (MulticlassModel.from_inverse(passed, lap.delta, 3),
+                      MulticlassModel(np.arange(10), {}, passed, np.zeros((3, 10)), lap.delta)):
+            self.check_observe_sequence(
+                model, lambda m: m.means, lambda rng: int(rng.integers(3)), update_ref)
+            assert np.array_equal(passed, kept)
 
 
 class TestHypotheticalMean:
