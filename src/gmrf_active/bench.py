@@ -11,8 +11,9 @@ set by default or on the full initial node set behind a flag.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -86,7 +87,6 @@ class ExperimentConfig:
     seed: int = 0
     delta: float = 0.005
     eval_on: str = "remaining"
-    output: str | None = None
 
     def __post_init__(self):
         if not self.strategies:
@@ -98,8 +98,10 @@ class ExperimentConfig:
             raise ValueError("budget must be at least 1")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError(f"delta must be finite and positive, got {self.delta}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.eval_on not in EVAL_MODES:
             raise ValueError(f"eval_on must be one of {EVAL_MODES}")
 
@@ -122,11 +124,6 @@ def _class_ids(model) -> np.ndarray:
     if isinstance(model, MulticlassModel):
         return class_decision(model.means)
     return (model.mu > 0).astype(np.int64)
-
-
-def predicted_classes(model) -> dict[int, int]:
-    """Predictions as class ids: binary +1 maps to class 1, -1 to class 0."""
-    return dict(zip(model.unlabeled.tolist(), _class_ids(model).tolist()))
 
 
 def _label_array(labels) -> np.ndarray:

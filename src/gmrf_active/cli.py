@@ -13,6 +13,7 @@ directory when ``--out`` paths are omitted.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -29,8 +30,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {value}")
     return value
 
 
@@ -41,6 +42,16 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -59,8 +70,8 @@ def _hybrid(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a hybrid scale or 'none'") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("hybrid scale must be >= 0")
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"hybrid scale must be finite and >= 0, got {value}")
     return value
 
 
@@ -85,7 +96,7 @@ def _add_experiment_args(sp: argparse.ArgumentParser) -> None:
                     help="grid:RxC | community:S1,S2,..:pin=P:pout=Q | file:EDGES:LABELS")
     sp.add_argument("--T", required=True, type=_positive_int, help="query budget")
     sp.add_argument("--runs", type=_positive_int, default=50)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--delta", type=_positive_float, default=0.005)
     sp.add_argument("--confidence", type=_confidence, default="inv_sqrt",
                     help="inv_sqrt | const:<a> | none")
@@ -104,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a synthetic labeled graph and write it to files")
     gen.add_argument("--graph", required=True, help="grid:RxC | community:S1,S2,..:pin=P:pout=Q")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0)
     gen.add_argument("--out-edges", required=True)
     gen.add_argument("--out-labels", required=True)
 
@@ -130,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_experiment_args(cmp_)
 
     chk = sub.add_parser("check", help="run the numerical validation suites")
-    chk.add_argument("--seed", type=int, default=0)
+    chk.add_argument("--seed", type=_seed, default=0)
 
     return parser
 
@@ -175,7 +186,6 @@ def _make_strategies(args, names: list[str]) -> list[Strategy]:
             confidence=args.confidence,
             hybrid_scale=args.hybrid,
             maxmin=maxmin and name in ("fl", "kl"),
-            seed=args.seed,
         )
         for name in names
     ]
@@ -190,12 +200,12 @@ def _cmd_experiment(args, names: list[str]) -> int:
         seed=args.seed,
         delta=args.delta,
         eval_on=args.eval_on,
-        output=args.out or _default_out("results.csv"),
     )
+    out = args.out or _default_out("results.csv")
     results = run_experiment(cfg)
-    emit_csv(results, cfg.output)
+    emit_csv(results, out)
     print(emit_summary(results))
-    print(f"wrote {cfg.output}", file=sys.stderr)
+    print(f"wrote {out}", file=sys.stderr)
     return 0
 
 

@@ -159,12 +159,6 @@ class GmrfModel(_SharedInverse):
         return cls(np.arange(n), {}, np.array(G, dtype=float, copy=True),
                    np.zeros(n), delta)
 
-    def copy(self) -> "GmrfModel":
-        dup = GmrfModel(self.unlabeled.copy(), dict(self.labeled),
-                        self.G.copy(), self.mu.copy(), self.delta)
-        dup.retrain_calls = self.retrain_calls
-        return dup
-
     def observe(self, node: int, value) -> "GmrfModel":
         """Absorb an observed label and shrink the model to ``U \\ {node}``.
 
@@ -289,12 +283,6 @@ class MulticlassModel(_SharedInverse):
         n = G.shape[0]
         return cls(np.arange(n), {}, np.array(G, dtype=float, copy=True),
                    np.zeros((num_classes, n)), delta)
-
-    def copy(self) -> "MulticlassModel":
-        dup = MulticlassModel(self.unlabeled.copy(), dict(self.labeled),
-                              self.G.copy(), self.means.copy(), self.delta)
-        dup.retrain_calls = self.retrain_calls
-        return dup
 
     @property
     def num_classes(self) -> int:

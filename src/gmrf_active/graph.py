@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +36,6 @@ class Graph:
 
     n: int
     edges: dict[Edge, float]
-    node_ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -60,8 +60,6 @@ class Graph:
                 )
             canonical[key] = w
         self.edges = canonical
-        if self.node_ids is not None and len(self.node_ids) != self.n:
-            raise ValueError("node_ids length must equal n")
 
     @property
     def num_edges(self) -> int:
@@ -79,23 +77,37 @@ class Graph:
             W[j, i] = w
         return W
 
+    @cached_property
+    def _components(self) -> int:
+        return _count_components(self.n, self.edges)
+
     def component_count(self) -> int:
-        parent = list(range(self.n))
+        """Number of connected components.
 
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i, j in self.edges:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-        return len({find(a) for a in range(self.n)})
+        Counted on the first call only: a graph is immutable after
+        construction, so later calls reuse the count.
+        """
+        return self._components
 
     def is_connected(self) -> bool:
-        return self.component_count() == 1
+        return self._components == 1
+
+
+def _count_components(n: int, edges) -> int:
+    """Connected components of nodes ``0..n-1`` by union-find over ``edges``."""
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j in edges:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+    return len({find(a) for a in range(n)})
 
 
 @dataclass
@@ -149,10 +161,10 @@ def regularized_laplacian(graph: Graph, delta: float) -> RegularizedLaplacian:
         Must be connected; disconnected input is rejected with the
         component count in the message.
     delta : float
-        Positive self-loop weight added to every node.
+        Finite positive self-loop weight added to every node.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and positive, got {delta}")
     if not graph.is_connected():
         raise ValueError(
             f"graph is disconnected ({graph.component_count()} components); "
@@ -458,15 +470,18 @@ def from_spec(spec: str, seed: int = 0) -> LabeledGraph:
             sizes = [int(x) for x in parts[0].split(",")]
         except ValueError:
             raise ValueError(f"bad community sizes in {spec!r}") from None
-        p_in = p_out = None
+        probs = {}
         for part in parts[1:]:
             key, _, val = part.partition("=")
-            if key == "pin":
-                p_in = float(val)
-            elif key == "pout":
-                p_out = float(val)
-            else:
+            if key not in ("pin", "pout"):
                 raise ValueError(f"unknown community option {part!r} in {spec!r}")
+            try:
+                probs[key] = float(val)
+            except ValueError:
+                raise ValueError(
+                    f"bad value {val!r} for community option {key} in {spec!r}"
+                ) from None
+        p_in, p_out = probs.get("pin"), probs.get("pout")
         if p_in is None or p_out is None:
             raise ValueError(f"community spec {spec!r} needs pin= and pout=")
         return community_graph(sizes, p_in, p_out, seed)

@@ -46,24 +46,21 @@ class Strategy:
     ``pi_t = min(1, scale / sqrt(t))``, the per-iteration probability of a
     uniform exploration query; 0 disables it. ``maxmin`` replaces the
     expectation over candidate labels by the worst case and applies only to
-    the retraining-based scorers (fl, kl). ``seed`` is only recorded (the
-    CLI copies its ``--seed`` here); the experiment harness supplies the
-    per-run generators.
+    the retraining-based scorers (fl, kl).
     """
 
     kind: str
     confidence: str = "none"
     hybrid_scale: float = 0.0
     maxmin: bool = False
-    seed: int = 0
     name: str | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}; choose from {KINDS}")
         _parse_confidence(self.confidence)
-        if self.hybrid_scale < 0:
-            raise ValueError("hybrid_scale must be >= 0")
+        if not (math.isfinite(self.hybrid_scale) and self.hybrid_scale >= 0):
+            raise ValueError(f"hybrid_scale must be finite and >= 0, got {self.hybrid_scale}")
         if self.maxmin and self.kind not in RETRAINING_KINDS:
             raise ValueError("maxmin applies only to the retraining-based scorers (fl, kl)")
 
@@ -101,20 +98,6 @@ def _parse_confidence(text: str) -> tuple[str, float]:
             raise ValueError(f"confidence constant must lie in [0, 1], got {value}")
         return "const", value
     raise ValueError(f"bad confidence spec {text!r}; expected none, inv_sqrt, or const:<a>")
-
-
-@dataclass
-class UtilityReport:
-    """Scores of one selection scan plus the chosen node.
-
-    ``scores`` is empty when the query came from a random branch (first
-    iteration or the hybrid rule); otherwise ``chosen`` attains the maximum
-    score, ties broken by lowest node id.
-    """
-
-    iteration: int
-    scores: dict[int, float]
-    chosen: int
 
 
 def _validate_alpha(alpha: float) -> None:
@@ -306,38 +289,6 @@ def _change_scan(G: np.ndarray, dg: np.ndarray, kind: str, alpha: float,
     raise ValueError(f"unknown strategy kind {kind!r}")
 
 
-def _binary_scan(model: GmrfModel, kind: str, alpha: float) -> np.ndarray:
-    G = model.G
-    dg = _scan_diag(G)
-    mu = model.mu
-    if kind == "unc":
-        return -2.0 * np.abs(mu)
-    if kind in ("vm", "sigma-opt"):
-        return _ensemble_scan(G, dg, kind)
-    unc_term = 1.0 - mu * mu
-    if kind == "klg":
-        if alpha == 0.0:
-            return unc_term / (2.0 * dg)
-        w_plus = 0.5 * alpha + (1.0 - alpha) * np.clip((mu + 1.0) / 2.0, 0.0, 1.0)
-        return (w_plus * (1.0 - mu) ** 2 + (1.0 - w_plus) * (1.0 + mu) ** 2) / (2.0 * dg)
-    return _change_scan(G, dg, kind, alpha, 2.0 * unc_term if kind == "tv" else unc_term)
-
-
-def _multiclass_scan(mm: MulticlassModel, kind: str, alpha: float) -> np.ndarray:
-    if kind in BINARY_ONLY_KINDS:
-        raise ValueError(f"strategy {kind!r} is defined for binary models only")
-    G = mm.G
-    dg = _scan_diag(G)
-    if kind in ("vm", "sigma-opt"):
-        return _ensemble_scan(G, dg, kind)
-    if kind == "unc":
-        means = mm.means
-        c = means.shape[0]
-        top2 = np.partition(means, (c - 2, c - 1), axis=0)[-2:, :]
-        return -(top2[1] - top2[0])
-    return _change_scan(G, dg, kind, alpha, _class_spread(mm))
-
-
 def utility_scores(strategy: Strategy, model, t: int) -> np.ndarray:
     """Schedule-adjusted scores of every unlabeled node at iteration ``t``.
 
@@ -346,18 +297,40 @@ def utility_scores(strategy: Strategy, model, t: int) -> np.ndarray:
     while klg/fl/kl take their label expectation under the mixed posterior.
     Returned array aligns with ``model.unlabeled``.
     """
-    if strategy.kind == "random":
+    kind = strategy.kind
+    if kind == "random":
         raise ValueError("the random strategy is not score-driven")
+    multiclass = isinstance(model, MulticlassModel)
+    if multiclass and kind in BINARY_ONLY_KINDS:
+        raise ValueError(f"strategy {kind!r} is defined for binary models only")
     alpha = strategy.alpha(t)
-    if isinstance(model, MulticlassModel):
-        return _multiclass_scan(model, strategy.kind, alpha)
-    if strategy.kind in RETRAINING_KINDS:
-        scorer = score_fl if strategy.kind == "fl" else score_kl
+    G = model.G
+    dg = _scan_diag(G)
+    if kind in ("vm", "sigma-opt"):
+        return _ensemble_scan(G, dg, kind)
+    if multiclass:
+        if kind == "unc":
+            means = model.means
+            c = means.shape[0]
+            top2 = np.partition(means, (c - 2, c - 1), axis=0)[-2:, :]
+            return -(top2[1] - top2[0])
+        return _change_scan(G, dg, kind, alpha, _class_spread(model))
+    if kind in RETRAINING_KINDS:
+        scorer = score_fl if kind == "fl" else score_kl
         return np.array([
             scorer(model, int(node), alpha=alpha, maxmin=strategy.maxmin)
             for node in model.unlabeled
         ])
-    return _binary_scan(model, strategy.kind, alpha)
+    mu = model.mu
+    if kind == "unc":
+        return -2.0 * np.abs(mu)
+    unc_term = 1.0 - mu * mu
+    if kind == "klg":
+        if alpha == 0.0:
+            return unc_term / (2.0 * dg)
+        w_plus = 0.5 * alpha + (1.0 - alpha) * np.clip((mu + 1.0) / 2.0, 0.0, 1.0)
+        return (w_plus * (1.0 - mu) ** 2 + (1.0 - w_plus) * (1.0 + mu) ** 2) / (2.0 * dg)
+    return _change_scan(G, dg, kind, alpha, 2.0 * unc_term if kind == "tv" else unc_term)
 
 
 def _uniform_draw(ids: np.ndarray, rng: np.random.Generator) -> int:
@@ -383,20 +356,3 @@ def select(strategy: Strategy, model, t: int, rng: np.random.Generator) -> int:
     scores = utility_scores(strategy, model, t)
     return int(ids[int(np.argmax(scores))])
 
-
-def select_report(strategy: Strategy, model, t: int, rng: np.random.Generator) -> UtilityReport:
-    """Like :func:`select` but also returns the per-candidate scores.
-
-    Random-branch draws yield an empty score map.
-    """
-    ids = model.unlabeled
-    if ids.size == 0:
-        raise ValueError("no unlabeled nodes to select from")
-    if t <= 1 or strategy.kind == "random":
-        return UtilityReport(t, {}, _uniform_draw(ids, rng))
-    pi_t = strategy.mixing_probability(t)
-    if pi_t > 0.0 and rng.random() < pi_t:
-        return UtilityReport(t, {}, _uniform_draw(ids, rng))
-    scores = utility_scores(strategy, model, t)
-    chosen = int(ids[int(np.argmax(scores))])
-    return UtilityReport(t, {int(i): float(s) for i, s in zip(ids, scores)}, chosen)

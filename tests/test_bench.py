@@ -52,6 +52,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="eval_on"):
             ExperimentConfig("grid:4x4", [Strategy("tv")], budget=3, eval_on="test-split")
 
+    @pytest.mark.parametrize("name, value", [
+        ("delta", float("nan")), ("delta", float("inf")), ("seed", -1),
+    ])
+    def test_rejects_bad_delta_or_seed_before_any_compute(self, monkeypatch, name, value):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("compute ran before the config was checked")
+
+        monkeypatch.setattr(bench.graph_mod, "from_spec", no_compute)
+        monkeypatch.setattr(bench, "regularized_laplacian", no_compute)
+        monkeypatch.setattr(bench, "spd_inverse", no_compute)
+        with pytest.raises(ValueError, match=name):
+            run_experiment(ExperimentConfig("grid:4x4", [Strategy("tv")], budget=3,
+                                            **{name: value}))
+
     def test_budget_must_stay_below_node_count(self):
         cfg = ExperimentConfig(small_labeled_graph(), [Strategy("random")], budget=12, runs=1)
         with pytest.raises(ValueError, match="smaller than the node count"):
@@ -126,6 +140,22 @@ class TestRunExperiment:
         run_experiment(cfg_fl, step_hook=hook)
         # scans happen at t = 2..5 over shrinking pools of <= n-1 nodes
         assert 0 < calls["fl"] <= 2 * lg.graph.n * 4
+
+    def test_components_counted_once_per_run(self, monkeypatch):
+        # community_graph checks connectivity and regularized_laplacian checks
+        # the same graph again; the second check reuses the first count
+        original = bench.graph_mod._count_components
+        calls = []
+
+        def counting(n, edges):
+            calls.append(n)
+            return original(n, edges)
+
+        monkeypatch.setattr(bench.graph_mod, "_count_components", counting)
+        cfg = ExperimentConfig("community:10,12:pin=0.8:pout=0.05", [Strategy("tv")],
+                               budget=3, runs=2, seed=1, delta=0.2)
+        run_experiment(cfg)
+        assert calls == [22, 22]
 
     def test_generator_source_resampled_per_run(self):
         seen = set()

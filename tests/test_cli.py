@@ -36,6 +36,19 @@ def test_negative_delta_is_usage_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--delta", "nan"), ("--delta", "inf"), ("--hybrid", "nan"), ("--seed", "-1"),
+])
+def test_bad_numeric_option_is_usage_error(tmp_path, capsys, flag, value):
+    code = main([
+        "run", "--strategy", "tv", "--graph", "grid:5x5", "--T", "3", "--runs", "1",
+        flag, value, "--out", str(tmp_path / "x.csv"),
+    ])
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_unknown_flag_is_usage_error():
     assert main(["run", "--strategy", "tv", "--graph", "grid:5x5", "--T", "3",
                  "--frobnicate"]) == 2

@@ -20,6 +20,7 @@ from gmrf_active import (
     save_edge_list,
     save_labels,
 )
+from gmrf_active import graph as graph_mod
 from gmrf_active.checks import random_connected_graph
 
 
@@ -161,6 +162,27 @@ class TestRegularizedLaplacian:
         g = Graph(4, {(0, 1): 1.0, (2, 3): 1.0})
         with pytest.raises(ValueError, match="2 components"):
             regularized_laplacian(g, 0.1)
+
+    def test_non_finite_delta_rejected(self):
+        g = Graph(3, {(0, 1): 1.0, (1, 2): 1.0})
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="delta must be finite"):
+                regularized_laplacian(g, bad)
+
+    def test_disconnected_graph_counted_once(self, monkeypatch):
+        original = graph_mod._count_components
+        calls = []
+
+        def counting(n, edges):
+            calls.append(n)
+            return original(n, edges)
+
+        monkeypatch.setattr(graph_mod, "_count_components", counting)
+        g = Graph(5, {(0, 1): 1.0, (2, 3): 1.0})
+        with pytest.raises(ValueError, match="3 components"):
+            regularized_laplacian(g, 0.1)
+        assert g.component_count() == 3
+        assert calls == [5]
 
     def test_row_sums_equal_delta(self):
         rng = np.random.default_rng(2)
@@ -340,3 +362,8 @@ class TestFromSpec:
     def test_unknown_spec_rejected(self):
         with pytest.raises(ValueError, match="unknown graph spec"):
             from_spec("torus:3x3")
+
+    def test_bad_option_value_names_option_and_spec(self):
+        spec = "community:10,10:pin=0.5:pout=abc"
+        with pytest.raises(ValueError, match=r"'abc' for community option pout in '" + spec):
+            from_spec(spec)

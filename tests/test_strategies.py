@@ -22,9 +22,9 @@ from gmrf_active import (
     score_unc,
     score_vm,
     select,
-    select_report,
     utility_scores,
 )
+from gmrf_active import strategies
 from gmrf_active.checks import random_connected_graph
 from gmrf_active.strategies import _bernoulli_kl
 
@@ -73,6 +73,11 @@ class TestStrategyConfig:
         assert Strategy("tv").alpha(5) == 0.0
         assert Strategy("tv", confidence="inv_sqrt").alpha(4) == 0.5
         assert Strategy("tv", confidence="const:0.25").alpha(99) == 0.25
+
+    def test_non_finite_or_negative_hybrid_scale_rejected(self):
+        for bad in (float("nan"), float("inf"), -0.5):
+            with pytest.raises(ValueError, match="hybrid_scale"):
+                Strategy("tv", hybrid_scale=bad)
 
     def test_mixing_schedule_nonincreasing(self):
         s = Strategy("unc", hybrid_scale=1.0)
@@ -475,15 +480,28 @@ class TestSelect:
         with pytest.raises(ValueError, match="no unlabeled"):
             select(Strategy("tv"), model, 1, np.random.default_rng(0))
 
-    def test_report_contains_scores_and_argmax(self):
+    def test_scored_pick_is_argmax_of_utility_scores(self):
         rng = np.random.default_rng(26)
         model = make_model(rng, 8, observed=1)
-        report = select_report(Strategy("msd"), model, 3, np.random.default_rng(0))
-        assert set(report.scores) == set(int(i) for i in model.unlabeled)
-        best = max(report.scores.values())
-        assert report.scores[report.chosen] == best
+        lap = regularized_laplacian(random_connected_graph(9, rng), 0.05)
+        mm = MulticlassModel.from_laplacian(lap, 3)
+        mm.observe(4, 2)
+        for m, kinds in ((model, ("msd", "tv", "klg", "vm", "unc", "fl")),
+                         (mm, ("msd", "tv", "sigma-opt", "unc"))):
+            for kind in kinds:
+                s = Strategy(kind, confidence="inv_sqrt")
+                for t in (2, 3, 7):
+                    scores = utility_scores(s, m, t)
+                    assert scores.shape == m.unlabeled.shape
+                    expected = int(m.unlabeled[int(np.argmax(scores))])
+                    assert select(s, m, t, np.random.default_rng(0)) == expected
 
-    def test_report_random_branch_has_no_scores(self):
+    def test_first_iteration_draws_without_scoring(self, monkeypatch):
+        def no_scores(*args, **kwargs):
+            raise AssertionError("utility_scores was called")
+
+        monkeypatch.setattr(strategies, "utility_scores", no_scores)
         model = make_model(np.random.default_rng(27), 8)
-        report = select_report(Strategy("msd"), model, 1, np.random.default_rng(0))
-        assert report.scores == {}
+        draw = int(model.unlabeled[np.random.default_rng(0).integers(8)])
+        assert select(Strategy("msd"), model, 1, np.random.default_rng(0)) == draw
+        assert select(Strategy("random"), model, 5, np.random.default_rng(0)) == draw
