@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import graph as graph_mod
-from .gmrf import GmrfModel, MulticlassModel, class_decision, spd_inverse
+from .gmrf import GmrfModel, class_decision, spd_inverse
 from .graph import LabeledGraph, regularized_laplacian
 from .strategies import BINARY_ONLY_KINDS, Strategy, select
 
@@ -106,26 +106,6 @@ class ExperimentConfig:
             raise ValueError(f"eval_on must be one of {EVAL_MODES}")
 
 
-def _fresh_model(inverse: np.ndarray, delta: float, num_classes: int):
-    if num_classes == 2:
-        return GmrfModel.from_inverse(inverse, delta)
-    return MulticlassModel.from_inverse(inverse, delta, num_classes)
-
-
-def _observe_class(model, node: int, class_id: int) -> None:
-    if isinstance(model, MulticlassModel):
-        model.observe(node, class_id)
-    else:
-        model.observe(node, 1.0 if class_id == 1 else -1.0)
-
-
-def _class_ids(model) -> np.ndarray:
-    """Predicted class id per position of ``model.unlabeled``."""
-    if isinstance(model, MulticlassModel):
-        return class_decision(model.means)
-    return (model.mu > 0).astype(np.int64)
-
-
 def _label_array(labels) -> np.ndarray:
     if isinstance(labels, LabelOracle):
         labels = labels.labels
@@ -134,12 +114,11 @@ def _label_array(labels) -> np.ndarray:
     return np.asarray(labels)
 
 
-def accuracy(model, labels, eval_on: str = "remaining") -> float:
+def accuracy(model: GmrfModel, labels, eval_on: str = "remaining") -> float:
     """Fraction of correctly predicted nodes.
 
-    A binary model predicts class 1 iff ``mu > 0``; a multi-class model
-    predicts by :func:`~gmrf_active.gmrf.class_decision`, the same rule as
-    :meth:`MulticlassModel.predict`. ``labels`` gives the true class of every
+    The model predicts by :func:`~gmrf_active.gmrf.class_decision`, the same
+    rule as :meth:`GmrfModel.predict`. ``labels`` gives the true class of every
     node: a :class:`LabelOracle`, a node id -> class mapping, or an array
     indexed by node id. With ``eval_on="remaining"`` the fraction is over the
     unlabeled nodes; with ``"initial"`` it is over all nodes, and the queried
@@ -151,7 +130,7 @@ def accuracy(model, labels, eval_on: str = "remaining") -> float:
     ids = model.unlabeled
     if ids.size == 0:
         raise ValueError("no unlabeled nodes left to evaluate")
-    hits = int(np.count_nonzero(_class_ids(model) == truth[ids]))
+    hits = int(np.count_nonzero(class_decision(model.means) == truth[ids]))
     if eval_on == "remaining":
         return hits / ids.size
     n = truth.size
@@ -204,11 +183,11 @@ def run_experiment(cfg: ExperimentConfig,
         oracle = LabelOracle(dict(lg.labels))
         truth = lg.label_vector()
         for strat in cfg.strategies:
-            model = _fresh_model(inverse, cfg.delta, lg.num_classes)
+            model = GmrfModel.from_inverse(inverse, cfg.delta, lg.num_classes)
             rng = np.random.default_rng(run_seed)
             for t in range(1, cfg.budget + 1):
                 node = select(strat, model, t, rng)
-                _observe_class(model, node, oracle.query(node))
+                model.observe(node, oracle.query(node))
                 curves[strat.label][r, t - 1] = accuracy(model, truth, cfg.eval_on)
                 if step_hook is not None:
                     step_hook(strategy=strat, model=model, run=r, t=t)

@@ -48,9 +48,9 @@ def random_model(rng: np.random.Generator, n: int, delta: float = 0.005,
     """Random connected graph, its Laplacian, and a model with some labels."""
     g = random_connected_graph(n, rng)
     lap = regularized_laplacian(g, delta)
-    model = GmrfModel.from_laplacian(lap)
+    model = GmrfModel.from_laplacian(lap, 2)
     for node in rng.permutation(n)[:num_observed]:
-        model.observe(int(node), 1.0 if rng.random() < 0.5 else -1.0)
+        model.observe(int(node), 1 if rng.random() < 0.5 else 0)
     return g, lap, model
 
 
@@ -65,10 +65,11 @@ def check_incremental_vs_direct(num_graphs: int = 30, max_nodes: int = 40,
         n = int(rng.integers(5, max_nodes + 1))
         g = random_connected_graph(n, rng)
         lap = regularized_laplacian(g, delta)
-        model = GmrfModel.from_laplacian(lap)
+        model = GmrfModel.from_laplacian(lap, 2)
         for node in rng.permutation(n)[: n - 1]:
-            model.observe(int(node), 1.0 if rng.random() < 0.5 else -1.0)
-            direct = conditional_mean_direct(lap, model.labeled)
+            model.observe(int(node), 1 if rng.random() < 0.5 else 0)
+            signed = {k: 2.0 * c - 1.0 for k, c in model.labeled.items()}
+            direct = conditional_mean_direct(lap, signed)
             worst_mu = max(worst_mu, float(np.abs(model.mu - direct).max()))
             unl = [int(i) for i in model.unlabeled]
             dense = np.linalg.inv(lap.matrix[np.ix_(unl, unl)])
@@ -223,12 +224,12 @@ def check_bounds_and_symmetry(num_instances: int = 10, max_nodes: int = 30,
         n = int(rng.integers(6, max_nodes + 1))
         g = random_connected_graph(n, rng)
         lap = regularized_laplacian(g, delta)
-        pos_model = GmrfModel.from_laplacian(lap)
-        neg_model = GmrfModel.from_laplacian(lap)
+        pos_model = GmrfModel.from_laplacian(lap, 2)
+        neg_model = GmrfModel.from_laplacian(lap, 2)
         for node in rng.permutation(n)[: n // 2 + 1]:
-            value = 1.0 if rng.random() < 0.5 else -1.0
-            pos_model.observe(int(node), value)
-            neg_model.observe(int(node), -value)
+            class_id = 1 if rng.random() < 0.5 else 0
+            pos_model.observe(int(node), class_id)
+            neg_model.observe(int(node), 1 - class_id)
             if pos_model.num_unlabeled == 0:
                 break
             worst_mu = max(worst_mu, float(np.abs(pos_model.mu).max()))
@@ -237,7 +238,7 @@ def check_bounds_and_symmetry(num_instances: int = 10, max_nodes: int = 30,
             preds_pos = pos_model.predict()
             preds_neg = neg_model.predict()
             for unl, m in zip(pos_model.unlabeled, pos_model.mu):
-                if m != 0 and preds_pos[int(unl)] != -preds_neg[int(unl)]:
+                if m != 0 and preds_pos[int(unl)] == preds_neg[int(unl)]:
                     symmetry_ok = False
             for strat in score_kinds:
                 s_pos = utility_scores(strat, pos_model, t=2)

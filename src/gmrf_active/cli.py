@@ -25,13 +25,20 @@ from .strategies import KINDS, Strategy
 OUTDIR_ENV = "GMRF_ACTIVE_OUTDIR"
 
 
-def _positive_float(text: str) -> float:
+def _finite_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {value}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
 
 
@@ -123,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("--features", required=True, help="CSV, last column = integer class label")
     build.add_argument("--method", choices=("rbf", "pearson"), default="rbf")
     build.add_argument("--sigma", type=_positive_float, default=1.0)
-    build.add_argument("--threshold", type=float, default=0.0)
+    build.add_argument("--threshold", type=_finite_float, default=0.0)
     build.add_argument("--no-normalize", action="store_true",
                        help="skip scaling feature columns to [-1, 1]")
     build.add_argument("--out-edges", default=None)

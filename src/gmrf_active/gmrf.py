@@ -1,24 +1,24 @@
 """Gaussian field models over regularized graph Laplacians.
 
-A :class:`GmrfModel` tracks, for one binary labeling problem, the inverse
-``G`` of the regularized Laplacian restricted to the unlabeled nodes and the
-conditional mean ``mu`` of the field given the labels observed so far.
-Observing a label costs ``O(|U|^2)`` via a rank-one mean update and a
-Schur-complement downdate of ``G``; no refactorization happens after
-initialization. The downdate compacts: the kept rows and columns of ``G`` are
-copied once into a fresh array and the rank-one term is subtracted from that
-copy in place, so :meth:`observe` never writes an array a caller holds.
-:func:`conditional_mean_direct` re-solves the linear system from scratch and
-serves as the reference implementation the incremental path is tested
-against. :class:`MulticlassModel` lifts the binary machinery to C
-classes with one-vs-rest fields. The downdate of ``G`` does not depend on the
-observed value, so the C fields share one ``G`` and differ only in their
-means: one ``O(|U|^2)`` downdate per label whatever the class count.
-:func:`class_decision` turns the C means into hard labels: the sign rule for
-C = 2, class-mass normalization for C >= 3.
+A :class:`GmrfModel` tracks C >= 2 one-vs-rest label fields: the inverse
+``G`` of the regularized Laplacian restricted to the unlabeled nodes, which
+every field shares, and a ``(C, |U|)`` matrix of conditional means given the
+labels observed so far. Observing a class costs ``O(|U|^2)`` whatever C is:
+one Schur-complement downdate of ``G`` and one rank-one update of all the
+means; no refactorization happens after initialization. The downdate
+compacts: the kept rows and columns of ``G`` are copied once into a fresh
+array and the rank-one term is subtracted from that copy in place, so
+:meth:`GmrfModel.observe` never writes an array a caller holds. A binary
+problem is the case C = 2, whose field ``mu`` is the class-1 row of the
+means. :func:`conditional_mean_direct` re-solves the linear system from
+scratch and serves as the reference implementation the incremental path is
+tested against. :func:`class_decision` turns the C means into hard labels:
+the sign rule for C = 2, class-mass normalization for C >= 3.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
@@ -48,18 +48,78 @@ def _without(a: np.ndarray, pos: int) -> np.ndarray:
     return np.concatenate((a[..., :pos], a[..., pos + 1:]), axis=-1)
 
 
-class _SharedInverse:
-    """Index bookkeeping and the inverse block ``G`` that every field shares.
+class GmrfModel:
+    """C one-vs-rest Gaussian label fields sharing one inverse, C >= 2.
 
-    ``unlabeled`` holds the sorted original node ids that are still
-    unlabeled; ``G`` and the means are indexed positionally against it.
+    Observing class ``c`` at a node feeds ``+1`` into field ``c`` and ``-1``
+    into every other field. The downdate of ``G`` does not depend on the
+    observed value, so all fields share one ``G`` and one unlabeled set and
+    differ only in their means. A binary problem is the case C = 2: its two
+    fields are exact negations of each other, and field 1 is the usual
+    ``+/-1`` field with class 1 as ``+1``.
+
+    Attributes
+    ----------
+    unlabeled : ndarray of int
+        Sorted original node ids that are still unlabeled; ``G`` and the
+        means are indexed positionally against this array.
+    labeled : dict
+        node id -> observed class id.
+    G : ndarray
+        Inverse of the regularized Laplacian restricted to ``unlabeled``.
+    means : ndarray
+        Conditional means of the C fields over ``unlabeled``, shape
+        ``(C, |U|)``.
+    mu : ndarray or None
+        For C = 2 the read-only view ``means[1]``, re-set by every
+        :meth:`observe`; None for C > 2.
+    delta : float
+        Regularizer baked into the Laplacian this model was built from.
+    retrain_calls : int
+        Number of hypothetical-mean evaluations performed on this model;
+        lets callers audit which selection rules avoid retraining.
+
+    Only :meth:`observe` mutates the model, and each model is owned by one
+    experiment run; read-only scoring over a snapshot is side-effect free.
     """
 
-    def __init__(self, unlabeled, G, delta):
+    def __init__(self, unlabeled, labeled, G, means, delta):
         self.unlabeled = np.asarray(unlabeled, dtype=np.int64)
         self.G = np.asarray(G, dtype=float)
+        self.means = np.asarray(means, dtype=float)
+        if self.means.ndim != 2 or self.means.shape[0] < 2:
+            raise ValueError("need at least two class fields")
         self.delta = float(delta)
+        self.labeled = {int(k): int(v) for k, v in labeled.items()}
         self.retrain_calls = 0
+        # row c: the +1/-1 value every field takes when class c is observed
+        self._targets = 2.0 * np.eye(self.num_classes) - 1.0
+        self._expose_mu()
+
+    @classmethod
+    def from_laplacian(cls, lap: RegularizedLaplacian, num_classes: int) -> "GmrfModel":
+        """Fresh model with all nodes unlabeled and zero means."""
+        return cls(np.arange(lap.n), {}, spd_inverse(lap.matrix),
+                   np.zeros((num_classes, lap.n)), lap.delta)
+
+    @classmethod
+    def from_inverse(cls, G: np.ndarray, delta: float, num_classes: int) -> "GmrfModel":
+        """Fresh model from a precomputed full inverse (copied, not aliased)."""
+        n = G.shape[0]
+        return cls(np.arange(n), {}, np.array(G, dtype=float, copy=True),
+                   np.zeros((num_classes, n)), delta)
+
+    def _expose_mu(self) -> None:
+        # a stored view, not a property: the retraining scans read mu per node
+        if self.num_classes == 2:
+            self.mu = self.means[1]
+            self.mu.flags.writeable = False
+        else:
+            self.mu = None
+
+    @property
+    def num_classes(self) -> int:
+        return int(self.means.shape[0])
 
     @property
     def num_unlabeled(self) -> int:
@@ -79,6 +139,10 @@ class _SharedInverse:
                 f"degenerate pivot g_kk={gkk:.3e} at node {int(self.unlabeled[pos])}"
             )
         return gkk
+
+    def class_means(self) -> np.ndarray:
+        """Copy of the per-class means, shape (num_classes, |U|)."""
+        return self.means.copy()
 
     def _downdate(self, pos: int, gkk: float) -> np.ndarray:
         """Drop node ``pos`` from ``G`` and subtract ``g g^T / g_kk``.
@@ -106,6 +170,70 @@ class _SharedInverse:
         self.unlabeled = _without(self.unlabeled, pos)
         return g
 
+    def observe(self, node: int, class_id: int) -> "GmrfModel":
+        """Absorb an observed class and shrink the model to ``U \\ {node}``.
+
+        Column ``k`` is dropped and every kept entry of field ``c`` moves by
+        ``(v_c - mu_ck) / g_kk * g_k`` with ``v_c = +1`` for the observed
+        class and ``-1`` otherwise; :meth:`_downdate` shrinks ``G`` once.
+        Cost ``O(|U|^2)``, independent of the class count.
+        """
+        if class_id not in range(self.num_classes):
+            raise ValueError(f"class id {class_id} outside 0..{self.num_classes - 1}")
+        class_id = int(class_id)
+        pos = self.position(node)
+        gkk = self._pivot(pos)
+        step = (self._targets[class_id] - self.means[:, pos]) / gkk
+        g = self._downdate(pos, gkk)
+        self.means = _without(self.means, pos) + step[:, None] * g
+        self.labeled[int(node)] = class_id
+        self._expose_mu()
+        return self
+
+    def hypothetical_mean(self, node: int, value) -> np.ndarray:
+        """Mean ``mu`` would have if ``node`` were assigned ``value`` (C = 2).
+
+        ``value`` is the field value, -1 or +1. Returns the updated vector
+        over the current ``unlabeled`` (entry ``node`` included, as computed
+        by the rank-one formula) without mutating the model. Increments
+        ``retrain_calls``.
+        """
+        if self.mu is None:
+            raise ValueError("hypothetical_mean is defined for binary models only")
+        value = float(value)
+        if value not in (-1.0, 1.0):
+            raise ValueError(f"field value must be -1 or +1, got {value}")
+        pos = self.position(node)
+        gkk = self._pivot(pos)
+        self.retrain_calls += 1
+        return self.mu + ((value - self.mu[pos]) / gkk) * self.G[:, pos]
+
+    def posterior_plus(self, node: int) -> float:
+        """Probability that ``node`` has class 1, ``clamp((mu+1)/2)`` (C = 2)."""
+        if self.mu is None:
+            raise ValueError("posterior_plus is defined for binary models only")
+        pos = self.position(node)
+        return float(np.clip((self.mu[pos] + 1.0) / 2.0, 0.0, 1.0))
+
+    def posteriors(self, node: int) -> np.ndarray:
+        """Class distribution at a node from normalized shifted means.
+
+        Each mean is mapped through ``(mu + 1) / 2`` (clipped to [0, 1]) and
+        the vector is normalized to sum to one; a degenerate all-zero vector
+        falls back to the uniform distribution.
+        """
+        pos = self.position(node)
+        shifted = np.clip((self.means[:, pos] + 1.0) / 2.0, 0.0, 1.0)
+        total = shifted.sum()
+        if total <= 0.0:
+            return np.full(self.num_classes, 1.0 / self.num_classes)
+        return shifted / total
+
+    def predict(self) -> dict[int, int]:
+        """Hard class per unlabeled node by :func:`class_decision`."""
+        winners = class_decision(self.means)
+        return {int(node): int(c) for node, c in zip(self.unlabeled, winners)}
+
     def validate(self, atol: float = 1e-10) -> None:
         """Spot-check structural invariants; raises on violation."""
         if self.G.shape != (self.num_unlabeled, self.num_unlabeled):
@@ -116,93 +244,6 @@ class _SharedInverse:
             raise AssertionError("G is not symmetric")
         if set(map(int, self.unlabeled)) & set(self.labeled):
             raise AssertionError("labeled and unlabeled sets overlap")
-
-
-class GmrfModel(_SharedInverse):
-    """State of one binary Gaussian label field.
-
-    Attributes
-    ----------
-    unlabeled : ndarray of int
-        Sorted original node ids that are still unlabeled; ``G`` and ``mu``
-        are indexed positionally against this array.
-    labeled : dict
-        node id -> observed value in {-1.0, +1.0}.
-    G : ndarray
-        Inverse of the regularized Laplacian restricted to ``unlabeled``.
-    mu : ndarray
-        Conditional mean of the field over ``unlabeled``.
-    delta : float
-        Regularizer baked into the Laplacian this model was built from.
-    retrain_calls : int
-        Number of hypothetical-mean evaluations performed on this model;
-        lets callers audit which selection rules avoid retraining.
-
-    Only :meth:`observe` mutates the model, and each model is owned by one
-    experiment run; read-only scoring over a snapshot is side-effect free.
-    """
-
-    def __init__(self, unlabeled, labeled, G, mu, delta):
-        super().__init__(unlabeled, G, delta)
-        self.labeled = {int(k): float(v) for k, v in labeled.items()}
-        self.mu = np.asarray(mu, dtype=float)
-
-    @classmethod
-    def from_laplacian(cls, lap: RegularizedLaplacian) -> "GmrfModel":
-        """Fresh model with all nodes unlabeled, zero mean, full inverse."""
-        return cls(np.arange(lap.n), {}, spd_inverse(lap.matrix), np.zeros(lap.n), lap.delta)
-
-    @classmethod
-    def from_inverse(cls, G: np.ndarray, delta: float) -> "GmrfModel":
-        """Fresh model from a precomputed full inverse (copied, not aliased)."""
-        n = G.shape[0]
-        return cls(np.arange(n), {}, np.array(G, dtype=float, copy=True),
-                   np.zeros(n), delta)
-
-    def observe(self, node: int, value) -> "GmrfModel":
-        """Absorb an observed label and shrink the model to ``U \\ {node}``.
-
-        Entry ``k`` is dropped and every kept entry of the mean moves by
-        ``(value - mu_k) / g_kk * g_k``; :meth:`_downdate` shrinks ``G``.
-        Cost ``O(|U|^2)``.
-        """
-        value = float(value)
-        if value not in (-1.0, 1.0):
-            raise ValueError(f"observed value must be -1 or +1, got {value}")
-        pos = self.position(node)
-        gkk = self._pivot(pos)
-        step = (value - self.mu[pos]) / gkk
-        g = self._downdate(pos, gkk)
-        self.mu = _without(self.mu, pos) + step * g
-        self.labeled[int(node)] = value
-        return self
-
-    def hypothetical_mean(self, node: int, value) -> np.ndarray:
-        """Mean the model would have if ``node`` were assigned ``value``.
-
-        Returns the updated vector over the current ``unlabeled`` (entry
-        ``node`` included, as computed by the rank-one formula) without
-        mutating the model. Increments ``retrain_calls``.
-        """
-        value = float(value)
-        if value not in (-1.0, 1.0):
-            raise ValueError(f"observed value must be -1 or +1, got {value}")
-        pos = self.position(node)
-        gkk = self._pivot(pos)
-        self.retrain_calls += 1
-        return self.mu + ((value - self.mu[pos]) / gkk) * self.G[:, pos]
-
-    def posterior_plus(self, node: int) -> float:
-        """Probability that ``node`` has the +1 label, ``clamp((mu+1)/2)``."""
-        pos = self.position(node)
-        return float(np.clip((self.mu[pos] + 1.0) / 2.0, 0.0, 1.0))
-
-    def predict(self) -> dict[int, int]:
-        """Hard labels over unlabeled nodes: +1 iff ``mu > 0``, else -1."""
-        return {
-            int(node): (1 if m > 0 else -1)
-            for node, m in zip(self.unlabeled, self.mu)
-        }
 
 
 def conditional_mean_direct(lap: RegularizedLaplacian, labeled: dict) -> np.ndarray:
@@ -236,98 +277,23 @@ def class_decision(means: np.ndarray) -> np.ndarray:
     is class-mass normalization with uniform class weights (Zhu, Ghahramani &
     Lafferty, ICML 2003): node ``i`` gets the class maximizing
     ``(m_ci + 1) / sum_{j in U} (m_cj + 1)``, the soft labels ``(m_c + 1) / 2``
-    of :meth:`MulticlassModel.posteriors` over their class mass (the factor
-    1/2 cancels). Without it, the graph-wide offset every one-vs-rest mean
-    carries votes for the class with the most labels. ``m_c + 1`` is floored
-    at 0 against rounding below -1. A class with no label yet still has
-    positive mass, ``delta * sum(G 1)``; a class whose mass is not positive is
-    never predicted. Ties go to the lowest class id.
+    over their class mass (the factor 1/2 cancels). Without it, the
+    graph-wide offset every one-vs-rest mean carries votes for the class with
+    the most labels. ``m_c + 1`` is floored at 0 against rounding below -1. A
+    class with no label yet still has positive mass, ``delta * sum(G 1)``; a
+    class whose mass is not positive is never predicted. Ties go to the lowest
+    class id.
     """
     means = np.asarray(means, dtype=float)
     if means.shape[0] == 2:
-        return np.argmax(means, axis=0)
+        return (means[1] > 0.0).astype(np.intp)
     soft = np.maximum(means + 1.0, 0.0)
     mass = soft.sum(axis=1, keepdims=True)
     scores = np.divide(soft, mass, out=np.full_like(soft, -np.inf), where=mass > 0.0)
     return np.argmax(scores, axis=0)
 
 
-class MulticlassModel(_SharedInverse):
-    """C one-vs-rest Gaussian fields sharing one inverse.
-
-    Observing class ``c`` at a node feeds ``+1`` into field ``c`` and ``-1``
-    into every other field. The downdate of ``G`` does not depend on the
-    observed value, so all fields share one ``G`` and one unlabeled set and
-    differ only in their means, the rows of ``means`` with shape
-    ``(num_classes, |U|)``. Entry for entry, one :meth:`observe` does the
-    same arithmetic as C separate :meth:`GmrfModel.observe` calls fed ``+/-1``.
-    ``labeled`` maps node id -> observed class id.
-    """
-
-    def __init__(self, unlabeled, labeled_classes, G, means, delta):
-        super().__init__(unlabeled, G, delta)
-        self.means = np.asarray(means, dtype=float)
-        if self.means.ndim != 2 or self.means.shape[0] < 2:
-            raise ValueError("need at least two class fields")
-        self.labeled = {int(k): int(v) for k, v in labeled_classes.items()}
-
-    @classmethod
-    def from_laplacian(cls, lap: RegularizedLaplacian, num_classes: int) -> "MulticlassModel":
-        """Fresh model with all nodes unlabeled and zero means."""
-        return cls(np.arange(lap.n), {}, spd_inverse(lap.matrix),
-                   np.zeros((num_classes, lap.n)), lap.delta)
-
-    @classmethod
-    def from_inverse(cls, G: np.ndarray, delta: float, num_classes: int) -> "MulticlassModel":
-        """Fresh model from a precomputed full inverse (copied, not aliased)."""
-        n = G.shape[0]
-        return cls(np.arange(n), {}, np.array(G, dtype=float, copy=True),
-                   np.zeros((num_classes, n)), delta)
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.means.shape[0])
-
-    def class_means(self) -> np.ndarray:
-        """Copy of the per-class means, shape (num_classes, |U|)."""
-        return self.means.copy()
-
-    def observe(self, node: int, class_id: int) -> "MulticlassModel":
-        """Absorb an observed class and shrink the model to ``U \\ {node}``.
-
-        Column ``k`` is dropped and every kept entry of field ``c`` moves by
-        ``(v_c - mu_ck) / g_kk * g_k`` with ``v_c = +1`` for the observed
-        class and ``-1`` otherwise; :meth:`_downdate` shrinks ``G`` once.
-        Cost ``O(|U|^2)``, independent of the class count.
-        """
-        class_id = int(class_id)
-        if not 0 <= class_id < self.num_classes:
-            raise ValueError(f"class id {class_id} outside 0..{self.num_classes - 1}")
-        pos = self.position(node)
-        gkk = self._pivot(pos)
-        values = np.full(self.num_classes, -1.0)
-        values[class_id] = 1.0
-        step = (values - self.means[:, pos]) / gkk
-        g = self._downdate(pos, gkk)
-        self.means = _without(self.means, pos) + step[:, None] * g
-        self.labeled[int(node)] = class_id
-        return self
-
-    def predict(self) -> dict[int, int]:
-        """Hard class per unlabeled node by :func:`class_decision`."""
-        winners = class_decision(self.means)
-        return {int(node): int(c) for node, c in zip(self.unlabeled, winners)}
-
-    def posteriors(self, node: int) -> np.ndarray:
-        """Class distribution at a node from normalized shifted means.
-
-        Each mean is mapped through ``(mu + 1) / 2`` (clipped to [0, 1]) and
-        the vector is normalized to sum to one; a degenerate all-zero vector
-        falls back to the uniform distribution.
-        """
-        pos = self.position(node)
-        shifted = np.clip((self.means[:, pos] + 1.0) / 2.0, 0.0, 1.0)
-        total = shifted.sum()
-        if total <= 0.0:
-            return np.full(self.num_classes, 1.0 / self.num_classes)
-        return shifted / total
+# Not a model: ``perfbench/tracing.py`` still looks up the observe and
+# from_inverse targets of the former multi-class class under this name. An
+# empty namespace lets it list them as unwrapped instead of raising.
+MulticlassModel = SimpleNamespace()

@@ -216,6 +216,8 @@ def build_from_features(features, method: str = "rbf", *, sigma: float = 1.0,
         Symmetric, zero-diagonal. Raises if the thresholded graph is
         disconnected, reporting the component count.
     """
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
         raise ValueError("features must be a 2-d array")
@@ -225,8 +227,8 @@ def build_from_features(features, method: str = "rbf", *, sigma: float = 1.0,
     if not np.isfinite(X).all():
         raise ValueError("non-finite feature entries")
     if method == "rbf":
-        if sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
+        if not (math.isfinite(sigma) and sigma > 0):
+            raise ValueError(f"sigma must be finite and positive, got {sigma}")
         diff = X[:, None, :] - X[None, :, :]
         W = np.exp(-(diff * diff).sum(axis=2) / (sigma * sigma))
     elif method == "pearson":

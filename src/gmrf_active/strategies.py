@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gmrf import PIVOT_FLOOR, GmrfModel, MulticlassModel
+from .gmrf import PIVOT_FLOOR, GmrfModel
 
 KINDS = ("random", "unc", "vm", "sigma-opt", "fl", "klg", "kl", "tv", "msd")
 RETRAINING_KINDS = ("fl", "kl")
@@ -139,13 +139,13 @@ def score_msd(model: GmrfModel, node: int) -> float:
 
 def score_vm(model: GmrfModel, node: int) -> float:
     """Ensemble variance score ``||g_i||_2^2 / g_ii`` (label-independent)."""
-    _, gi, gii, _ = _column(model, node)
+    _, gi, gii = _gcol(model, node)
     return float(gi @ gi) / gii
 
 
 def score_sigma_opt(model: GmrfModel, node: int) -> float:
     """Ensemble l1 score ``||g_i||_1^2 / g_ii`` (label-independent)."""
-    _, gi, gii, _ = _column(model, node)
+    _, gi, gii = _gcol(model, node)
     l1 = float(np.abs(gi).sum())
     return l1 * l1 / gii
 
@@ -218,18 +218,22 @@ def score_kl(model: GmrfModel, node: int, alpha: float = 0.0, maxmin: bool = Fal
     return w_plus * totals[1.0] + w_minus * totals[-1.0]
 
 
-def score_unc(model, node: int) -> float:
+def _top_two_margin(means: np.ndarray) -> np.ndarray:
+    """Negative gap between the two largest class means, along axis 0.
+
+    For C = 2 it equals ``-2 |mu|`` exactly: ``m - (-m)`` rounds as ``m + m``.
+    """
+    c = means.shape[0]
+    top2 = np.partition(means, (c - 2, c - 1), axis=0)[-2:]
+    return -(top2[1] - top2[0])
+
+
+def score_unc(model: GmrfModel, node: int) -> float:
     """Negative top-two soft-label margin (higher = more uncertain)."""
-    if isinstance(model, MulticlassModel):
-        col = model.means[:, model.position(node)]
-        c = col.size
-        top2 = np.partition(col, (c - 2, c - 1))[-2:]
-        return -float(top2[1] - top2[0])
-    _, _, _, mui = _column(model, node)
-    return -2.0 * abs(mui)
+    return float(_top_two_margin(model.means[:, model.position(node)]))
 
 
-def _class_spread(mm: MulticlassModel) -> np.ndarray:
+def _class_spread(mm: GmrfModel) -> np.ndarray:
     """``sum_c (1 - pbar_c^2)`` per node, with pbar the normalized shifted means."""
     shifted = np.clip((mm.means + 1.0) / 2.0, 0.0, 1.0)
     total = shifted.sum(axis=0)
@@ -238,13 +242,13 @@ def _class_spread(mm: MulticlassModel) -> np.ndarray:
     return mm.num_classes - (pbar * pbar).sum(axis=0)
 
 
-def score_tv_mc(mm: MulticlassModel, node: int) -> float:
+def score_tv_mc(mm: GmrfModel, node: int) -> float:
     """Multi-class total-variation score ``sum_c (1 - pbar_c^2) ||g_i||_1 / g_ii``."""
     pos, gi, gii = _gcol(mm, node)
     return float(_class_spread(mm)[pos]) * float(np.abs(gi).sum()) / gii
 
 
-def score_msd_mc(mm: MulticlassModel, node: int) -> float:
+def score_msd_mc(mm: GmrfModel, node: int) -> float:
     """Multi-class deviation score ``sum_c (1 - pbar_c^2) ||g_i||_2^2 / g_ii^2``."""
     pos, gi, gii = _gcol(mm, node)
     return float(_class_spread(mm)[pos]) * float(gi @ gi) / (gii * gii)
@@ -300,20 +304,17 @@ def utility_scores(strategy: Strategy, model, t: int) -> np.ndarray:
     kind = strategy.kind
     if kind == "random":
         raise ValueError("the random strategy is not score-driven")
-    multiclass = isinstance(model, MulticlassModel)
-    if multiclass and kind in BINARY_ONLY_KINDS:
+    binary = model.num_classes == 2
+    if not binary and kind in BINARY_ONLY_KINDS:
         raise ValueError(f"strategy {kind!r} is defined for binary models only")
     alpha = strategy.alpha(t)
     G = model.G
     dg = _scan_diag(G)
     if kind in ("vm", "sigma-opt"):
         return _ensemble_scan(G, dg, kind)
-    if multiclass:
-        if kind == "unc":
-            means = model.means
-            c = means.shape[0]
-            top2 = np.partition(means, (c - 2, c - 1), axis=0)[-2:, :]
-            return -(top2[1] - top2[0])
+    if kind == "unc":
+        return _top_two_margin(model.means)
+    if not binary:
         return _change_scan(G, dg, kind, alpha, _class_spread(model))
     if kind in RETRAINING_KINDS:
         scorer = score_fl if kind == "fl" else score_kl
@@ -322,8 +323,6 @@ def utility_scores(strategy: Strategy, model, t: int) -> np.ndarray:
             for node in model.unlabeled
         ])
     mu = model.mu
-    if kind == "unc":
-        return -2.0 * np.abs(mu)
     unc_term = 1.0 - mu * mu
     if kind == "klg":
         if alpha == 0.0:

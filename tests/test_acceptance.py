@@ -46,8 +46,7 @@ class _MuBounds:
         self.hi = 0.0
 
     def __call__(self, strategy, model, run, t):
-        mus = model.class_means() if hasattr(model, "class_means") else [model.mu]
-        for mu in mus:
+        for mu in model.means:
             if mu.size:
                 self.lo = min(self.lo, float(mu.min()))
                 self.hi = max(self.hi, float(mu.max()))
@@ -162,8 +161,8 @@ def test_criterion_7_community_reproduction(community_experiment):
 def test_criterion_8_complexity_contract():
     lg = grid_graph(40, 50, seed=5)
     lap = regularized_laplacian(lg.graph, 0.005)
-    model = GmrfModel.from_laplacian(lap)
-    model.observe(0, 1.0)
+    model = GmrfModel.from_laplacian(lap, 2)
+    model.observe(0, 1)
 
     tv = Strategy("tv", confidence="inv_sqrt")
     fl = Strategy("fl")

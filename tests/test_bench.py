@@ -11,7 +11,6 @@ from gmrf_active import (
     GmrfModel,
     LabelOracle,
     LabeledGraph,
-    MulticlassModel,
     Strategy,
     accuracy,
     baseline_accuracy,
@@ -185,14 +184,15 @@ class TestAccuracy:
     def test_all_correct(self):
         lg = small_labeled_graph(seed=8)
         lap = regularized_laplacian(lg.graph, 0.1)
-        model = GmrfModel.from_laplacian(lap)
-        model.mu = np.array([1.0 if lg.labels[i] == 1 else -1.0 for i in range(lg.graph.n)])
+        G = GmrfModel.from_laplacian(lap, 2).G
+        mu = np.array([1.0 if lg.labels[i] == 1 else -1.0 for i in range(lg.graph.n)])
+        model = GmrfModel(np.arange(lg.graph.n), {}, G, np.stack([-mu, mu]), lap.delta)
         assert accuracy(model, LabelOracle(dict(lg.labels))) == 1.0
 
     def test_zero_mean_predicts_minus_class_everywhere(self):
         lg = small_labeled_graph(seed=9)
         lap = regularized_laplacian(lg.graph, 0.1)
-        model = GmrfModel.from_laplacian(lap)  # mu = 0 everywhere
+        model = GmrfModel.from_laplacian(lap, 2)  # mu = 0 everywhere
         expected = sum(1 for c in lg.labels.values() if c == 0) / lg.graph.n
         assert accuracy(model, dict(lg.labels)) == pytest.approx(expected)
 
@@ -201,8 +201,9 @@ class TestAccuracy:
         g = random_connected_graph(20, rng)
         labels = {i: int(rng.random() < 0.5) for i in range(20)}
         lap = regularized_laplacian(g, 0.05)
-        model = GmrfModel.from_laplacian(lap)
-        model.mu = rng.uniform(-1, 1, size=20)
+        G = GmrfModel.from_laplacian(lap, 2).G
+        mu = rng.uniform(-1, 1, size=20)
+        model = GmrfModel(np.arange(20), {}, G, np.stack([-mu, mu]), lap.delta)
         hand = sum(
             1 for i in range(20) if (1 if model.mu[i] > 0 else 0) == labels[i]
         ) / 20
@@ -211,9 +212,9 @@ class TestAccuracy:
     def test_label_forms_agree_and_initial_counts_queried_as_correct(self):
         lg = small_labeled_graph(seed=11)
         lap = regularized_laplacian(lg.graph, 0.1)
-        model = GmrfModel.from_laplacian(lap)
+        model = GmrfModel.from_laplacian(lap, 2)
         for node in (0, 1, 5):
-            model.observe(node, 1.0 if lg.labels[node] == 1 else -1.0)
+            model.observe(node, lg.labels[node])
         labels = dict(lg.labels)
         remaining = accuracy(model, labels)
         assert accuracy(model, LabelOracle(labels)) == remaining
@@ -225,7 +226,7 @@ class TestAccuracy:
     def test_multiclass_matches_fresh_solve_class_mass_oracle(self):
         lg = community_graph((10, 10, 10), 0.6, 0.05, seed=2)
         lap = regularized_laplacian(lg.graph, 0.2)
-        mm = MulticlassModel.from_laplacian(lap, 3)
+        mm = GmrfModel.from_laplacian(lap, 3)
         queried = (0, 1, 2, 3, 10, 20)  # four labels of class 0, one each of 1 and 2
         for node in queried:
             mm.observe(node, lg.labels[node])
@@ -247,7 +248,7 @@ class TestAccuracy:
 
     def test_rejects_bad_eval_mode(self):
         lg = small_labeled_graph(seed=12)
-        model = GmrfModel.from_laplacian(regularized_laplacian(lg.graph, 0.1))
+        model = GmrfModel.from_laplacian(regularized_laplacian(lg.graph, 0.1), 2)
         with pytest.raises(ValueError, match="eval_on"):
             accuracy(model, lg.labels, eval_on="test-split")
 

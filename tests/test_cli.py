@@ -38,12 +38,16 @@ def test_negative_delta_is_usage_error(tmp_path):
 
 @pytest.mark.parametrize("flag, value", [
     ("--delta", "nan"), ("--delta", "inf"), ("--hybrid", "nan"), ("--seed", "-1"),
+    ("--threshold", "nan"), ("--threshold", "inf"),
 ])
 def test_bad_numeric_option_is_usage_error(tmp_path, capsys, flag, value):
-    code = main([
-        "run", "--strategy", "tv", "--graph", "grid:5x5", "--T", "3", "--runs", "1",
-        flag, value, "--out", str(tmp_path / "x.csv"),
-    ])
+    out = str(tmp_path / "x.csv")
+    if flag == "--threshold":
+        command = ["build-graph", "--features", str(tmp_path / "f.csv"), "--out-edges", out]
+    else:
+        command = ["run", "--strategy", "tv", "--graph", "grid:5x5", "--T", "3", "--runs", "1",
+                   "--out", out]
+    code = main(command + [flag, value])
     assert code == 2
     assert flag in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()

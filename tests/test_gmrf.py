@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from gmrf_active import (
     Graph,
     GmrfModel,
-    MulticlassModel,
     community_graph,
     conditional_mean_direct,
     regularized_laplacian,
@@ -28,9 +27,14 @@ def random_lap(rng, n, delta=0.005):
     return regularized_laplacian(random_connected_graph(n, rng), delta)
 
 
+def signed(labeled):
+    """Binary class ids as the +/-1 field values of class 1."""
+    return {k: 2.0 * c - 1.0 for k, c in labeled.items()}
+
+
 class TestInit:
     def test_two_node_analytic_inverse(self):
-        model = GmrfModel.from_laplacian(two_node_lap())
+        model = GmrfModel.from_laplacian(two_node_lap(), 2)
         expected = np.array([[1.1, 1.0], [1.0, 1.1]]) / 0.21
         assert np.allclose(model.G, expected, atol=1e-12)
         assert np.all(model.mu == 0.0)
@@ -39,13 +43,13 @@ class TestInit:
     def test_inverse_identity(self):
         rng = np.random.default_rng(0)
         lap = random_lap(rng, 17)
-        model = GmrfModel.from_laplacian(lap)
+        model = GmrfModel.from_laplacian(lap, 2)
         assert np.abs(model.G @ lap.matrix - np.eye(17)).max() < 1e-8
 
     def test_matches_dense_inverse_and_symmetry(self):
         rng = np.random.default_rng(1)
         lap = random_lap(rng, 10)
-        model = GmrfModel.from_laplacian(lap)
+        model = GmrfModel.from_laplacian(lap, 2)
         assert np.abs(model.G - np.linalg.inv(lap.matrix)).max() < 1e-8
         assert np.abs(model.G - model.G.T).max() < 1e-10
 
@@ -53,7 +57,7 @@ class TestInit:
         lap = two_node_lap()
         lap.matrix = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
         with pytest.raises(ValueError, match="positive definite"):
-            GmrfModel.from_laplacian(lap)
+            GmrfModel.from_laplacian(lap, 2)
 
 
 class TestConditionalMeanDirect:
@@ -96,19 +100,19 @@ class TestObserve:
         for _ in range(5):
             n = int(rng.integers(5, 41))
             lap = random_lap(rng, n)
-            model = GmrfModel.from_laplacian(lap)
+            model = GmrfModel.from_laplacian(lap, 2)
             for node in rng.permutation(n)[: n - 1]:
-                model.observe(int(node), 1.0 if rng.random() < 0.5 else -1.0)
-                direct = conditional_mean_direct(lap, model.labeled)
+                model.observe(int(node), 1 if rng.random() < 0.5 else 0)
+                direct = conditional_mean_direct(lap, signed(model.labeled))
                 assert np.abs(model.mu - direct).max() < 1e-8
 
     def test_shrunken_inverse_matches_dense(self):
         rng = np.random.default_rng(5)
         n = 20
         lap = random_lap(rng, n)
-        model = GmrfModel.from_laplacian(lap)
+        model = GmrfModel.from_laplacian(lap, 2)
         for node in rng.permutation(n)[:10]:
-            model.observe(int(node), 1.0)
+            model.observe(int(node), 1)
             unl = [int(i) for i in model.unlabeled]
             dense = np.linalg.inv(lap.matrix[np.ix_(unl, unl)])
             assert np.abs(model.G - dense).max() < 1e-8
@@ -118,37 +122,40 @@ class TestObserve:
         # apply the update formula with the current mean in place of a label
         rng = np.random.default_rng(6)
         lap = random_lap(rng, 8)
-        model = GmrfModel.from_laplacian(lap)
-        model.observe(0, 1.0)
+        model = GmrfModel.from_laplacian(lap, 2)
+        model.observe(0, 1)
         pos = model.position(3)
         updated = model.mu + ((model.mu[pos] - model.mu[pos]) / model.G[pos, pos]) * model.G[:, pos]
         assert np.array_equal(updated, model.mu)
 
     def test_observe_labeled_node_rejected(self):
-        model = GmrfModel.from_laplacian(two_node_lap())
-        model.observe(0, 1.0)
+        model = GmrfModel.from_laplacian(two_node_lap(), 2)
+        model.observe(0, 1)
         with pytest.raises(ValueError, match="not unlabeled"):
-            model.observe(0, -1.0)
+            model.observe(0, 0)
 
     def test_invalid_value_rejected(self):
-        model = GmrfModel.from_laplacian(two_node_lap())
+        model = GmrfModel.from_laplacian(two_node_lap(), 2)
+        for bad in (0.5, -1, 2):  # the field value -1 is not a class id
+            with pytest.raises(ValueError, match="class id"):
+                model.observe(0, bad)
         with pytest.raises(ValueError, match="-1 or \\+1"):
-            model.observe(0, 0.5)
+            model.hypothetical_mean(0, 0.5)
 
     def test_degenerate_pivot_rejected(self):
-        model = GmrfModel.from_laplacian(two_node_lap())
+        model = GmrfModel.from_laplacian(two_node_lap(), 2)
         model.G[0, 0] = 1e-15
         with pytest.raises(ValueError, match="degenerate pivot"):
-            model.observe(0, 1.0)
+            model.observe(0, 1)
 
     @given(st.integers(0, 2**32 - 1), st.integers(4, 20))
     @settings(max_examples=25, deadline=None)
     def test_mean_stays_bounded(self, seed, n):
         rng = np.random.default_rng(seed)
         lap = random_lap(rng, n)
-        model = GmrfModel.from_laplacian(lap)
+        model = GmrfModel.from_laplacian(lap, 2)
         for node in rng.permutation(n)[: n - 1]:
-            model.observe(int(node), 1.0 if rng.random() < 0.5 else -1.0)
+            model.observe(int(node), 1 if rng.random() < 0.5 else 0)
             if model.num_unlabeled:
                 assert model.mu.min() >= -1 - 1e-9
                 assert model.mu.max() <= 1 + 1e-9
@@ -160,11 +167,11 @@ class TestObserve:
         scaled = Graph(12, {k: scale * w for k, w in g.edges.items()})
         lap_a = regularized_laplacian(g, 0.01)
         lap_b = regularized_laplacian(scaled, 0.01 * scale)
-        model_a = GmrfModel.from_laplacian(lap_a)
-        model_b = GmrfModel.from_laplacian(lap_b)
-        for node, value in ((2, 1.0), (9, -1.0), (5, 1.0)):
-            model_a.observe(node, value)
-            model_b.observe(node, value)
+        model_a = GmrfModel.from_laplacian(lap_a, 2)
+        model_b = GmrfModel.from_laplacian(lap_b, 2)
+        for node, class_id in ((2, 1), (9, 0), (5, 1)):
+            model_a.observe(node, class_id)
+            model_b.observe(node, class_id)
         assert np.abs(model_a.mu - model_b.mu).max() < 1e-10
         assert np.abs(model_a.G / scale - model_b.G).max() < 1e-10
 
@@ -211,14 +218,15 @@ class TestCompactingDowndate:
         passed = spd_inverse(lap.matrix)
         kept = passed.copy()
 
-        def update_ref(mu, pos, gk, gkk, value):
+        def update_ref(mu, pos, gk, gkk, class_id):
+            value = 2.0 * class_id - 1.0
             return np.delete(mu + ((value - mu[pos]) / gkk) * gk, pos)
 
-        for model in (GmrfModel.from_inverse(passed, lap.delta),
-                      GmrfModel(np.arange(11), {}, passed, np.zeros(11), lap.delta)):
+        for model in (GmrfModel.from_inverse(passed, lap.delta, 2),
+                      GmrfModel(np.arange(11), {}, passed, np.zeros((2, 11)), lap.delta)):
             self.check_observe_sequence(
                 model, lambda m: m.mu,
-                lambda rng: 1.0 if rng.random() < 0.5 else -1.0, update_ref)
+                lambda rng: 1 if rng.random() < 0.5 else 0, update_ref)
             assert np.array_equal(passed, kept)
 
     def test_multiclass_matches_delete_formula(self):
@@ -232,8 +240,8 @@ class TestCompactingDowndate:
             moved = means + ((values - means[:, pos]) / gkk)[:, None] * gk
             return np.delete(moved, pos, axis=1)
 
-        for model in (MulticlassModel.from_inverse(passed, lap.delta, 3),
-                      MulticlassModel(np.arange(10), {}, passed, np.zeros((3, 10)), lap.delta)):
+        for model in (GmrfModel.from_inverse(passed, lap.delta, 3),
+                      GmrfModel(np.arange(10), {}, passed, np.zeros((3, 10)), lap.delta)):
             self.check_observe_sequence(
                 model, lambda m: m.means, lambda rng: int(rng.integers(3)), update_ref)
             assert np.array_equal(passed, kept)
@@ -243,8 +251,8 @@ class TestHypotheticalMean:
     def test_difference_parallel_to_column(self):
         rng = np.random.default_rng(8)
         lap = random_lap(rng, 9)
-        model = GmrfModel.from_laplacian(lap)
-        model.observe(1, 1.0)
+        model = GmrfModel.from_laplacian(lap, 2)
+        model.observe(1, 1)
         pos = model.position(4)
         diff = model.hypothetical_mean(4, -1.0) - model.mu
         col = model.G[:, pos]
@@ -255,8 +263,8 @@ class TestHypotheticalMean:
     def test_l1_norm_identity(self):
         rng = np.random.default_rng(9)
         lap = random_lap(rng, 11)
-        model = GmrfModel.from_laplacian(lap)
-        model.observe(0, -1.0)
+        model = GmrfModel.from_laplacian(lap, 2)
+        model.observe(0, 0)
         for node in (3, 7):
             pos = model.position(node)
             for value in (1.0, -1.0):
@@ -269,7 +277,7 @@ class TestHypotheticalMean:
                 assert np.abs(diff).sum() == pytest.approx(expected, abs=1e-8)
 
     def test_does_not_mutate_and_counts(self):
-        model = GmrfModel.from_laplacian(two_node_lap())
+        model = GmrfModel.from_laplacian(two_node_lap(), 2)
         before = model.mu.copy()
         assert model.retrain_calls == 0
         model.hypothetical_mean(0, 1.0)
@@ -279,8 +287,8 @@ class TestHypotheticalMean:
     def test_pivot_entry_equals_value(self):
         rng = np.random.default_rng(10)
         lap = random_lap(rng, 7)
-        model = GmrfModel.from_laplacian(lap)
-        model.observe(2, 1.0)
+        model = GmrfModel.from_laplacian(lap, 2)
+        model.observe(2, 1)
         pos = model.position(5)
         mu_plus = model.hypothetical_mean(5, -1.0)
         assert mu_plus[pos] == pytest.approx(-1.0, abs=1e-12)
@@ -288,36 +296,39 @@ class TestHypotheticalMean:
 
 class TestPosteriorAndPredict:
     def test_posterior_values(self):
-        model = GmrfModel.from_laplacian(two_node_lap())
+        lap = two_node_lap()
+        model = GmrfModel.from_laplacian(lap, 2)
         assert model.posterior_plus(0) == 0.5
-        model.mu[0] = 1.0
+        mu = np.array([1.0, 0.0])
+        model = GmrfModel(model.unlabeled, {}, model.G, np.stack([-mu, mu]), lap.delta)
         assert model.posterior_plus(0) == 1.0
 
     def test_posterior_from_two_node_observation(self):
-        model = GmrfModel.from_laplacian(two_node_lap())
-        model.observe(0, 1.0)
+        model = GmrfModel.from_laplacian(two_node_lap(), 2)
+        model.observe(0, 1)
         assert model.posterior_plus(1) == pytest.approx((1 / 1.1 + 1) / 2, abs=1e-12)
 
     def test_predict_signs_and_tie(self):
-        model = GmrfModel.from_laplacian(two_node_lap())
-        model.mu = np.array([0.2, -0.3])
-        assert model.predict() == {0: 1, 1: -1}
-        model.mu = np.array([0.0, 0.0])
-        assert model.predict() == {0: -1, 1: -1}
+        lap = two_node_lap()
+        G = spd_inverse(lap.matrix)
+        for mu, expected in (([0.2, -0.3], {0: 1, 1: 0}), ([0.0, 0.0], {0: 0, 1: 0})):
+            mu = np.array(mu)
+            model = GmrfModel([0, 1], {}, G, np.stack([-mu, mu]), lap.delta)
+            assert model.predict() == expected
 
     def test_flip_symmetry_of_predictions(self):
         rng = np.random.default_rng(11)
         lap = random_lap(rng, 12)
-        pos_model = GmrfModel.from_laplacian(lap)
-        neg_model = GmrfModel.from_laplacian(lap)
+        pos_model = GmrfModel.from_laplacian(lap, 2)
+        neg_model = GmrfModel.from_laplacian(lap, 2)
         for node in (0, 5, 8):
-            value = 1.0 if node != 5 else -1.0
-            pos_model.observe(node, value)
-            neg_model.observe(node, -value)
+            class_id = 1 if node != 5 else 0
+            pos_model.observe(node, class_id)
+            neg_model.observe(node, 1 - class_id)
         preds_pos, preds_neg = pos_model.predict(), neg_model.predict()
         for node, m in zip(pos_model.unlabeled, pos_model.mu):
             if m != 0:
-                assert preds_pos[int(node)] == -preds_neg[int(node)]
+                assert preds_pos[int(node)] != preds_neg[int(node)]
 
 
 class TestPartitionIdentity:
@@ -338,20 +349,27 @@ class TestPartitionIdentity:
 
 class TestMulticlass:
     def test_two_class_matches_binary(self):
+        # C = 2 is the binary field: means[1] is the +/-1 field of class 1,
+        # means[0] its exact negation, and mu a read-only view of means[1]
         rng = np.random.default_rng(13)
-        lap = random_lap(rng, 10)
-        mm = MulticlassModel.from_laplacian(lap, 2)
-        binary = GmrfModel.from_laplacian(lap)
-        for node, cls in ((0, 1), (4, 0), (7, 1)):
-            mm.observe(node, cls)
-            binary.observe(node, 1.0 if cls == 1 else -1.0)
-        bin_classes = {n: (1 if v > 0 else 0) for n, v in binary.predict().items()}
-        assert mm.predict() == bin_classes
+        n = 10
+        lap = random_lap(rng, n)
+        model = GmrfModel.from_laplacian(lap, 2)
+        for node in rng.permutation(n)[: n - 1]:
+            model.observe(int(node), int(rng.integers(2)))
+            assert np.array_equal(model.means[0], -model.means[1])
+            assert np.shares_memory(model.mu, model.means[1])
+            assert np.array_equal(model.mu, model.means[1])
+            with pytest.raises(ValueError, match="read-only"):
+                model.mu[0] = 0.5
+            direct = conditional_mean_direct(lap, signed(model.labeled))
+            assert np.abs(model.means[1] - direct).max() < 1e-8
+        assert model.num_unlabeled == 1
 
     def test_posteriors_sum_to_one(self):
         rng = np.random.default_rng(14)
         lap = random_lap(rng, 9)
-        mm = MulticlassModel.from_laplacian(lap, 3)
+        mm = GmrfModel.from_laplacian(lap, 3)
         mm.observe(0, 2)
         mm.observe(5, 1)
         for node in mm.unlabeled:
@@ -362,7 +380,7 @@ class TestMulticlass:
     def test_three_communities_classified_from_one_label_each(self):
         lg = community_graph((60, 60, 60), 0.5, 0.001, seed=3)
         lap = regularized_laplacian(lg.graph, 0.005)
-        mm = MulticlassModel.from_laplacian(lap, 3)
+        mm = GmrfModel.from_laplacian(lap, 3)
         for node in (0, 60, 120):
             mm.observe(node, lg.labels[node])
         preds = mm.predict()
@@ -370,7 +388,7 @@ class TestMulticlass:
 
     def test_invalid_class_rejected(self):
         rng = np.random.default_rng(15)
-        mm = MulticlassModel.from_laplacian(random_lap(rng, 6), 3)
+        mm = GmrfModel.from_laplacian(random_lap(rng, 6), 3)
         with pytest.raises(ValueError, match="class id"):
             mm.observe(0, 3)
 
@@ -378,12 +396,12 @@ class TestMulticlass:
         rng = np.random.default_rng(16)
         lap = random_lap(rng, 12)
         G = spd_inverse(lap.matrix)
-        mm = MulticlassModel.from_inverse(G, lap.delta, 3)
-        fields = [GmrfModel.from_inverse(G, lap.delta) for _ in range(3)]
+        mm = GmrfModel.from_inverse(G, lap.delta, 3)
+        fields = [GmrfModel.from_inverse(G, lap.delta, 2) for _ in range(3)]
         for node, cls in ((2, 1), (6, 0), (11, 2), (0, 1), (7, 2)):
             mm.observe(node, cls)
             for c, field in enumerate(fields):
-                field.observe(node, 1.0 if c == cls else -1.0)
+                field.observe(node, 1 if c == cls else 0)
             means = mm.class_means()
             for c, field in enumerate(fields):
                 assert np.array_equal(mm.G, field.G)
@@ -391,9 +409,18 @@ class TestMulticlass:
                 assert np.array_equal(mm.unlabeled, field.unlabeled)
         assert mm.labeled == {2: 1, 6: 0, 11: 2, 0: 1, 7: 2}
 
+    def test_binary_field_methods_reject_more_classes(self):
+        rng = np.random.default_rng(19)
+        mm = GmrfModel.from_laplacian(random_lap(rng, 6), 3)
+        assert mm.mu is None
+        with pytest.raises(ValueError, match="binary models only"):
+            mm.hypothetical_mean(0, 1.0)
+        with pytest.raises(ValueError, match="binary models only"):
+            mm.posterior_plus(0)
+
     def test_class_means_is_a_copy(self):
         rng = np.random.default_rng(17)
-        mm = MulticlassModel.from_laplacian(random_lap(rng, 6), 3)
+        mm = GmrfModel.from_laplacian(random_lap(rng, 6), 3)
         snapshot = mm.class_means()
         mm.observe(1, 2)
         assert snapshot.shape == (3, 6)
@@ -404,7 +431,7 @@ class TestClassDecision:
     def test_minority_class_node_next_to_its_label(self):
         lg = community_graph((10, 10, 10), 0.6, 0.05, seed=0)
         lap = regularized_laplacian(lg.graph, 0.2)
-        mm = MulticlassModel.from_laplacian(lap, 3)
+        mm = GmrfModel.from_laplacian(lap, 3)
         for node in (0, 1, 2, 3, 10, 20):  # class 0 holds four of six labels
             mm.observe(node, lg.labels[node])
         assert lap.matrix[20, 21] != 0 and lg.labels[21] == lg.labels[20] == 2
@@ -417,7 +444,7 @@ class TestClassDecision:
 
     def test_one_observed_class_no_warning_and_unlabeled_classes_tie_low(self):
         rng = np.random.default_rng(18)
-        mm = MulticlassModel.from_laplacian(random_lap(rng, 10), 4)
+        mm = GmrfModel.from_laplacian(random_lap(rng, 10), 4)
         mm.observe(3, 2)
         assert np.array_equal(mm.means[0], mm.means[1])
         assert np.array_equal(mm.means[0], mm.means[3])

@@ -13,6 +13,12 @@ share of the single queried class. The re-record moved only accuracy
 columns: the labeled sets per (strategy, run) stayed identical, both binary
 digests stayed as they were, and 19 of the 75 rows rose while none fell
 (tv at t=1: 0.322034 -> 0.648305).
+
+The ``binary-paths`` digest covers the binary scorers and schedules the
+``binary`` digest leaves out: vm, sigma-opt, unc, kl with ``inv_sqrt`` and
+the hybrid tv rule. It was recorded while binary labels still went through
+a separate binary model class, before that class became the C = 2 case of
+the one ``GmrfModel``.
 """
 
 import hashlib
@@ -49,6 +55,23 @@ GOLDEN = {
             eval_on="initial",
         ),
         "5d9c75ae42871f4beff06ecc608ff4caff2807d97af64ce419ad9d7d5e06f777",
+    ),
+    "binary-paths": (
+        ExperimentConfig(
+            graph="grid:8x8",
+            strategies=[
+                Strategy("vm"),
+                Strategy("sigma-opt"),
+                Strategy("unc"),
+                Strategy("kl", confidence="inv_sqrt"),
+                Strategy("tv", hybrid_scale=1.0),
+            ],
+            budget=15,
+            runs=4,
+            seed=3,
+            delta=0.005,
+        ),
+        "ff7f9da7cc3addad894b0bc530ae4d92041ec91b24696a02062befdc7a36b487",
     ),
     "multiclass": (
         ExperimentConfig(

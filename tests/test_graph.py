@@ -113,6 +113,16 @@ class TestBuildFromFeatures:
         with pytest.raises(ValueError, match="non-finite"):
             build_from_features(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
+    def test_nonfinite_threshold_or_sigma_rejected(self):
+        X = np.array([[0.0, 0.1], [0.2, 0.0], [1.0, 1.0], [0.9, 1.1]])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="threshold must be finite"):
+                build_from_features(X, "rbf", threshold=bad)
+            with pytest.raises(ValueError, match="threshold must be finite"):
+                build_from_features(X, "pearson", threshold=bad)
+            with pytest.raises(ValueError, match="sigma must be finite"):
+                build_from_features(X, "rbf", sigma=bad)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown similarity"):
             build_from_features(np.eye(3), "cosine")

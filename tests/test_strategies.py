@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from gmrf_active import (
     Graph,
     GmrfModel,
-    MulticlassModel,
     Strategy,
     regularized_laplacian,
     score_fl,
@@ -31,25 +30,26 @@ from gmrf_active.strategies import _bernoulli_kl
 
 def make_model(rng, n, delta=0.005, observed=0):
     lap = regularized_laplacian(random_connected_graph(n, rng), delta)
-    model = GmrfModel.from_laplacian(lap)
+    model = GmrfModel.from_laplacian(lap, 2)
     for node in rng.permutation(n)[:observed]:
-        model.observe(int(node), 1.0 if rng.random() < 0.5 else -1.0)
+        model.observe(int(node), 1 if rng.random() < 0.5 else 0)
     return model
 
 
 def single_unlabeled_model(mu_value=0.3):
     # 3-node path, two ends observed -> exactly one unlabeled node
     lap = regularized_laplacian(Graph(3, {(0, 1): 1.0, (1, 2): 1.0}), 0.1)
-    model = GmrfModel.from_laplacian(lap)
-    model.observe(0, 1.0)
-    model.observe(2, -1.0)
-    model.mu = np.array([mu_value])
-    return model
+    model = GmrfModel.from_laplacian(lap, 2)
+    model.observe(0, 1)
+    model.observe(2, 0)
+    mu = np.array([mu_value])
+    return GmrfModel(model.unlabeled, model.labeled, model.G, np.stack([-mu, mu]), lap.delta)
 
 
 def model_with_state(mu, G, delta=0.1):
     mu = np.asarray(mu, dtype=float)
-    return GmrfModel(np.arange(mu.size), {}, np.asarray(G, dtype=float), mu, delta)
+    return GmrfModel(np.arange(mu.size), {}, np.asarray(G, dtype=float),
+                     np.stack([-mu, mu]), delta)
 
 
 class TestStrategyConfig:
@@ -184,11 +184,11 @@ class TestVmSigmaOpt:
     def test_independent_of_observed_values(self):
         rng = np.random.default_rng(5)
         lap = regularized_laplacian(random_connected_graph(10, rng), 0.01)
-        a = GmrfModel.from_laplacian(lap)
-        b = GmrfModel.from_laplacian(lap)
+        a = GmrfModel.from_laplacian(lap, 2)
+        b = GmrfModel.from_laplacian(lap, 2)
         for node in (0, 4, 7):
-            a.observe(node, 1.0)
-            b.observe(node, -1.0)
+            a.observe(node, 1)
+            b.observe(node, 0)
         for node in a.unlabeled:
             node = int(node)
             assert score_vm(a, node) == score_vm(b, node)
@@ -198,7 +198,7 @@ class TestVmSigmaOpt:
 class TestFl:
     def test_two_node_expected_flip(self):
         lap = regularized_laplacian(Graph(2, {(0, 1): 1.0}), 0.1)
-        model = GmrfModel.from_laplacian(lap)
+        model = GmrfModel.from_laplacian(lap, 2)
         # nothing labeled: mu = 0, prior prediction of node 1 is -1; labeling
         # node 0 with +1 flips it, with -1 it stays
         assert score_fl(model, 0) == pytest.approx(0.5)
@@ -210,17 +210,17 @@ class TestFl:
     def test_invariant_under_label_negation(self):
         rng = np.random.default_rng(6)
         lap = regularized_laplacian(random_connected_graph(12, rng), 0.01)
-        a = GmrfModel.from_laplacian(lap)
-        b = GmrfModel.from_laplacian(lap)
-        for node, value in ((0, 1.0), (5, -1.0), (9, 1.0)):
-            a.observe(node, value)
-            b.observe(node, -value)
+        a = GmrfModel.from_laplacian(lap, 2)
+        b = GmrfModel.from_laplacian(lap, 2)
+        for node, class_id in ((0, 1), (5, 0), (9, 1)):
+            a.observe(node, class_id)
+            b.observe(node, 1 - class_id)
         for node in a.unlabeled:
             assert score_fl(a, int(node)) == pytest.approx(score_fl(b, int(node)), abs=1e-12)
 
     def test_maxmin_takes_worst_label(self):
         lap = regularized_laplacian(Graph(2, {(0, 1): 1.0}), 0.1)
-        model = GmrfModel.from_laplacian(lap)
+        model = GmrfModel.from_laplacian(lap, 2)
         assert score_fl(model, 0, maxmin=True) == 0.0
 
 
@@ -272,7 +272,7 @@ class TestUnc:
         assert score_unc(model_with_state([-1.0], [[1.0]]), 0) == -2.0
 
     def test_multiclass_top_two_gap(self):
-        mm = MulticlassModel([0], {}, [[1.0]], [[0.9], [0.1], [-0.5]], 0.1)
+        mm = GmrfModel([0], {}, [[1.0]], [[0.9], [0.1], [-0.5]], 0.1)
         assert score_unc(mm, 0) == pytest.approx(-0.8)
 
 
@@ -340,11 +340,11 @@ class TestLabelFlipInvariance:
     def test_closed_form_scores_unchanged(self):
         rng = np.random.default_rng(15)
         lap = regularized_laplacian(random_connected_graph(11, rng), 0.01)
-        a = GmrfModel.from_laplacian(lap)
-        b = GmrfModel.from_laplacian(lap)
-        for node, value in ((1, 1.0), (4, 1.0), (8, -1.0)):
-            a.observe(node, value)
-            b.observe(node, -value)
+        a = GmrfModel.from_laplacian(lap, 2)
+        b = GmrfModel.from_laplacian(lap, 2)
+        for node, class_id in ((1, 1), (4, 1), (8, 0)):
+            a.observe(node, class_id)
+            b.observe(node, 1 - class_id)
         for kind in ("tv", "msd", "klg", "vm", "sigma-opt"):
             sa = utility_scores(Strategy(kind), a, t=4)
             sb = utility_scores(Strategy(kind), b, t=4)
@@ -353,11 +353,11 @@ class TestLabelFlipInvariance:
     def test_adjusted_scores_unchanged(self):
         rng = np.random.default_rng(16)
         lap = regularized_laplacian(random_connected_graph(9, rng), 0.01)
-        a = GmrfModel.from_laplacian(lap)
-        b = GmrfModel.from_laplacian(lap)
-        for node, value in ((0, -1.0), (3, 1.0)):
-            a.observe(node, value)
-            b.observe(node, -value)
+        a = GmrfModel.from_laplacian(lap, 2)
+        b = GmrfModel.from_laplacian(lap, 2)
+        for node, class_id in ((0, 0), (3, 1)):
+            a.observe(node, class_id)
+            b.observe(node, 1 - class_id)
         for kind in ("tv", "msd", "klg"):
             strat = Strategy(kind, confidence="const:0.6")
             assert np.abs(utility_scores(strat, a, t=2) - utility_scores(strat, b, t=2)).max() <= 1e-12
@@ -369,11 +369,11 @@ class TestUniformScaling:
         g = random_connected_graph(14, rng)
         scale = 2.5
         scaled = Graph(14, {k: scale * w for k, w in g.edges.items()})
-        a = GmrfModel.from_laplacian(regularized_laplacian(g, 0.02))
-        b = GmrfModel.from_laplacian(regularized_laplacian(scaled, 0.02 * scale))
-        for node, value in ((0, 1.0), (6, -1.0), (11, 1.0)):
-            a.observe(node, value)
-            b.observe(node, value)
+        a = GmrfModel.from_laplacian(regularized_laplacian(g, 0.02), 2)
+        b = GmrfModel.from_laplacian(regularized_laplacian(scaled, 0.02 * scale), 2)
+        for node, class_id in ((0, 1), (6, 0), (11, 1)):
+            a.observe(node, class_id)
+            b.observe(node, class_id)
         for kind in ("klg", "tv", "msd", "vm", "sigma-opt"):
             sa = utility_scores(Strategy(kind), a, t=3)
             sb = utility_scores(Strategy(kind), b, t=3)
@@ -400,7 +400,7 @@ class TestScanConsistency:
     def test_multiclass_scan_matches_per_node(self):
         rng = np.random.default_rng(18)
         lap = regularized_laplacian(random_connected_graph(10, rng), 0.05)
-        mm = MulticlassModel.from_laplacian(lap, 3)
+        mm = GmrfModel.from_laplacian(lap, 3)
         mm.observe(0, 1)
         mm.observe(6, 2)
         for kind, fn in (("tv", score_tv_mc), ("msd", score_msd_mc), ("unc", score_unc)):
@@ -411,7 +411,7 @@ class TestScanConsistency:
     def test_binary_only_kinds_rejected_on_multiclass(self):
         rng = np.random.default_rng(19)
         lap = regularized_laplacian(random_connected_graph(8, rng), 0.05)
-        mm = MulticlassModel.from_laplacian(lap, 3)
+        mm = GmrfModel.from_laplacian(lap, 3)
         for kind in ("fl", "kl", "klg"):
             with pytest.raises(ValueError, match="binary"):
                 utility_scores(Strategy(kind), mm, t=2)
@@ -456,7 +456,7 @@ class TestSelect:
     def test_never_reselects_within_run(self):
         rng = np.random.default_rng(24)
         lap = regularized_laplacian(random_connected_graph(12, rng), 0.01)
-        model = GmrfModel.from_laplacian(lap)
+        model = GmrfModel.from_laplacian(lap, 2)
         gen = np.random.default_rng(1)
         seen = set()
         for t in range(1, 12):
@@ -464,7 +464,7 @@ class TestSelect:
             assert node not in seen
             assert node in set(int(i) for i in model.unlabeled)
             seen.add(node)
-            model.observe(node, 1.0)
+            model.observe(node, 1)
 
     def test_hybrid_scale_one_always_uniform_at_t1_scale(self):
         # pi_t = min(1, 9/sqrt(t)) stays 1 for t <= 81: every pick is a
@@ -484,7 +484,7 @@ class TestSelect:
         rng = np.random.default_rng(26)
         model = make_model(rng, 8, observed=1)
         lap = regularized_laplacian(random_connected_graph(9, rng), 0.05)
-        mm = MulticlassModel.from_laplacian(lap, 3)
+        mm = GmrfModel.from_laplacian(lap, 3)
         mm.observe(4, 2)
         for m, kinds in ((model, ("msd", "tv", "klg", "vm", "unc", "fl")),
                          (mm, ("msd", "tv", "sigma-opt", "unc"))):
