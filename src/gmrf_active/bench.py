@@ -2,11 +2,13 @@
 
 A run draws the graph (generator sources are re-sampled per run with seed
 ``base_seed + r``; file sources stay fixed), then lets every strategy play
-the same budget of queries against a label oracle. All strategies in one
-config share the per-run seed, so their first random query coincides and
-curve differences are strategy-driven. Accuracy after each query is the
-fraction of correctly predicted nodes, evaluated on the shrinking unlabeled
-set by default or on the full initial node set behind a flag.
+the same budget of queries. The label oracle is the graph's label array
+(``LabeledGraph.label_vector``): a query on node ``i`` reads entry ``i``.
+All strategies in one config share the per-run seed, so their first random
+query coincides and curve differences are strategy-driven. Accuracy after
+each query is the fraction of correctly predicted nodes, evaluated on the
+shrinking unlabeled set by default or on the full initial node set behind a
+flag.
 """
 
 from __future__ import annotations
@@ -24,20 +26,6 @@ from .graph import LabeledGraph, regularized_laplacian
 from .strategies import BINARY_ONLY_KINDS, Strategy, select
 
 EVAL_MODES = ("remaining", "initial")
-
-
-@dataclass
-class LabelOracle:
-    """Ground-truth label source; answers are pure functions of node id."""
-
-    labels: dict[int, int]
-    queries: int = 0
-
-    def query(self, node: int) -> int:
-        if node not in self.labels:
-            raise KeyError(f"oracle has no label for node {node}")
-        self.queries += 1
-        return int(self.labels[node])
 
 
 @dataclass
@@ -106,34 +94,28 @@ class ExperimentConfig:
             raise ValueError(f"eval_on must be one of {EVAL_MODES}")
 
 
-def _label_array(labels) -> np.ndarray:
-    if isinstance(labels, LabelOracle):
-        labels = labels.labels
-    if isinstance(labels, Mapping):
-        return np.array([labels[i] for i in range(len(labels))], dtype=np.int64)
-    return np.asarray(labels)
-
-
-def accuracy(model: GmrfModel, labels, eval_on: str = "remaining") -> float:
+def accuracy(model: GmrfModel, labels: np.ndarray, eval_on: str = "remaining") -> float:
     """Fraction of correctly predicted nodes.
 
     The model predicts by :func:`~gmrf_active.gmrf.class_decision`, the same
-    rule as :meth:`GmrfModel.predict`. ``labels`` gives the true class of every
-    node: a :class:`LabelOracle`, a node id -> class mapping, or an array
-    indexed by node id. With ``eval_on="remaining"`` the fraction is over the
-    unlabeled nodes; with ``"initial"`` it is over all nodes, and the queried
-    ones count as correct because they carry their disclosed label.
+    rule as :meth:`GmrfModel.predict`. ``labels`` is the 1-D array of true
+    class ids indexed by node id, as ``LabeledGraph.label_vector`` gives;
+    any other input is rejected. With ``eval_on="remaining"`` the fraction
+    is over the unlabeled nodes; with ``"initial"`` it is over all nodes, and
+    the queried ones count as correct because they carry their disclosed
+    label.
     """
     if eval_on not in EVAL_MODES:
         raise ValueError(f"eval_on must be one of {EVAL_MODES}")
-    truth = _label_array(labels)
+    if not isinstance(labels, np.ndarray) or labels.ndim != 1:
+        raise ValueError("labels must be a 1-D array of class ids indexed by node id")
     ids = model.unlabeled
     if ids.size == 0:
         raise ValueError("no unlabeled nodes left to evaluate")
-    hits = int(np.count_nonzero(class_decision(model.means) == truth[ids]))
+    hits = int(np.count_nonzero(class_decision(model.means) == labels[ids]))
     if eval_on == "remaining":
         return hits / ids.size
-    n = truth.size
+    n = labels.size
     return (hits + (n - ids.size)) / n
 
 
@@ -180,14 +162,13 @@ def run_experiment(cfg: ExperimentConfig,
         _check_graph(cfg, lg)
         lap = regularized_laplacian(lg.graph, cfg.delta)
         inverse = spd_inverse(lap.matrix)
-        oracle = LabelOracle(dict(lg.labels))
         truth = lg.label_vector()
         for strat in cfg.strategies:
             model = GmrfModel.from_inverse(inverse, cfg.delta, lg.num_classes)
             rng = np.random.default_rng(run_seed)
             for t in range(1, cfg.budget + 1):
                 node = select(strat, model, t, rng)
-                model.observe(node, oracle.query(node))
+                model.observe(node, truth[node])
                 curves[strat.label][r, t - 1] = accuracy(model, truth, cfg.eval_on)
                 if step_hook is not None:
                     step_hook(strategy=strat, model=model, run=r, t=t)
@@ -211,15 +192,12 @@ def emit_csv(results: dict[str, AccuracyCurve], path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def emit_summary(results: dict[str, AccuracyCurve],
-                 checkpoints: tuple[int, ...] | None = None) -> str:
-    """Plain-text mean +/- std table at a few checkpoint iterations."""
+def emit_summary(results: dict[str, AccuracyCurve]) -> str:
+    """Plain-text mean +/- std table at t = 5, 10, 20 and the last iteration."""
     if not results:
         raise ValueError("no results to summarize")
     budget = min(curve.budget for curve in results.values())
-    if checkpoints is None:
-        checkpoints = (5, 10, 20, budget)
-    points = sorted({t for t in checkpoints if 1 <= t <= budget})
+    points = sorted({t for t in (5, 10, 20, budget) if 1 <= t <= budget})
     width = max(len(label) for label in results) + 2
     header = "strategy".ljust(width) + "".join(f"t={t}".rjust(16) for t in points)
     lines = [header]

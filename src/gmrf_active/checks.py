@@ -26,9 +26,8 @@ class CheckResult:
     detail: str
 
 
-def random_connected_graph(n: int, rng: np.random.Generator,
-                           extra_edge_prob: float = 0.2) -> Graph:
-    """Random spanning tree plus extra edges, weights uniform in [0.5, 1.5]."""
+def random_connected_graph(n: int, rng: np.random.Generator) -> Graph:
+    """Random spanning tree plus each other pair w.p. 0.2; weights in [0.5, 1.5]."""
     order = rng.permutation(n)
     edges: dict[tuple[int, int], float] = {}
     for idx in range(1, n):
@@ -38,7 +37,7 @@ def random_connected_graph(n: int, rng: np.random.Generator,
         edges[key] = float(rng.uniform(0.5, 1.5))
     for i in range(n):
         for j in range(i + 1, n):
-            if (i, j) not in edges and rng.random() < extra_edge_prob:
+            if (i, j) not in edges and rng.random() < 0.2:
                 edges[(i, j)] = float(rng.uniform(0.5, 1.5))
     return Graph(n, edges)
 

@@ -20,7 +20,7 @@ import sys
 from . import checks
 from . import graph as graph_mod
 from .bench import ExperimentConfig, emit_csv, emit_summary, run_experiment
-from .strategies import KINDS, Strategy
+from .strategies import KINDS, RETRAINING_KINDS, Strategy
 
 OUTDIR_ENV = "GMRF_ACTIVE_OUTDIR"
 
@@ -188,12 +188,7 @@ def _cmd_build_graph(args) -> int:
 def _make_strategies(args, names: list[str]) -> list[Strategy]:
     maxmin = getattr(args, "maxmin", False)
     return [
-        Strategy(
-            name,
-            confidence=args.confidence,
-            hybrid_scale=args.hybrid,
-            maxmin=maxmin and name in ("fl", "kl"),
-        )
+        Strategy(name, confidence=args.confidence, hybrid_scale=args.hybrid, maxmin=maxmin)
         for name in names
     ]
 
@@ -247,6 +242,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "maxmin", False) and args.strategy not in RETRAINING_KINDS:
+            parser.error(f"--maxmin applies only to {'/'.join(RETRAINING_KINDS)}, "
+                         f"not --strategy {args.strategy}")
     except SystemExit as exc:  # argparse already printed the usage text
         return int(exc.code or 0)
     try:

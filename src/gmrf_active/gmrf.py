@@ -12,8 +12,9 @@ array and the rank-one term is subtracted from that copy in place, so
 problem is the case C = 2, whose field ``mu`` is the class-1 row of the
 means. :func:`conditional_mean_direct` re-solves the linear system from
 scratch and serves as the reference implementation the incremental path is
-tested against. :func:`class_decision` turns the C means into hard labels:
-the sign rule for C = 2, class-mass normalization for C >= 3.
+tested against. :func:`soft_labels` is the one mean -> probability rule,
+``clamp((m + 1) / 2)``. :func:`class_decision` turns the C means into hard
+labels: the sign rule for C = 2, class-mass normalization for C >= 3.
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ def spd_inverse(matrix: np.ndarray) -> np.ndarray:
         raise ValueError(f"matrix is not positive definite: {exc}") from None
     inv = scipy.linalg.cho_solve(factor, np.eye(matrix.shape[0]))
     return (inv + inv.T) / 2.0
+
+
+def soft_labels(means):
+    """Soft labels ``clamp((m + 1) / 2, 0, 1)`` of field means (Zhu et al., ICML 2003)."""
+    return np.clip((means + 1.0) / 2.0, 0.0, 1.0)
 
 
 def _without(a: np.ndarray, pos: int) -> np.ndarray:
@@ -87,10 +93,23 @@ class GmrfModel:
         self.unlabeled = np.asarray(unlabeled, dtype=np.int64)
         self.G = np.asarray(G, dtype=float)
         self.means = np.asarray(means, dtype=float)
-        if self.means.ndim != 2 or self.means.shape[0] < 2:
-            raise ValueError("need at least two class fields")
         self.delta = float(delta)
         self.labeled = {int(k): int(v) for k, v in labeled.items()}
+        ids = self.unlabeled
+        n = ids.size
+        if ids.ndim != 1 or np.any(ids[1:] <= ids[:-1]):
+            raise ValueError("unlabeled must be a 1-D array of strictly increasing node ids")
+        if self.G.shape != (n, n):
+            raise ValueError(f"G has shape {self.G.shape}, expected ({n}, {n})")
+        if self.means.ndim != 2 or self.means.shape[0] < 2:
+            raise ValueError("means needs at least two class fields")
+        if self.means.shape[1] != n:
+            raise ValueError(f"means has {self.means.shape[1]} columns, expected {n}")
+        if self.labeled:
+            keys = np.fromiter(self.labeled, dtype=np.int64, count=len(self.labeled))
+            both = keys[np.isin(keys, ids)]
+            if both.size:
+                raise ValueError(f"labeled nodes {sorted(both.tolist())} are also unlabeled")
         self.retrain_calls = 0
         # row c: the +1/-1 value every field takes when class c is observed
         self._targets = 2.0 * np.eye(self.num_classes) - 1.0
@@ -132,7 +151,8 @@ class GmrfModel:
             raise ValueError(f"node {node} is not unlabeled")
         return pos
 
-    def _pivot(self, pos: int) -> float:
+    def pivot(self, pos: int) -> float:
+        """Diagonal entry ``g_kk`` at position ``pos``; raises if degenerate."""
         gkk = float(self.G[pos, pos])
         if gkk < PIVOT_FLOOR:
             raise ValueError(
@@ -182,7 +202,7 @@ class GmrfModel:
             raise ValueError(f"class id {class_id} outside 0..{self.num_classes - 1}")
         class_id = int(class_id)
         pos = self.position(node)
-        gkk = self._pivot(pos)
+        gkk = self.pivot(pos)
         step = (self._targets[class_id] - self.means[:, pos]) / gkk
         g = self._downdate(pos, gkk)
         self.means = _without(self.means, pos) + step[:, None] * g
@@ -204,7 +224,7 @@ class GmrfModel:
         if value not in (-1.0, 1.0):
             raise ValueError(f"field value must be -1 or +1, got {value}")
         pos = self.position(node)
-        gkk = self._pivot(pos)
+        gkk = self.pivot(pos)
         self.retrain_calls += 1
         return self.mu + ((value - self.mu[pos]) / gkk) * self.G[:, pos]
 
@@ -212,38 +232,12 @@ class GmrfModel:
         """Probability that ``node`` has class 1, ``clamp((mu+1)/2)`` (C = 2)."""
         if self.mu is None:
             raise ValueError("posterior_plus is defined for binary models only")
-        pos = self.position(node)
-        return float(np.clip((self.mu[pos] + 1.0) / 2.0, 0.0, 1.0))
-
-    def posteriors(self, node: int) -> np.ndarray:
-        """Class distribution at a node from normalized shifted means.
-
-        Each mean is mapped through ``(mu + 1) / 2`` (clipped to [0, 1]) and
-        the vector is normalized to sum to one; a degenerate all-zero vector
-        falls back to the uniform distribution.
-        """
-        pos = self.position(node)
-        shifted = np.clip((self.means[:, pos] + 1.0) / 2.0, 0.0, 1.0)
-        total = shifted.sum()
-        if total <= 0.0:
-            return np.full(self.num_classes, 1.0 / self.num_classes)
-        return shifted / total
+        return float(soft_labels(self.mu[self.position(node)]))
 
     def predict(self) -> dict[int, int]:
         """Hard class per unlabeled node by :func:`class_decision`."""
         winners = class_decision(self.means)
         return {int(node): int(c) for node, c in zip(self.unlabeled, winners)}
-
-    def validate(self, atol: float = 1e-10) -> None:
-        """Spot-check structural invariants; raises on violation."""
-        if self.G.shape != (self.num_unlabeled, self.num_unlabeled):
-            raise AssertionError("G shape does not match unlabeled count")
-        if self.num_unlabeled and np.diagonal(self.G).min() <= 0:
-            raise AssertionError("G has a non-positive diagonal entry")
-        if self.num_unlabeled and np.abs(self.G - self.G.T).max() > atol:
-            raise AssertionError("G is not symmetric")
-        if set(map(int, self.unlabeled)) & set(self.labeled):
-            raise AssertionError("labeled and unlabeled sets overlap")
 
 
 def conditional_mean_direct(lap: RegularizedLaplacian, labeled: dict) -> np.ndarray:

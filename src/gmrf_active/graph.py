@@ -22,6 +22,9 @@ import numpy as np
 
 Edge = tuple[int, int]
 
+# Samples community_graph draws before giving up on a connected graph.
+_CONNECT_ATTEMPTS = 50
+
 
 @dataclass
 class Graph:
@@ -64,10 +67,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def weight(self, i: int, j: int) -> float:
-        key = (i, j) if i < j else (j, i)
-        return self.edges.get(key, 0.0)
 
     def weight_matrix(self) -> np.ndarray:
         """Dense symmetric adjacency matrix with zero diagonal."""
@@ -293,14 +292,13 @@ def grid_graph(rows: int, cols: int, seed: int) -> LabeledGraph:
     return LabeledGraph(Graph(rows * cols, edges), labels, 2)
 
 
-def community_graph(sizes, p_in: float, p_out: float, seed: int,
-                    max_retries: int = 50) -> LabeledGraph:
+def community_graph(sizes, p_in: float, p_out: float, seed: int) -> LabeledGraph:
     """Planted-partition benchmark with unit weights.
 
     Each within-block pair is connected with probability ``p_in`` and each
     cross-block pair with ``p_out < p_in``; the node label is its block
     index. Sampling repeats (consuming the same seeded stream) until the
-    graph is connected, up to ``max_retries`` attempts.
+    graph is connected, up to ``_CONNECT_ATTEMPTS`` attempts.
     """
     sizes = [int(s) for s in sizes]
     if len(sizes) < 2:
@@ -313,7 +311,7 @@ def community_graph(sizes, p_in: float, p_out: float, seed: int,
     block = np.repeat(np.arange(len(sizes)), sizes)
     probs = np.where(block[:, None] == block[None, :], p_in, p_out)
     rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(_CONNECT_ATTEMPTS):
         hit = np.triu(rng.random((n, n)) < probs, k=1)
         ii, jj = np.nonzero(hit)
         g = Graph(n, {(int(i), int(j)): 1.0 for i, j in zip(ii, jj)})
@@ -321,7 +319,7 @@ def community_graph(sizes, p_in: float, p_out: float, seed: int,
             labels = {i: int(block[i]) for i in range(n)}
             return LabeledGraph(g, labels, len(sizes))
     raise ValueError(
-        f"no connected sample after {max_retries} attempts; "
+        f"no connected sample after {_CONNECT_ATTEMPTS} attempts; "
         "increase p_in/p_out or the community sizes"
     )
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gmrf import PIVOT_FLOOR, GmrfModel
+from .gmrf import PIVOT_FLOOR, GmrfModel, soft_labels
 
 KINDS = ("random", "unc", "vm", "sigma-opt", "fl", "klg", "kl", "tv", "msd")
 RETRAINING_KINDS = ("fl", "kl")
@@ -100,18 +100,10 @@ def _parse_confidence(text: str) -> tuple[str, float]:
     raise ValueError(f"bad confidence spec {text!r}; expected none, inv_sqrt, or const:<a>")
 
 
-def _validate_alpha(alpha: float) -> None:
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"confidence weight must lie in [0, 1], got {alpha}")
-
-
 def _gcol(model, node: int) -> tuple[int, np.ndarray, float]:
     """Position, column ``g_i`` and diagonal ``g_ii`` of ``node`` in ``model.G``."""
     pos = model.position(node)
-    gii = float(model.G[pos, pos])
-    if gii < PIVOT_FLOOR:
-        raise ValueError(f"degenerate diagonal g_ii={gii:.3e} at node {node}")
-    return pos, model.G[:, pos], gii
+    return pos, model.G[:, pos], model.pivot(pos)
 
 
 def _column(model: GmrfModel, node: int) -> tuple[int, np.ndarray, float, float]:
@@ -150,33 +142,42 @@ def score_sigma_opt(model: GmrfModel, node: int) -> float:
     return l1 * l1 / gii
 
 
-def _label_weights(model: GmrfModel, node: int, alpha: float) -> tuple[float, float]:
-    # Mix the model posterior toward the uninformative prior 1/2.
-    w_plus = 0.5 * alpha + (1.0 - alpha) * model.posterior_plus(node)
-    return w_plus, 1.0 - w_plus
+def _mix(alpha: float, p):
+    """Posterior ``p`` mixed toward the uninformative prior 1/2 by ``alpha``."""
+    return 0.5 * alpha + (1.0 - alpha) * p
+
+
+def _expected_change(model: GmrfModel, node: int, alpha: float, maxmin: bool,
+                     change) -> float:
+    """Label expectation of ``change(mu_plus).sum()`` over ``U \\ {node}``.
+
+    ``change`` maps a hypothetical mean to a per-node change. Each candidate
+    label gives one total; the two are combined by the confidence-mixed
+    posterior of ``node``, or by the minimum when ``maxmin`` is set.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"confidence weight must lie in [0, 1], got {alpha}")
+    pos = model.position(node)
+    totals = []
+    for value in (1.0, -1.0):
+        per_node = change(model.hypothetical_mean(node, value))
+        per_node[pos] = 0
+        totals.append(float(per_node.sum()))
+    plus, minus = totals
+    if maxmin:
+        return min(plus, minus)
+    w_plus = _mix(alpha, model.posterior_plus(node))
+    return w_plus * plus + (1.0 - w_plus) * minus
 
 
 def score_fl(model: GmrfModel, node: int, alpha: float = 0.0, maxmin: bool = False) -> float:
     """Expected number of prediction flips among the other unlabeled nodes.
 
-    For each candidate label the hypothetical mean is evaluated and sign
-    changes against the current predictions are counted over ``U \\ {node}``;
-    the two counts are combined by the (confidence-mixed) posterior, or by
-    the minimum when ``maxmin`` is set.
+    A node flips when its hypothetical mean changes sign against the current
+    prediction; see :func:`_expected_change` for how the two labels combine.
     """
-    _validate_alpha(alpha)
-    pos, _, _ = _gcol(model, node)
     base = model.mu > 0
-    flips = {}
-    for value in (1.0, -1.0):
-        mu_plus = model.hypothetical_mean(node, value)
-        changed = (mu_plus > 0) != base
-        changed[pos] = False
-        flips[value] = float(changed.sum())
-    if maxmin:
-        return min(flips.values())
-    w_plus, w_minus = _label_weights(model, node, alpha)
-    return w_plus * flips[1.0] + w_minus * flips[-1.0]
+    return _expected_change(model, node, alpha, maxmin, lambda mu_plus: (mu_plus > 0) != base)
 
 
 def _bernoulli_kl(p, q) -> np.ndarray:
@@ -197,25 +198,13 @@ def _bernoulli_kl(p, q) -> np.ndarray:
 def score_kl(model: GmrfModel, node: int, alpha: float = 0.0, maxmin: bool = False) -> float:
     """Summed Bernoulli divergences inflicted on the other unlabeled nodes.
 
-    For each candidate label, every other node's posterior moves from
-    ``(mu_j + 1) / 2`` to the hypothetical value; the per-node divergences
-    (cross-entropy of new vs old minus entropy of new) are summed and the
-    two label branches combined like :func:`score_fl`.
+    Every other node's soft label moves from ``(mu_j + 1) / 2`` to that of
+    the hypothetical mean; the per-node divergences are summed and the two
+    labels combined as in :func:`_expected_change`.
     """
-    _validate_alpha(alpha)
-    pos, _, _ = _gcol(model, node)
-    q = np.clip((model.mu + 1.0) / 2.0, 0.0, 1.0)
-    totals = {}
-    for value in (1.0, -1.0):
-        mu_plus = model.hypothetical_mean(node, value)
-        p = np.clip((mu_plus + 1.0) / 2.0, 0.0, 1.0)
-        divergences = _bernoulli_kl(p, q)
-        divergences[pos] = 0.0
-        totals[value] = float(divergences.sum())
-    if maxmin:
-        return min(totals.values())
-    w_plus, w_minus = _label_weights(model, node, alpha)
-    return w_plus * totals[1.0] + w_minus * totals[-1.0]
+    q = soft_labels(model.mu)
+    return _expected_change(model, node, alpha, maxmin,
+                            lambda mu_plus: _bernoulli_kl(soft_labels(mu_plus), q))
 
 
 def _top_two_margin(means: np.ndarray) -> np.ndarray:
@@ -235,7 +224,7 @@ def score_unc(model: GmrfModel, node: int) -> float:
 
 def _class_spread(mm: GmrfModel) -> np.ndarray:
     """``sum_c (1 - pbar_c^2)`` per node, with pbar the normalized shifted means."""
-    shifted = np.clip((mm.means + 1.0) / 2.0, 0.0, 1.0)
+    shifted = soft_labels(mm.means)
     total = shifted.sum(axis=0)
     safe = np.where(total > 0, total, 1.0)
     pbar = np.where(total > 0, shifted / safe, 1.0 / mm.num_classes)
@@ -327,7 +316,7 @@ def utility_scores(strategy: Strategy, model, t: int) -> np.ndarray:
     if kind == "klg":
         if alpha == 0.0:
             return unc_term / (2.0 * dg)
-        w_plus = 0.5 * alpha + (1.0 - alpha) * np.clip((mu + 1.0) / 2.0, 0.0, 1.0)
+        w_plus = _mix(alpha, soft_labels(mu))
         return (w_plus * (1.0 - mu) ** 2 + (1.0 - w_plus) * (1.0 + mu) ** 2) / (2.0 * dg)
     return _change_scan(G, dg, kind, alpha, 2.0 * unc_term if kind == "tv" else unc_term)
 

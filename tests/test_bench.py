@@ -9,7 +9,6 @@ from gmrf_active import (
     AccuracyCurve,
     ExperimentConfig,
     GmrfModel,
-    LabelOracle,
     LabeledGraph,
     Strategy,
     accuracy,
@@ -187,19 +186,19 @@ class TestAccuracy:
         G = GmrfModel.from_laplacian(lap, 2).G
         mu = np.array([1.0 if lg.labels[i] == 1 else -1.0 for i in range(lg.graph.n)])
         model = GmrfModel(np.arange(lg.graph.n), {}, G, np.stack([-mu, mu]), lap.delta)
-        assert accuracy(model, LabelOracle(dict(lg.labels))) == 1.0
+        assert accuracy(model, lg.label_vector()) == 1.0
 
     def test_zero_mean_predicts_minus_class_everywhere(self):
         lg = small_labeled_graph(seed=9)
         lap = regularized_laplacian(lg.graph, 0.1)
         model = GmrfModel.from_laplacian(lap, 2)  # mu = 0 everywhere
         expected = sum(1 for c in lg.labels.values() if c == 0) / lg.graph.n
-        assert accuracy(model, dict(lg.labels)) == pytest.approx(expected)
+        assert accuracy(model, lg.label_vector()) == pytest.approx(expected)
 
     def test_matches_hand_count(self):
         rng = np.random.default_rng(10)
         g = random_connected_graph(20, rng)
-        labels = {i: int(rng.random() < 0.5) for i in range(20)}
+        labels = np.array([int(rng.random() < 0.5) for i in range(20)])
         lap = regularized_laplacian(g, 0.05)
         G = GmrfModel.from_laplacian(lap, 2).G
         mu = rng.uniform(-1, 1, size=20)
@@ -215,10 +214,10 @@ class TestAccuracy:
         model = GmrfModel.from_laplacian(lap, 2)
         for node in (0, 1, 5):
             model.observe(node, lg.labels[node])
-        labels = dict(lg.labels)
+        labels = lg.label_vector()
         remaining = accuracy(model, labels)
-        assert accuracy(model, LabelOracle(labels)) == remaining
-        assert accuracy(model, lg.label_vector()) == remaining
+        hand = sum(pred == lg.labels[node] for node, pred in model.predict().items())
+        assert remaining == hand / model.num_unlabeled
         n = lg.graph.n
         hits = round(remaining * (n - 3))
         assert accuracy(model, labels, eval_on="initial") == (hits + 3) / n
@@ -241,16 +240,22 @@ class TestAccuracy:
         cmn_hits = np.count_nonzero(np.argmax(soft / soft.sum(axis=1, keepdims=True), axis=0) == truth)
         argmax_hits = np.count_nonzero(np.argmax(fields, axis=0) == truth)
         assert cmn_hits != argmax_hits  # the state tells the two rules apart
-        assert accuracy(mm, lg.labels) == pytest.approx(cmn_hits / len(unl))
+        assert accuracy(mm, lg.label_vector()) == pytest.approx(cmn_hits / len(unl))
         n = lg.graph.n
-        assert accuracy(mm, lg.labels, eval_on="initial") == pytest.approx(
+        assert accuracy(mm, lg.label_vector(), eval_on="initial") == pytest.approx(
             (cmn_hits + len(queried)) / n)
 
     def test_rejects_bad_eval_mode(self):
         lg = small_labeled_graph(seed=12)
         model = GmrfModel.from_laplacian(regularized_laplacian(lg.graph, 0.1), 2)
         with pytest.raises(ValueError, match="eval_on"):
-            accuracy(model, lg.labels, eval_on="test-split")
+            accuracy(model, lg.label_vector(), eval_on="test-split")
+
+    def test_rejects_label_mapping(self):
+        lg = small_labeled_graph(seed=12)
+        model = GmrfModel.from_laplacian(regularized_laplacian(lg.graph, 0.1), 2)
+        with pytest.raises(ValueError, match="labels"):
+            accuracy(model, dict(lg.labels))
 
 
 class TestBaselineAccuracy:
@@ -306,13 +311,6 @@ class TestEmit:
 
 
 class TestOracle:
-    def test_counts_queries_and_rejects_unknown(self):
-        oracle = LabelOracle({0: 1, 1: 0})
-        assert oracle.query(0) == 1
-        assert oracle.queries == 1
-        with pytest.raises(KeyError, match="no label"):
-            oracle.query(7)
-
     def test_grid_experiment_end_to_end(self):
         cfg = ExperimentConfig("grid:5x5", [Strategy("tv", confidence="inv_sqrt")],
                                budget=10, runs=2, seed=4)

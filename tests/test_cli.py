@@ -158,3 +158,14 @@ def test_maxmin_flag_applies_to_retraining_strategy(tmp_path):
         "--T", "3", "--runs", "1", "--out", str(tmp_path / "fl.csv"),
     ])
     assert code == 0
+
+
+def test_maxmin_with_closed_form_strategy_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "tv.csv"
+    code = main([
+        "run", "--strategy", "tv", "--maxmin", "--graph", "grid:4x4",
+        "--T", "3", "--runs", "1", "--out", str(out),
+    ])
+    assert code == 2
+    assert "--maxmin" in capsys.readouterr().err
+    assert not out.exists()

@@ -53,6 +53,16 @@ class TestInit:
         assert np.abs(model.G - np.linalg.inv(lap.matrix)).max() < 1e-8
         assert np.abs(model.G - model.G.T).max() < 1e-10
 
+    @pytest.mark.parametrize("unlabeled, labeled, G, means, name", [
+        ([0, 1], {}, np.eye(3), np.zeros((2, 2)), "G"),
+        ([1, 0], {}, np.eye(2), np.zeros((2, 2)), "unlabeled"),
+        ([0, 1], {1: 0}, np.eye(2), np.zeros((2, 2)), "labeled"),
+        ([0, 1], {}, np.eye(2), np.zeros((2, 3)), "means"),
+    ], ids=["G", "unlabeled", "labeled", "means"])
+    def test_inconsistent_state_rejected(self, unlabeled, labeled, G, means, name):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            GmrfModel(unlabeled, labeled, G, means, 0.1)
+
     def test_non_pd_rejected(self):
         lap = two_node_lap()
         lap.matrix = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
@@ -116,7 +126,10 @@ class TestObserve:
             unl = [int(i) for i in model.unlabeled]
             dense = np.linalg.inv(lap.matrix[np.ix_(unl, unl)])
             assert np.abs(model.G - dense).max() < 1e-8
-        model.validate()
+        # the constructor raises on an inconsistent state
+        GmrfModel(model.unlabeled, model.labeled, model.G, model.means, model.delta)
+        assert np.diagonal(model.G).min() > 0
+        assert np.abs(model.G - model.G.T).max() < 1e-10
 
     def test_zero_innovation_leaves_mean_unchanged(self):
         # apply the update formula with the current mean in place of a label
@@ -366,17 +379,6 @@ class TestMulticlass:
             assert np.abs(model.means[1] - direct).max() < 1e-8
         assert model.num_unlabeled == 1
 
-    def test_posteriors_sum_to_one(self):
-        rng = np.random.default_rng(14)
-        lap = random_lap(rng, 9)
-        mm = GmrfModel.from_laplacian(lap, 3)
-        mm.observe(0, 2)
-        mm.observe(5, 1)
-        for node in mm.unlabeled:
-            p = mm.posteriors(int(node))
-            assert p.sum() == pytest.approx(1.0, abs=1e-12)
-            assert p.min() >= 0
-
     def test_three_communities_classified_from_one_label_each(self):
         lg = community_graph((60, 60, 60), 0.5, 0.001, seed=3)
         lap = regularized_laplacian(lg.graph, 0.005)
@@ -440,7 +442,7 @@ class TestClassDecision:
         preds = mm.predict()
         assert preds[21] == 2
         hits = sum(lg.labels[n] == c for n, c in preds.items())
-        assert accuracy(mm, lg.labels) == hits / len(preds)
+        assert accuracy(mm, lg.label_vector()) == hits / len(preds)
 
     def test_one_observed_class_no_warning_and_unlabeled_classes_tie_low(self):
         rng = np.random.default_rng(18)

@@ -19,6 +19,12 @@ The ``binary-paths`` digest covers the binary scorers and schedules the
 the hybrid tv rule. It was recorded while binary labels still went through
 a separate binary model class, before that class became the C = 2 case of
 the one ``GmrfModel``.
+
+The ``binary-schedules`` digest covers the confidence and worst-case paths
+of the label-expectation scorers: klg with ``inv_sqrt``, fl with
+``const:0.4``, plain kl, and fl and kl with ``maxmin``. It was recorded
+before the soft-label rule, the confidence mix and the fl/kl expected-change
+loop were each given one home.
 """
 
 import hashlib
@@ -72,6 +78,23 @@ GOLDEN = {
             delta=0.005,
         ),
         "ff7f9da7cc3addad894b0bc530ae4d92041ec91b24696a02062befdc7a36b487",
+    ),
+    "binary-schedules": (
+        ExperimentConfig(
+            graph="grid:8x8",
+            strategies=[
+                Strategy("klg", confidence="inv_sqrt"),
+                Strategy("fl", confidence="const:0.4"),
+                Strategy("kl"),
+                Strategy("fl", maxmin=True, name="fl-maxmin"),
+                Strategy("kl", maxmin=True, name="kl-maxmin"),
+            ],
+            budget=15,
+            runs=4,
+            seed=3,
+            delta=0.005,
+        ),
+        "d4f607512491decad363f30aa436e6afc6c540e44c3ee1838e38e5ad287f765a",
     ),
     "multiclass": (
         ExperimentConfig(

@@ -28,7 +28,7 @@ class TestGraphInvariants:
     def test_canonical_symmetric_storage(self):
         g = Graph(3, {(2, 0): 1.5, (1, 2): 0.5})
         assert g.edges == {(0, 2): 1.5, (1, 2): 0.5}
-        assert g.weight(0, 2) == g.weight(2, 0) == 1.5
+        assert g.edges[(0, 2)] == 1.5
 
     def test_weight_matrix_symmetric_zero_diagonal(self):
         rng = np.random.default_rng(0)
@@ -76,7 +76,7 @@ class TestBuildFromFeatures:
     def test_identical_rows_rbf_weight_one(self):
         X = np.array([[0.3, -0.2], [0.3, -0.2], [1.0, 1.0]])
         g = build_from_features(X, "rbf", sigma=1.0)
-        assert g.weight(0, 1) == pytest.approx(1.0)
+        assert g.edges[(0, 1)] == pytest.approx(1.0)
 
     def test_orthogonal_rows_pearson_dropped(self):
         # correlation 0 is not a positive weight, so no edge survives and
@@ -286,7 +286,7 @@ class TestCommunityGraph:
     def test_retry_budget_exhausted(self):
         # p_out = 0 can never connect the two blocks
         with pytest.raises(ValueError, match="attempts"):
-            community_graph((4, 4), 0.9, 0.0, seed=0, max_retries=5)
+            community_graph((4, 4), 0.9, 0.0, seed=0)
 
 
 class TestLoaders:
@@ -296,7 +296,7 @@ class TestLoaders:
         g = load_edge_list(path)
         assert g.n == 3
         assert g.num_edges == 3
-        assert g.weight(1, 2) == 0.5
+        assert g.edges[(1, 2)] == 0.5
 
     def test_conflicting_duplicate_rejected(self, tmp_path):
         path = tmp_path / "edges.txt"
