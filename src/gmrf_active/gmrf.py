@@ -123,7 +123,13 @@ class GmrfModel:
 
     @classmethod
     def from_inverse(cls, G: np.ndarray, delta: float, num_classes: int) -> "GmrfModel":
-        """Fresh model from a precomputed full inverse (copied, not aliased)."""
+        """Fresh model from a precomputed full inverse (copied, not aliased).
+
+        The copy is what keeps a shared inverse safe: ``run_experiment``
+        hands one inverse to every strategy of a run, and to later runs on
+        the same graph, and :meth:`observe` then works on the model's own
+        ``G``.
+        """
         n = G.shape[0]
         return cls(np.arange(n), {}, np.array(G, dtype=float, copy=True),
                    np.zeros((num_classes, n)), delta)

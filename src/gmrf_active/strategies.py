@@ -106,9 +106,20 @@ def _gcol(model, node: int) -> tuple[int, np.ndarray, float]:
     return pos, model.G[:, pos], model.pivot(pos)
 
 
+def _binary_mu(model: GmrfModel) -> np.ndarray:
+    """``model.mu``; a model with more than two classes has none to score."""
+    if model.mu is None:
+        raise ValueError(
+            "the per-node scorers tv, msd, klg, fl and kl are defined for binary models "
+            f"only, but the model has {model.num_classes} classes"
+        )
+    return model.mu
+
+
 def _column(model: GmrfModel, node: int) -> tuple[int, np.ndarray, float, float]:
+    mu = _binary_mu(model)
     pos, gi, gii = _gcol(model, node)
-    return pos, gi, gii, float(model.mu[pos])
+    return pos, gi, gii, float(mu[pos])
 
 
 def score_klg(model: GmrfModel, node: int) -> float:
@@ -148,19 +159,22 @@ def _mix(alpha: float, p):
 
 
 def _expected_change(model: GmrfModel, node: int, alpha: float, maxmin: bool,
-                     change) -> float:
-    """Label expectation of ``change(mu_plus).sum()`` over ``U \\ {node}``.
+                     reference, change) -> float:
+    """Label expectation of ``change(mu_plus, ref).sum()`` over ``U \\ {node}``.
 
-    ``change`` maps a hypothetical mean to a per-node change. Each candidate
-    label gives one total; the two are combined by the confidence-mixed
-    posterior of ``node``, or by the minimum when ``maxmin`` is set.
+    ``reference`` maps the current mean to ``ref`` once per call; ``change``
+    maps a hypothetical mean and ``ref`` to a per-node change. Each
+    candidate label gives one total; the two are combined by the
+    confidence-mixed posterior of ``node``, or by the minimum when
+    ``maxmin`` is set.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"confidence weight must lie in [0, 1], got {alpha}")
+    ref = reference(_binary_mu(model))
     pos = model.position(node)
     totals = []
     for value in (1.0, -1.0):
-        per_node = change(model.hypothetical_mean(node, value))
+        per_node = change(model.hypothetical_mean(node, value), ref)
         per_node[pos] = 0
         totals.append(float(per_node.sum()))
     plus, minus = totals
@@ -176,8 +190,8 @@ def score_fl(model: GmrfModel, node: int, alpha: float = 0.0, maxmin: bool = Fal
     A node flips when its hypothetical mean changes sign against the current
     prediction; see :func:`_expected_change` for how the two labels combine.
     """
-    base = model.mu > 0
-    return _expected_change(model, node, alpha, maxmin, lambda mu_plus: (mu_plus > 0) != base)
+    return _expected_change(model, node, alpha, maxmin, lambda mu: mu > 0,
+                            lambda mu_plus, base: (mu_plus > 0) != base)
 
 
 def _bernoulli_kl(p, q) -> np.ndarray:
@@ -202,9 +216,8 @@ def score_kl(model: GmrfModel, node: int, alpha: float = 0.0, maxmin: bool = Fal
     the hypothetical mean; the per-node divergences are summed and the two
     labels combined as in :func:`_expected_change`.
     """
-    q = soft_labels(model.mu)
-    return _expected_change(model, node, alpha, maxmin,
-                            lambda mu_plus: _bernoulli_kl(soft_labels(mu_plus), q))
+    return _expected_change(model, node, alpha, maxmin, soft_labels,
+                            lambda mu_plus, q: _bernoulli_kl(soft_labels(mu_plus), q))
 
 
 def _top_two_margin(means: np.ndarray) -> np.ndarray:

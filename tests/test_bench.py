@@ -20,8 +20,10 @@ from gmrf_active import (
     grid_graph,
     regularized_laplacian,
     run_experiment,
+    spd_inverse,
 )
 from gmrf_active import bench
+from gmrf_active.bench import EVAL_MODES
 from gmrf_active.checks import random_connected_graph
 
 
@@ -154,6 +156,10 @@ class TestRunExperiment:
                                budget=3, runs=2, seed=1, delta=0.2)
         run_experiment(cfg)
         assert calls == [22, 22]
+        # a grid redraws only its labels, so its Laplacian is built once
+        calls.clear()
+        run_experiment(ExperimentConfig("grid:5x5", [Strategy("tv")], budget=3, runs=3))
+        assert calls == [25]
 
     def test_generator_source_resampled_per_run(self):
         seen = set()
@@ -177,6 +183,67 @@ class TestRunExperiment:
         for t in range(5):
             hits = remaining[t] * (n - t - 1)
             assert initial[t] == pytest.approx((hits + t + 1) / n, abs=1e-12)
+
+
+def _count_setup_calls(monkeypatch):
+    """Count calls of the harness's Laplacian and inverse; keep each inverse."""
+    calls = {"regularized_laplacian": 0, "spd_inverse": 0}
+    inverses = []
+
+    def wrap(name, fn, keep):
+        def counted(*args):
+            calls[name] += 1
+            out = fn(*args)
+            keep.append(out)
+            return out
+        monkeypatch.setattr(bench, name, counted)
+
+    wrap("regularized_laplacian", bench.regularized_laplacian, [])
+    wrap("spd_inverse", bench.spd_inverse, inverses)
+    return calls, inverses
+
+
+class TestInverseReuse:
+    @pytest.mark.parametrize("source, runs, builds", [
+        ("grid:5x5", 3, 1),
+        ("ready", 3, 1),
+        ("community:6,6:pin=0.9:pout=0.1", 2, 2),
+    ])
+    def test_laplacian_and_inverse_built_once_per_distinct_graph(self, monkeypatch,
+                                                                 source, runs, builds):
+        graph = small_labeled_graph(seed=2) if source == "ready" else source
+        calls, _ = _count_setup_calls(monkeypatch)
+        cfg = ExperimentConfig(graph, [Strategy("tv"), Strategy("random")], budget=3,
+                               runs=runs, seed=1)
+        run_experiment(cfg)
+        assert calls == {"regularized_laplacian": builds, "spd_inverse": builds}
+
+    @pytest.mark.parametrize("source", ["grid:5x5", "community:6,6:pin=0.9:pout=0.1"])
+    @pytest.mark.parametrize("eval_on", EVAL_MODES)
+    def test_each_run_matches_a_one_run_experiment(self, source, eval_on):
+        strategies = [Strategy("tv", confidence="inv_sqrt"), Strategy("msd"),
+                      Strategy("klg"), Strategy("random")]
+
+        def curves(seed, runs):
+            cfg = ExperimentConfig(source, strategies, budget=5, runs=runs, seed=seed,
+                                   delta=0.05, eval_on=eval_on)
+            return run_experiment(cfg)
+
+        together = curves(seed=11, runs=3)
+        for r in range(3):
+            alone = curves(seed=11 + r, runs=1)
+            for s in strategies:
+                assert np.array_equal(together[s.label].values[r], alone[s.label].values[0])
+
+    def test_shared_inverse_is_left_unchanged(self, monkeypatch):
+        _, inverses = _count_setup_calls(monkeypatch)
+        cfg = ExperimentConfig("grid:5x5", [Strategy("tv"), Strategy("klg")], budget=8,
+                               runs=3, seed=3)
+        run_experiment(cfg)
+        [shared] = inverses
+        fresh = spd_inverse(regularized_laplacian(grid_graph(5, 5, seed=3).graph,
+                                                  cfg.delta).matrix)
+        assert np.array_equal(shared, fresh)
 
 
 class TestAccuracy:

@@ -416,6 +416,12 @@ class TestScanConsistency:
             with pytest.raises(ValueError, match="binary"):
                 utility_scores(Strategy(kind), mm, t=2)
 
+    @pytest.mark.parametrize("scorer", [score_fl, score_kl, score_klg, score_tv, score_msd])
+    def test_binary_per_node_scorers_reject_multiclass(self, scorer):
+        mm = GmrfModel([0, 1], {}, np.eye(2), np.zeros((3, 2)), 0.1)
+        with pytest.raises(ValueError, match="binary models only.*3 classes"):
+            scorer(mm, 0)
+
 
 class TestRetrainCounters:
     def test_closed_form_scans_perform_no_retraining(self):
