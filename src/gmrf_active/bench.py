@@ -175,7 +175,7 @@ def run_experiment(cfg: ExperimentConfig,
             inverse = spd_inverse(regularized_laplacian(graph, cfg.delta).matrix)
         truth = lg.label_vector()
         for strat in cfg.strategies:
-            model = GmrfModel.from_inverse(inverse, cfg.delta, lg.num_classes)
+            model = GmrfModel.from_inverse(inverse, lg.num_classes)
             rng = np.random.default_rng(run_seed)
             for t in range(1, cfg.budget + 1):
                 node = select(strat, model, t, rng)

@@ -79,8 +79,6 @@ class GmrfModel:
     mu : ndarray or None
         For C = 2 the read-only view ``means[1]``, re-set by every
         :meth:`observe`; None for C > 2.
-    delta : float
-        Regularizer baked into the Laplacian this model was built from.
     retrain_calls : int
         Number of hypothetical-mean evaluations performed on this model;
         lets callers audit which selection rules avoid retraining.
@@ -89,11 +87,10 @@ class GmrfModel:
     experiment run; read-only scoring over a snapshot is side-effect free.
     """
 
-    def __init__(self, unlabeled, labeled, G, means, delta):
+    def __init__(self, unlabeled, labeled, G, means):
         self.unlabeled = np.asarray(unlabeled, dtype=np.int64)
         self.G = np.asarray(G, dtype=float)
         self.means = np.asarray(means, dtype=float)
-        self.delta = float(delta)
         self.labeled = {int(k): int(v) for k, v in labeled.items()}
         ids = self.unlabeled
         n = ids.size
@@ -119,10 +116,10 @@ class GmrfModel:
     def from_laplacian(cls, lap: RegularizedLaplacian, num_classes: int) -> "GmrfModel":
         """Fresh model with all nodes unlabeled and zero means."""
         return cls(np.arange(lap.n), {}, spd_inverse(lap.matrix),
-                   np.zeros((num_classes, lap.n)), lap.delta)
+                   np.zeros((num_classes, lap.n)))
 
     @classmethod
-    def from_inverse(cls, G: np.ndarray, delta: float, num_classes: int) -> "GmrfModel":
+    def from_inverse(cls, G: np.ndarray, num_classes: int) -> "GmrfModel":
         """Fresh model from a precomputed full inverse (copied, not aliased).
 
         The copy is what keeps a shared inverse safe: ``run_experiment``
@@ -132,7 +129,7 @@ class GmrfModel:
         """
         n = G.shape[0]
         return cls(np.arange(n), {}, np.array(G, dtype=float, copy=True),
-                   np.zeros((num_classes, n)), delta)
+                   np.zeros((num_classes, n)))
 
     def _expose_mu(self) -> None:
         # a stored view, not a property: the retraining scans read mu per node
@@ -233,12 +230,6 @@ class GmrfModel:
         gkk = self.pivot(pos)
         self.retrain_calls += 1
         return self.mu + ((value - self.mu[pos]) / gkk) * self.G[:, pos]
-
-    def posterior_plus(self, node: int) -> float:
-        """Probability that ``node`` has class 1, ``clamp((mu+1)/2)`` (C = 2)."""
-        if self.mu is None:
-            raise ValueError("posterior_plus is defined for binary models only")
-        return float(soft_labels(self.mu[self.position(node)]))
 
     def predict(self) -> dict[int, int]:
         """Hard class per unlabeled node by :func:`class_decision`."""

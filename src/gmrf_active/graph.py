@@ -147,7 +147,6 @@ class RegularizedLaplacian:
     """
 
     n: int
-    delta: float
     matrix: np.ndarray
 
 
@@ -172,7 +171,7 @@ def regularized_laplacian(graph: Graph, delta: float) -> RegularizedLaplacian:
     W = graph.weight_matrix()
     L = np.diag(W.sum(axis=1)) - W
     L[np.diag_indices_from(L)] += delta
-    return RegularizedLaplacian(graph.n, float(delta), L)
+    return RegularizedLaplacian(graph.n, L)
 
 
 def normalize_features(features) -> np.ndarray:
@@ -328,8 +327,9 @@ def load_edge_list(path) -> Graph:
     """Read a UTF-8 edge list: one ``i j w`` record per line, 0-based ids.
 
     Rejects NaN/Inf and negative weights, self-loops, and duplicate records
-    that disagree on the weight; zero-weight records are dropped. Errors
-    carry the offending line number.
+    that disagree on the weight. Zero-weight records take part in that
+    check and are dropped afterwards. Errors carry the offending line
+    number.
     """
     records: dict[Edge, tuple[float, int]] = {}
     max_id = -1
@@ -361,12 +361,10 @@ def load_edge_list(path) -> Graph:
                     f"{prev_w} (line {prev_line}) vs {w}"
                 )
             max_id = max(max_id, i, j)
-            if w == 0.0:
-                continue
             records[key] = (w, lineno)
     if max_id < 0:
         raise ValueError(f"{path}: no edge records found")
-    return Graph(max_id + 1, {key: w for key, (w, _) in records.items()})
+    return Graph(max_id + 1, {key: w for key, (w, _) in records.items() if w != 0.0})
 
 
 def save_edge_list(graph: Graph, path) -> None:

@@ -10,8 +10,9 @@ and the conditional mean ``mu``:
 - ``vm`` / ``sigma-opt``: label-independent ensemble scores
   ``||g_i||_2^2 / g_ii`` and ``||g_i||_1^2 / g_ii``.
 - ``fl`` / ``kl``: retraining-based expected prediction flips and summed
-  Bernoulli divergences (these are the only scorers that evaluate
-  hypothetical means).
+  Bernoulli divergences. They are the only scorers that evaluate
+  hypothetical means: two per candidate, with everything else built once
+  per scan.
 - ``unc``: negative top-two soft-label margin.
 
 A :class:`Strategy` bundles a scorer with its confidence schedule ``a_t``
@@ -158,30 +159,40 @@ def _mix(alpha: float, p):
     return 0.5 * alpha + (1.0 - alpha) * p
 
 
-def _expected_change(model: GmrfModel, node: int, alpha: float, maxmin: bool,
-                     reference, change) -> float:
-    """Label expectation of ``change(mu_plus, ref).sum()`` over ``U \\ {node}``.
+def _expected_change(model: GmrfModel, kind: str, alpha: float, maxmin: bool,
+                     positions) -> np.ndarray:
+    """fl / kl scores of the unlabeled nodes at ``positions``.
 
-    ``reference`` maps the current mean to ``ref`` once per call; ``change``
-    maps a hypothetical mean and ``ref`` to a per-node change. Each
-    candidate label gives one total; the two are combined by the
-    confidence-mixed posterior of ``node``, or by the minimum when
-    ``maxmin`` is set.
+    Each candidate label gives one total change over ``U \\ {node}``: the
+    prediction flips (fl) or the summed Bernoulli divergences of the soft
+    labels (kl) that its hypothetical mean causes. The two totals are
+    combined by the confidence-mixed posterior of ``node``, or by the
+    minimum when ``maxmin`` is set. The reference labels and the mixed
+    posterior are built once per call; each candidate costs two
+    hypothetical means.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"confidence weight must lie in [0, 1], got {alpha}")
-    ref = reference(_binary_mu(model))
-    pos = model.position(node)
-    totals = []
-    for value in (1.0, -1.0):
-        per_node = change(model.hypothetical_mean(node, value), ref)
-        per_node[pos] = 0
-        totals.append(float(per_node.sum()))
-    plus, minus = totals
-    if maxmin:
-        return min(plus, minus)
-    w_plus = _mix(alpha, model.posterior_plus(node))
-    return w_plus * plus + (1.0 - w_plus) * minus
+    mu = _binary_mu(model)
+    p = soft_labels(mu)
+    above = mu > 0
+    w_plus = _mix(alpha, p)
+    scores = np.empty(len(positions))
+    for k, pos in enumerate(positions):
+        node = int(model.unlabeled[pos])
+        totals = []
+        for value in (1.0, -1.0):
+            mu_plus = model.hypothetical_mean(node, value)
+            if kind == "fl":
+                per_node = (mu_plus > 0) != above
+            else:
+                per_node = _bernoulli_kl(soft_labels(mu_plus), p)
+            per_node[pos] = 0
+            totals.append(float(per_node.sum()))
+        plus, minus = totals
+        w = w_plus[pos]
+        scores[k] = min(plus, minus) if maxmin else w * plus + (1.0 - w) * minus
+    return scores
 
 
 def score_fl(model: GmrfModel, node: int, alpha: float = 0.0, maxmin: bool = False) -> float:
@@ -190,8 +201,7 @@ def score_fl(model: GmrfModel, node: int, alpha: float = 0.0, maxmin: bool = Fal
     A node flips when its hypothetical mean changes sign against the current
     prediction; see :func:`_expected_change` for how the two labels combine.
     """
-    return _expected_change(model, node, alpha, maxmin, lambda mu: mu > 0,
-                            lambda mu_plus, base: (mu_plus > 0) != base)
+    return float(_expected_change(model, "fl", alpha, maxmin, [model.position(node)])[0])
 
 
 def _bernoulli_kl(p, q) -> np.ndarray:
@@ -216,8 +226,7 @@ def score_kl(model: GmrfModel, node: int, alpha: float = 0.0, maxmin: bool = Fal
     the hypothetical mean; the per-node divergences are summed and the two
     labels combined as in :func:`_expected_change`.
     """
-    return _expected_change(model, node, alpha, maxmin, soft_labels,
-                            lambda mu_plus, q: _bernoulli_kl(soft_labels(mu_plus), q))
+    return float(_expected_change(model, "kl", alpha, maxmin, [model.position(node)])[0])
 
 
 def _top_two_margin(means: np.ndarray) -> np.ndarray:
@@ -319,11 +328,7 @@ def utility_scores(strategy: Strategy, model, t: int) -> np.ndarray:
     if not binary:
         return _change_scan(G, dg, kind, alpha, _class_spread(model))
     if kind in RETRAINING_KINDS:
-        scorer = score_fl if kind == "fl" else score_kl
-        return np.array([
-            scorer(model, int(node), alpha=alpha, maxmin=strategy.maxmin)
-            for node in model.unlabeled
-        ])
+        return _expected_change(model, kind, alpha, strategy.maxmin, range(model.num_unlabeled))
     mu = model.mu
     unc_term = 1.0 - mu * mu
     if kind == "klg":

@@ -15,7 +15,7 @@ from gmrf_active import (
 )
 from gmrf_active.bench import accuracy
 from gmrf_active.checks import random_connected_graph
-from gmrf_active.gmrf import class_decision
+from gmrf_active.gmrf import class_decision, soft_labels
 from gmrf_active.strategies import Strategy, select
 
 
@@ -61,7 +61,7 @@ class TestInit:
     ], ids=["G", "unlabeled", "labeled", "means"])
     def test_inconsistent_state_rejected(self, unlabeled, labeled, G, means, name):
         with pytest.raises(ValueError, match=f"^{name} "):
-            GmrfModel(unlabeled, labeled, G, means, 0.1)
+            GmrfModel(unlabeled, labeled, G, means)
 
     def test_non_pd_rejected(self):
         lap = two_node_lap()
@@ -127,7 +127,7 @@ class TestObserve:
             dense = np.linalg.inv(lap.matrix[np.ix_(unl, unl)])
             assert np.abs(model.G - dense).max() < 1e-8
         # the constructor raises on an inconsistent state
-        GmrfModel(model.unlabeled, model.labeled, model.G, model.means, model.delta)
+        GmrfModel(model.unlabeled, model.labeled, model.G, model.means)
         assert np.diagonal(model.G).min() > 0
         assert np.abs(model.G - model.G.T).max() < 1e-10
 
@@ -235,8 +235,8 @@ class TestCompactingDowndate:
             value = 2.0 * class_id - 1.0
             return np.delete(mu + ((value - mu[pos]) / gkk) * gk, pos)
 
-        for model in (GmrfModel.from_inverse(passed, lap.delta, 2),
-                      GmrfModel(np.arange(11), {}, passed, np.zeros((2, 11)), lap.delta)):
+        for model in (GmrfModel.from_inverse(passed, 2),
+                      GmrfModel(np.arange(11), {}, passed, np.zeros((2, 11)))):
             self.check_observe_sequence(
                 model, lambda m: m.mu,
                 lambda rng: 1 if rng.random() < 0.5 else 0, update_ref)
@@ -253,8 +253,8 @@ class TestCompactingDowndate:
             moved = means + ((values - means[:, pos]) / gkk)[:, None] * gk
             return np.delete(moved, pos, axis=1)
 
-        for model in (GmrfModel.from_inverse(passed, lap.delta, 3),
-                      GmrfModel(np.arange(10), {}, passed, np.zeros((3, 10)), lap.delta)):
+        for model in (GmrfModel.from_inverse(passed, 3),
+                      GmrfModel(np.arange(10), {}, passed, np.zeros((3, 10)))):
             self.check_observe_sequence(
                 model, lambda m: m.means, lambda rng: int(rng.integers(3)), update_ref)
             assert np.array_equal(passed, kept)
@@ -311,22 +311,23 @@ class TestPosteriorAndPredict:
     def test_posterior_values(self):
         lap = two_node_lap()
         model = GmrfModel.from_laplacian(lap, 2)
-        assert model.posterior_plus(0) == 0.5
+        assert soft_labels(model.mu)[0] == 0.5
         mu = np.array([1.0, 0.0])
-        model = GmrfModel(model.unlabeled, {}, model.G, np.stack([-mu, mu]), lap.delta)
-        assert model.posterior_plus(0) == 1.0
+        model = GmrfModel(model.unlabeled, {}, model.G, np.stack([-mu, mu]))
+        assert soft_labels(model.mu)[0] == 1.0
 
     def test_posterior_from_two_node_observation(self):
         model = GmrfModel.from_laplacian(two_node_lap(), 2)
         model.observe(0, 1)
-        assert model.posterior_plus(1) == pytest.approx((1 / 1.1 + 1) / 2, abs=1e-12)
+        p_plus = soft_labels(model.mu)[model.position(1)]
+        assert p_plus == pytest.approx((1 / 1.1 + 1) / 2, abs=1e-12)
 
     def test_predict_signs_and_tie(self):
         lap = two_node_lap()
         G = spd_inverse(lap.matrix)
         for mu, expected in (([0.2, -0.3], {0: 1, 1: 0}), ([0.0, 0.0], {0: 0, 1: 0})):
             mu = np.array(mu)
-            model = GmrfModel([0, 1], {}, G, np.stack([-mu, mu]), lap.delta)
+            model = GmrfModel([0, 1], {}, G, np.stack([-mu, mu]))
             assert model.predict() == expected
 
     def test_flip_symmetry_of_predictions(self):
@@ -398,8 +399,8 @@ class TestMulticlass:
         rng = np.random.default_rng(16)
         lap = random_lap(rng, 12)
         G = spd_inverse(lap.matrix)
-        mm = GmrfModel.from_inverse(G, lap.delta, 3)
-        fields = [GmrfModel.from_inverse(G, lap.delta, 2) for _ in range(3)]
+        mm = GmrfModel.from_inverse(G, 3)
+        fields = [GmrfModel.from_inverse(G, 2) for _ in range(3)]
         for node, cls in ((2, 1), (6, 0), (11, 2), (0, 1), (7, 2)):
             mm.observe(node, cls)
             for c, field in enumerate(fields):
@@ -417,8 +418,6 @@ class TestMulticlass:
         assert mm.mu is None
         with pytest.raises(ValueError, match="binary models only"):
             mm.hypothetical_mean(0, 1.0)
-        with pytest.raises(ValueError, match="binary models only"):
-            mm.posterior_plus(0)
 
     def test_class_means_is_a_copy(self):
         rng = np.random.default_rng(17)

@@ -304,6 +304,20 @@ class TestLoaders:
         with pytest.raises(ValueError, match=r"edges.txt:2.*conflicting"):
             load_edge_list(path)
 
+    @pytest.mark.parametrize("lines", [("0 1 2.0", "0 1 0"), ("0 1 0", "0 1 2.0")])
+    def test_zero_weight_conflict_rejected_in_either_order(self, tmp_path, lines):
+        path = tmp_path / "edges.txt"
+        path.write_text("\n".join(lines) + "\n1 2 1.0\n")
+        with pytest.raises(ValueError, match=r"edges.txt:2.*conflicting.*\(line 1\)"):
+            load_edge_list(path)
+
+    def test_repeated_zero_weight_record_dropped(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("0 1 0\n0 1 0\n1 2 1.0\n")
+        g = load_edge_list(path)
+        assert g.n == 3
+        assert g.edges == {(1, 2): 1.0}
+
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "edges.txt"
         path.write_text("0 1 1.0\n0 two 1.0\n")

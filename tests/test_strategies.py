@@ -25,6 +25,7 @@ from gmrf_active import (
 )
 from gmrf_active import strategies
 from gmrf_active.checks import random_connected_graph
+from gmrf_active.gmrf import PIVOT_FLOOR
 from gmrf_active.strategies import _bernoulli_kl
 
 
@@ -43,13 +44,12 @@ def single_unlabeled_model(mu_value=0.3):
     model.observe(0, 1)
     model.observe(2, 0)
     mu = np.array([mu_value])
-    return GmrfModel(model.unlabeled, model.labeled, model.G, np.stack([-mu, mu]), lap.delta)
+    return GmrfModel(model.unlabeled, model.labeled, model.G, np.stack([-mu, mu]))
 
 
-def model_with_state(mu, G, delta=0.1):
+def model_with_state(mu, G):
     mu = np.asarray(mu, dtype=float)
-    return GmrfModel(np.arange(mu.size), {}, np.asarray(G, dtype=float),
-                     np.stack([-mu, mu]), delta)
+    return GmrfModel(np.arange(mu.size), {}, np.asarray(G, dtype=float), np.stack([-mu, mu]))
 
 
 class TestStrategyConfig:
@@ -103,7 +103,7 @@ class TestKlg:
             node = int(node)
             pos = model.position(node)
             gii, mui = model.G[pos, pos], model.mu[pos]
-            p_plus = model.posterior_plus(node)
+            p_plus = min(max((mui + 1) / 2, 0.0), 1.0)
             expected = p_plus * (1 - mui) ** 2 / (2 * gii) + (1 - p_plus) * (
                 -1 - mui
             ) ** 2 / (2 * gii)
@@ -240,7 +240,7 @@ class TestKl:
         model = make_model(rng, 9, observed=2)
         node = int(model.unlabeled[0])
         pos = model.position(node)
-        p_plus = model.posterior_plus(node)
+        p_plus = min(max((model.mu[pos] + 1) / 2, 0.0), 1.0)
         total = 0.0
         floor = 1e-12
         for value, weight in ((1.0, p_plus), (-1.0, 1.0 - p_plus)):
@@ -272,7 +272,7 @@ class TestUnc:
         assert score_unc(model_with_state([-1.0], [[1.0]]), 0) == -2.0
 
     def test_multiclass_top_two_gap(self):
-        mm = GmrfModel([0], {}, [[1.0]], [[0.9], [0.1], [-0.5]], 0.1)
+        mm = GmrfModel([0], {}, [[1.0]], [[0.9], [0.1], [-0.5]])
         assert score_unc(mm, 0) == pytest.approx(-0.8)
 
 
@@ -416,11 +416,71 @@ class TestScanConsistency:
             with pytest.raises(ValueError, match="binary"):
                 utility_scores(Strategy(kind), mm, t=2)
 
+    @pytest.mark.parametrize("confidence", ["none", "const:0.3", "const:1"])
+    @pytest.mark.parametrize("maxmin", [False, True])
+    def test_retraining_scan_matches_hand_loop(self, confidence, maxmin):
+        # a state where even the worst-case label flips some predictions
+        rng = np.random.default_rng(30)
+        model = make_model(rng, 12, observed=3)
+        t = 4
+        alpha = Strategy("fl", confidence=confidence).alpha(t)
+
+        def soft(m):
+            return min(max((m + 1) / 2, 0.0), 1.0)
+
+        def bernoulli_kl(p, q, floor=1e-12):
+            kl = 0.0
+            for px, qx in ((p, q), (1 - p, 1 - q)):
+                kl += px * (np.log(max(px, floor)) - np.log(max(qx, floor)))
+            return max(kl, 0.0)
+
+        for kind in ("fl", "kl"):
+            scan = utility_scores(Strategy(kind, confidence=confidence, maxmin=maxmin), model, t)
+            assert scan.shape == model.unlabeled.shape
+            assert scan.max() > 0
+            for idx, node in enumerate(model.unlabeled):
+                totals = []
+                for value in (1.0, -1.0):
+                    mu_plus = model.hypothetical_mean(int(node), value)
+                    total = 0.0
+                    for j in range(model.num_unlabeled):
+                        if j == idx:
+                            continue
+                        if kind == "fl":
+                            total += float((mu_plus[j] > 0) != (model.mu[j] > 0))
+                        else:
+                            total += bernoulli_kl(soft(mu_plus[j]), soft(model.mu[j]))
+                    totals.append(total)
+                plus, minus = totals
+                w = 0.5 * alpha + (1 - alpha) * soft(model.mu[idx])
+                expected = min(plus, minus) if maxmin else w * plus + (1 - w) * minus
+                assert scan[idx] == pytest.approx(expected, abs=1e-12)
+
     @pytest.mark.parametrize("scorer", [score_fl, score_kl, score_klg, score_tv, score_msd])
     def test_binary_per_node_scorers_reject_multiclass(self, scorer):
-        mm = GmrfModel([0, 1], {}, np.eye(2), np.zeros((3, 2)), 0.1)
+        mm = GmrfModel([0, 1], {}, np.eye(2), np.zeros((3, 2)))
         with pytest.raises(ValueError, match="binary models only.*3 classes"):
             scorer(mm, 0)
+
+
+SCORED_KINDS = [(2, kind) for kind in ("tv", "msd", "klg", "vm", "sigma-opt", "unc", "fl", "kl")]
+SCORED_KINDS += [(3, kind) for kind in ("tv", "msd", "vm", "sigma-opt", "unc")]
+
+
+class TestScanGuards:
+    @pytest.mark.parametrize("num_classes, kind", SCORED_KINDS)
+    def test_empty_model_rejected(self, num_classes, kind):
+        model = GmrfModel(np.zeros(0, dtype=np.int64), {}, np.zeros((0, 0)),
+                          np.zeros((num_classes, 0)))
+        with pytest.raises(ValueError, match="no unlabeled nodes to score"):
+            utility_scores(Strategy(kind), model, t=2)
+
+    @pytest.mark.parametrize("num_classes, kind", SCORED_KINDS)
+    def test_degenerate_diagonal_rejected(self, num_classes, kind):
+        G = np.diag([1.0, 0.5 * PIVOT_FLOOR])
+        model = GmrfModel([0, 1], {}, G, np.zeros((num_classes, 2)))
+        with pytest.raises(ValueError, match="degenerate diagonal in G"):
+            utility_scores(Strategy(kind), model, t=2)
 
 
 class TestRetrainCounters:
@@ -438,7 +498,7 @@ class TestRetrainCounters:
         for kind in ("fl", "kl"):
             before = model.retrain_calls
             utility_scores(Strategy(kind), model, t=3)
-            assert model.retrain_calls - before <= 2 * model.num_unlabeled
+            assert model.retrain_calls - before == 2 * model.num_unlabeled
 
 
 class TestSelect:
