@@ -3,16 +3,17 @@
 A :class:`GmrfModel` tracks C >= 2 one-vs-rest label fields: the inverse
 ``G`` of the regularized Laplacian restricted to the unlabeled nodes, which
 every field shares, and a ``(C, |U|)`` matrix of conditional means given the
-labels observed so far. Observing a class costs ``O(|U|^2)`` whatever C is:
-one Schur-complement downdate of ``G`` and one rank-one update of all the
-means; no refactorization happens after initialization. The downdate
-compacts: the kept rows and columns of ``G`` are copied once into a fresh
-array and the rank-one term is subtracted from that copy in place, so
-:meth:`GmrfModel.observe` never writes an array a caller holds. A binary
-problem is the case C = 2, whose field ``mu`` is the class-1 row of the
-means. :func:`conditional_mean_direct` re-solves the linear system from
-scratch and serves as the reference implementation the incremental path is
-tested against. :func:`soft_labels` is the one mean -> probability rule,
+labels observed so far, plus the row sums ``G 1`` that the tv and sigma-opt
+scans read as the l1 norms of the columns of ``G``. Observing a class costs
+``O(|U|^2)`` whatever C is: one Schur-complement downdate of ``G`` and one
+rank-one update of all the means and of ``G 1``; no refactorization happens
+after initialization. The downdate compacts: the kept rows and columns of
+``G`` are copied once into a fresh array and the rank-one term is subtracted
+from that copy in place, so :meth:`GmrfModel.observe` never writes an array
+a caller holds. A binary problem is the case C = 2, whose field ``mu`` is
+the class-1 row of the means. :func:`conditional_mean_direct` re-solves the
+linear system from scratch and serves as the reference implementation the
+incremental path is tested against. :func:`soft_labels` is the one mean -> probability rule,
 ``clamp((m + 1) / 2)``. :func:`class_decision` turns the C means into hard
 labels: the sign rule for C = 2, class-mass normalization for C >= 3.
 """
@@ -64,6 +65,20 @@ class GmrfModel:
     fields are exact negations of each other, and field 1 is the usual
     ``+/-1`` field with class 1 as ``+1``.
 
+    The model also carries ``G 1``. ``G`` is the inverse of a nonsingular
+    M-matrix, so it is entrywise nonnegative (Berman & Plemmons, 1994,
+    ch. 6), and ``G 1`` is the vector of column l1 norms. It starts as
+    ``G.sum(axis=0)``, which for a nonnegative ``G`` equals
+    ``np.abs(G).sum(axis=0)`` bit for bit without a ``|U|^2`` temporary. It
+    is stored as one extra row below the means, so the same broadcast step
+    of :meth:`observe` keeps it current, with target 0 in place of the field
+    values: ``s' = s_{-k} - (s_k / g_kk) g``.
+
+    ``G`` stays exactly symmetric: :func:`spd_inverse` symmetrizes it, and
+    the downdate subtracts ``(g_i g_j) / g_kk``, which rounds the same for
+    ``(i, j)`` and ``(j, i)``. So row ``k`` of ``G`` equals column ``k`` bit
+    for bit, and readers take the contiguous row.
+
     Attributes
     ----------
     unlabeled : ndarray of int
@@ -72,10 +87,13 @@ class GmrfModel:
     labeled : dict
         node id -> observed class id.
     G : ndarray
-        Inverse of the regularized Laplacian restricted to ``unlabeled``.
+        Inverse of the regularized Laplacian restricted to ``unlabeled``;
+        must be symmetric.
     means : ndarray
         Conditional means of the C fields over ``unlabeled``, shape
         ``(C, |U|)``.
+    row_sums : ndarray
+        ``G 1`` over ``unlabeled``, carried through every :meth:`observe`.
     mu : ndarray or None
         For C = 2 the read-only view ``means[1]``, re-set by every
         :meth:`observe`; None for C > 2.
@@ -83,14 +101,18 @@ class GmrfModel:
         Number of hypothetical-mean evaluations performed on this model;
         lets callers audit which selection rules avoid retraining.
 
-    Only :meth:`observe` mutates the model, and each model is owned by one
-    experiment run; read-only scoring over a snapshot is side-effect free.
+    ``means``, ``row_sums`` and ``mu`` are views of one ``(C + 1, |U|)``
+    array that :meth:`observe` replaces.
+
+    Only :meth:`observe` changes the fields and ``G``, and each model is owned
+    by one experiment run; :meth:`hypothetical_mean` only counts itself in
+    ``retrain_calls``.
     """
 
     def __init__(self, unlabeled, labeled, G, means):
         self.unlabeled = np.asarray(unlabeled, dtype=np.int64)
         self.G = np.asarray(G, dtype=float)
-        self.means = np.asarray(means, dtype=float)
+        means = np.asarray(means, dtype=float)
         self.labeled = {int(k): int(v) for k, v in labeled.items()}
         ids = self.unlabeled
         n = ids.size
@@ -98,19 +120,25 @@ class GmrfModel:
             raise ValueError("unlabeled must be a 1-D array of strictly increasing node ids")
         if self.G.shape != (n, n):
             raise ValueError(f"G has shape {self.G.shape}, expected ({n}, {n})")
-        if self.means.ndim != 2 or self.means.shape[0] < 2:
+        if means.ndim != 2 or means.shape[0] < 2:
             raise ValueError("means needs at least two class fields")
-        if self.means.shape[1] != n:
-            raise ValueError(f"means has {self.means.shape[1]} columns, expected {n}")
+        if means.shape[1] != n:
+            raise ValueError(f"means has {means.shape[1]} columns, expected {n}")
         if self.labeled:
             keys = np.fromiter(self.labeled, dtype=np.int64, count=len(self.labeled))
             both = keys[np.isin(keys, ids)]
             if both.size:
                 raise ValueError(f"labeled nodes {sorted(both.tolist())} are also unlabeled")
         self.retrain_calls = 0
-        # row c: the +1/-1 value every field takes when class c is observed
-        self._targets = 2.0 * np.eye(self.num_classes) - 1.0
-        self._expose_mu()
+        c = means.shape[0]
+        self._rows = np.empty((c + 1, n))
+        self._rows[:c] = means
+        self.G.sum(axis=0, out=self._rows[c])
+        # row c: the +1/-1 value every field takes when class c is observed,
+        # then the target 0 that turns the means' step into the G 1 update
+        self._targets = 2.0 * np.eye(c, c + 1) - 1.0
+        self._targets[:, c] = 0.0
+        self._expose_rows()
 
     @classmethod
     def from_laplacian(cls, lap: RegularizedLaplacian, num_classes: int) -> "GmrfModel":
@@ -131,8 +159,10 @@ class GmrfModel:
         return cls(np.arange(n), {}, np.array(G, dtype=float, copy=True),
                    np.zeros((num_classes, n)))
 
-    def _expose_mu(self) -> None:
-        # a stored view, not a property: the retraining scans read mu per node
+    def _expose_rows(self) -> None:
+        # stored views, not properties: the retraining scans read mu per node
+        self.means = self._rows[:-1]
+        self.row_sums = self._rows[-1]
         if self.num_classes == 2:
             self.mu = self.means[1]
             self.mu.flags.writeable = False
@@ -149,7 +179,7 @@ class GmrfModel:
 
     def position(self, node: int) -> int:
         """Positional index of an unlabeled node id; raises if labeled."""
-        pos = int(np.searchsorted(self.unlabeled, node))
+        pos = int(self.unlabeled.searchsorted(node))
         if pos >= self.unlabeled.size or self.unlabeled[pos] != node:
             raise ValueError(f"node {node} is not unlabeled")
         return pos
@@ -198,19 +228,20 @@ class GmrfModel:
 
         Column ``k`` is dropped and every kept entry of field ``c`` moves by
         ``(v_c - mu_ck) / g_kk * g_k`` with ``v_c = +1`` for the observed
-        class and ``-1`` otherwise; :meth:`_downdate` shrinks ``G`` once.
-        Cost ``O(|U|^2)``, independent of the class count.
+        class and ``-1`` otherwise, and ``G 1`` moves by the same step with
+        target 0; :meth:`_downdate` shrinks ``G`` once. Cost ``O(|U|^2)``,
+        independent of the class count.
         """
         if class_id not in range(self.num_classes):
             raise ValueError(f"class id {class_id} outside 0..{self.num_classes - 1}")
         class_id = int(class_id)
         pos = self.position(node)
         gkk = self.pivot(pos)
-        step = (self._targets[class_id] - self.means[:, pos]) / gkk
+        step = (self._targets[class_id] - self._rows[:, pos]) / gkk
         g = self._downdate(pos, gkk)
-        self.means = _without(self.means, pos) + step[:, None] * g
+        self._rows = _without(self._rows, pos) + step[:, None] * g
         self.labeled[int(node)] = class_id
-        self._expose_mu()
+        self._expose_rows()
         return self
 
     def hypothetical_mean(self, node: int, value) -> np.ndarray:
@@ -219,7 +250,8 @@ class GmrfModel:
         ``value`` is the field value, -1 or +1. Returns the updated vector
         over the current ``unlabeled`` (entry ``node`` included, as computed
         by the rank-one formula) without mutating the model. Increments
-        ``retrain_calls``.
+        ``retrain_calls``. Reads the row of ``G`` at the node's position,
+        which equals the column because ``G`` is symmetric.
         """
         if self.mu is None:
             raise ValueError("hypothetical_mean is defined for binary models only")
@@ -229,7 +261,7 @@ class GmrfModel:
         pos = self.position(node)
         gkk = self.pivot(pos)
         self.retrain_calls += 1
-        return self.mu + ((value - self.mu[pos]) / gkk) * self.G[:, pos]
+        return self.mu + ((value - self.mu[pos]) / gkk) * self.G[pos]
 
     def predict(self) -> dict[int, int]:
         """Hard class per unlabeled node by :func:`class_decision`."""

@@ -1,8 +1,8 @@
 """Query-selection utilities for active sampling on graph label fields.
 
 Every scorer evaluates how much disclosing one node's label is expected to
-perturb the current field model, using only the inverse-Laplacian block ``G``
-and the conditional mean ``mu``:
+perturb the current field model, using only the inverse-Laplacian block ``G``,
+its row sums ``G 1`` and the conditional mean ``mu``:
 
 - ``klg``: expected Gaussian-field divergence ``(1 - mu_i^2) / (2 g_ii)``.
 - ``tv``:  expected total variation ``2 (1 - mu_i^2) ||g_i||_1 / g_ii``.
@@ -18,14 +18,16 @@ and the conditional mean ``mu``:
 A :class:`Strategy` bundles a scorer with its confidence schedule ``a_t``
 (mixing the posterior toward the uninformative prior) and an optional
 hybrid schedule ``pi_t`` that diverts single queries to uniform random
-exploration. Scoring never mutates a model, so candidate scans are safe to
-parallelize; only :func:`select`'s RNG use is sequential.
+exploration. Scoring changes no field of a model; fl and kl scans only add
+their hypothetical means to the model's ``retrain_calls`` counter.
+:func:`select` takes the best score, with scores within ``TIE_RTOL`` of it
+counted as ties.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +38,11 @@ RETRAINING_KINDS = ("fl", "kl")
 BINARY_ONLY_KINDS = ("fl", "kl", "klg")
 
 _LOG_FLOOR = 1e-12
+
+# Relative gap below which select treats two scores as tied. Scores that tie
+# in exact arithmetic (grid symmetry) were measured to differ by rounding of
+# at most about 2e-13 relative; no genuine top-two gap below 1e-10 was seen.
+TIE_RTOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -55,11 +62,12 @@ class Strategy:
     hybrid_scale: float = 0.0
     maxmin: bool = False
     name: str | None = None
+    _confidence: tuple[str, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}; choose from {KINDS}")
-        _parse_confidence(self.confidence)
+        object.__setattr__(self, "_confidence", _parse_confidence(self.confidence))
         if not (math.isfinite(self.hybrid_scale) and self.hybrid_scale >= 0):
             raise ValueError(f"hybrid_scale must be finite and >= 0, got {self.hybrid_scale}")
         if self.maxmin and self.kind not in RETRAINING_KINDS:
@@ -71,7 +79,7 @@ class Strategy:
 
     def alpha(self, t: int) -> float:
         """Confidence weight ``a_t`` at iteration ``t`` (1-based)."""
-        mode, value = _parse_confidence(self.confidence)
+        mode, value = self._confidence
         if mode == "none":
             return 0.0
         if mode == "inv_sqrt":
@@ -102,9 +110,12 @@ def _parse_confidence(text: str) -> tuple[str, float]:
 
 
 def _gcol(model, node: int) -> tuple[int, np.ndarray, float]:
-    """Position, column ``g_i`` and diagonal ``g_ii`` of ``node`` in ``model.G``."""
+    """Position, column ``g_i`` and diagonal ``g_ii`` of ``node`` in ``model.G``.
+
+    The column is read as the equal, contiguous row: ``G`` is symmetric.
+    """
     pos = model.position(node)
-    return pos, model.G[:, pos], model.pivot(pos)
+    return pos, model.G[pos], model.pivot(pos)
 
 
 def _binary_mu(model: GmrfModel) -> np.ndarray:
@@ -167,15 +178,18 @@ def _expected_change(model: GmrfModel, kind: str, alpha: float, maxmin: bool,
     prediction flips (fl) or the summed Bernoulli divergences of the soft
     labels (kl) that its hypothetical mean causes. The two totals are
     combined by the confidence-mixed posterior of ``node``, or by the
-    minimum when ``maxmin`` is set. The reference labels and the mixed
-    posterior are built once per call; each candidate costs two
-    hypothetical means.
+    minimum when ``maxmin`` is set. The reference labels (fl), their floored
+    logs (kl) and the mixed posterior are built once per call; each candidate
+    costs two hypothetical means.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"confidence weight must lie in [0, 1], got {alpha}")
     mu = _binary_mu(model)
     p = soft_labels(mu)
-    above = mu > 0
+    if kind == "fl":
+        above = mu > 0
+    else:
+        logs = _floored_log(p), _floored_log(1.0 - p)
     w_plus = _mix(alpha, p)
     scores = np.empty(len(positions))
     for k, pos in enumerate(positions):
@@ -184,11 +198,13 @@ def _expected_change(model: GmrfModel, kind: str, alpha: float, maxmin: bool,
         for value in (1.0, -1.0):
             mu_plus = model.hypothetical_mean(node, value)
             if kind == "fl":
-                per_node = (mu_plus > 0) != above
+                flips = (mu_plus > 0) != above
+                flips[pos] = False
+                totals.append(float(np.count_nonzero(flips)))
             else:
-                per_node = _bernoulli_kl(soft_labels(mu_plus), p)
-            per_node[pos] = 0
-            totals.append(float(per_node.sum()))
+                per_node = _kl_from_logs(soft_labels(mu_plus), *logs)
+                per_node[pos] = 0
+                totals.append(float(per_node.sum()))
         plus, minus = totals
         w = w_plus[pos]
         scores[k] = min(plus, minus) if maxmin else w * plus + (1.0 - w) * minus
@@ -208,7 +224,8 @@ def _bernoulli_kl(p, q) -> np.ndarray:
     """Elementwise KL(Ber(p) || Ber(q)), natural log, floored log arguments.
 
     The analytic value is nonnegative, so rounding dips below zero are
-    clamped away.
+    clamped away. The kl scan computes the same values through
+    :func:`_kl_from_logs`; this form is the reference it is tested against.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -216,6 +233,21 @@ def _bernoulli_kl(p, q) -> np.ndarray:
     term += (1.0 - p) * (
         np.log(np.maximum(1.0 - p, _LOG_FLOOR)) - np.log(np.maximum(1.0 - q, _LOG_FLOOR))
     )
+    return np.maximum(term, 0.0)
+
+
+def _floored_log(x) -> np.ndarray:
+    return np.log(np.maximum(x, _LOG_FLOOR))
+
+
+def _kl_from_logs(p: np.ndarray, log_q: np.ndarray, log_1mq: np.ndarray) -> np.ndarray:
+    """:func:`_bernoulli_kl` of ``p`` against a ``q`` given by its floored logs.
+
+    A scan against one reference ``q`` takes ``log q`` and ``log(1 - q)``
+    once instead of once per candidate.
+    """
+    term = p * (_floored_log(p) - log_q)
+    term += (1.0 - p) * (_floored_log(1.0 - p) - log_1mq)
     return np.maximum(term, 0.0)
 
 
@@ -274,28 +306,32 @@ def _scan_diag(G: np.ndarray) -> np.ndarray:
     return dg
 
 
-def _ensemble_scan(G: np.ndarray, dg: np.ndarray, kind: str) -> np.ndarray:
+def _ensemble_scan(model: GmrfModel, dg: np.ndarray, kind: str) -> np.ndarray:
     """Label-independent vm / sigma-opt scores of every column of ``G``."""
     if kind == "vm":
+        G = model.G
         return (G * G).sum(axis=0) / dg
-    l1 = np.abs(G).sum(axis=0)
+    l1 = model.row_sums
     return l1 * l1 / dg
 
 
-def _change_scan(G: np.ndarray, dg: np.ndarray, kind: str, alpha: float,
+def _change_scan(model: GmrfModel, dg: np.ndarray, kind: str, alpha: float,
                  weight: np.ndarray) -> np.ndarray:
     """tv / msd scores with per-node label weight ``weight``.
 
-    With ``alpha > 0`` tv blends toward the sigma-opt score and msd toward
-    the vm score: ``0.5 alpha * ensemble + (1 - alpha) * adaptive``.
+    tv reads the column l1 norms from the carried ``G 1``, so its scan is
+    O(|U|); msd sums the squares of ``G``. With ``alpha > 0`` tv blends
+    toward the sigma-opt score and msd toward the vm score:
+    ``0.5 alpha * ensemble + (1 - alpha) * adaptive``.
     """
     if kind == "tv":
-        l1 = np.abs(G).sum(axis=0)
+        l1 = model.row_sums
         base = weight * l1 / dg
         if alpha == 0.0:
             return base
         return 0.5 * alpha * (l1 * l1 / dg) + (1.0 - alpha) * base
     if kind == "msd":
+        G = model.G
         l2sq = (G * G).sum(axis=0)
         base = weight * l2sq / (dg * dg)
         if alpha == 0.0:
@@ -319,14 +355,13 @@ def utility_scores(strategy: Strategy, model, t: int) -> np.ndarray:
     if not binary and kind in BINARY_ONLY_KINDS:
         raise ValueError(f"strategy {kind!r} is defined for binary models only")
     alpha = strategy.alpha(t)
-    G = model.G
-    dg = _scan_diag(G)
+    dg = _scan_diag(model.G)
     if kind in ("vm", "sigma-opt"):
-        return _ensemble_scan(G, dg, kind)
+        return _ensemble_scan(model, dg, kind)
     if kind == "unc":
         return _top_two_margin(model.means)
     if not binary:
-        return _change_scan(G, dg, kind, alpha, _class_spread(model))
+        return _change_scan(model, dg, kind, alpha, _class_spread(model))
     if kind in RETRAINING_KINDS:
         return _expected_change(model, kind, alpha, strategy.maxmin, range(model.num_unlabeled))
     mu = model.mu
@@ -336,7 +371,7 @@ def utility_scores(strategy: Strategy, model, t: int) -> np.ndarray:
             return unc_term / (2.0 * dg)
         w_plus = _mix(alpha, soft_labels(mu))
         return (w_plus * (1.0 - mu) ** 2 + (1.0 - w_plus) * (1.0 + mu) ** 2) / (2.0 * dg)
-    return _change_scan(G, dg, kind, alpha, 2.0 * unc_term if kind == "tv" else unc_term)
+    return _change_scan(model, dg, kind, alpha, 2.0 * unc_term if kind == "tv" else unc_term)
 
 
 def _uniform_draw(ids: np.ndarray, rng: np.random.Generator) -> int:
@@ -349,7 +384,9 @@ def select(strategy: Strategy, model, t: int, rng: np.random.Generator) -> int:
     The first iteration queries uniformly at random, as does the ``random``
     strategy at every iteration. Otherwise, with probability ``pi_t`` the
     hybrid rule queries uniformly over the unlabeled nodes; else the node
-    with the highest adjusted utility wins, ties broken by lowest node id.
+    with the highest adjusted utility wins. Scores within ``TIE_RTOL`` (1e-11)
+    relative of the best tie with it, and of tied nodes the lowest id wins:
+    rounding alone never decides a tie.
     """
     ids = model.unlabeled
     if ids.size == 0:
@@ -360,5 +397,6 @@ def select(strategy: Strategy, model, t: int, rng: np.random.Generator) -> int:
     if pi_t > 0.0 and rng.random() < pi_t:
         return _uniform_draw(ids, rng)
     scores = utility_scores(strategy, model, t)
-    return int(ids[int(np.argmax(scores))])
+    best = scores.max()
+    return int(ids[(scores >= best - TIE_RTOL * abs(best)).argmax()])
 

@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmrf_active import (
+    ExperimentConfig,
     Graph,
     GmrfModel,
     community_graph,
     conditional_mean_direct,
+    from_spec,
     regularized_laplacian,
+    run_experiment,
     spd_inverse,
 )
 from gmrf_active.bench import accuracy
@@ -258,6 +261,45 @@ class TestCompactingDowndate:
             self.check_observe_sequence(
                 model, lambda m: m.means, lambda rng: int(rng.integers(3)), update_ref)
             assert np.array_equal(passed, kept)
+
+
+class TestCarriedRowSums:
+    """``row_sums`` follows ``G 1`` and ``G`` stays exactly symmetric."""
+
+    def test_starts_as_column_l1_norms(self):
+        G = spd_inverse(random_lap(np.random.default_rng(14), 9).matrix)
+        model = GmrfModel.from_inverse(G, 3)
+        assert np.array_equal(model.row_sums, np.abs(G).sum(axis=0))
+
+    def test_step_is_the_means_step_with_target_zero(self):
+        model = GmrfModel.from_laplacian(random_lap(np.random.default_rng(13), 9), 2)
+        model.observe(3, 1)
+        s, G, pos = model.row_sums.copy(), model.G.copy(), model.position(6)
+        model.observe(6, 0)
+        g = np.delete(G[:, pos], pos)
+        assert np.array_equal(model.row_sums,
+                              np.delete(s, pos) + ((0.0 - s[pos]) / G[pos, pos]) * g)
+
+    # the golden digests' graphs, and the benchmark's largest grid
+    @pytest.mark.parametrize("graph, seed", [
+        ("grid:8x8", 3),
+        ("community:20,20,20:pin=0.5:pout=0.02", 5),
+        ("grid:20x20", 3),
+    ])
+    def test_drift_and_symmetry_down_to_one_unlabeled(self, graph, seed):
+        n = from_spec(graph, seed).graph.n
+        drift = []
+
+        def check(*, model, **_):
+            fresh = np.abs(model.G).sum(axis=0)
+            drift.append(float(np.max(np.abs(model.row_sums - fresh) / fresh)))
+            assert np.array_equal(model.G, model.G.T)
+
+        cfg = ExperimentConfig(graph=graph, strategies=[Strategy("tv"), Strategy("sigma-opt")],
+                               budget=n - 1, runs=1, seed=seed, delta=0.005)
+        run_experiment(cfg, step_hook=check)
+        assert len(drift) == 2 * (n - 1)
+        assert max(drift) <= 1e-10
 
 
 class TestHypotheticalMean:

@@ -1,7 +1,6 @@
 """Golden CSV digests: identical invocations keep producing identical bytes.
 
-Each config runs the full harness and hashes the ``emit_csv`` output. The
-binary digests were recorded from the per-class-copy multi-class model; any
+Each config runs the full harness and hashes the ``emit_csv`` output. Any
 change to the model, the scorers or the accuracy count that moves a single
 printed digit fails here.
 
@@ -16,15 +15,23 @@ digests stayed as they were, and 19 of the 75 rows rose while none fell
 
 The ``binary-paths`` digest covers the binary scorers and schedules the
 ``binary`` digest leaves out: vm, sigma-opt, unc, kl with ``inv_sqrt`` and
-the hybrid tv rule. It was recorded while binary labels still went through
-a separate binary model class, before that class became the C = 2 case of
-the one ``GmrfModel``.
+the hybrid tv rule.
 
 The ``binary-schedules`` digest covers the confidence and worst-case paths
 of the label-expectation scorers: klg with ``inv_sqrt``, fl with
-``const:0.4``, plain kl, and fl and kl with ``maxmin``. It was recorded
-before the soft-label rule, the confidence mix and the fl/kl expected-change
-loop were each given one home.
+``const:0.4``, plain kl, and fl and kl with ``maxmin``.
+
+The four binary digests were re-recorded when ``select`` stopped letting
+rounding break ties: scores within ``TIE_RTOL`` (1e-11) relative of the best
+now go to the lowest node id, where ``np.argmax`` took whichever of them
+rounded highest. Replayed through the former scans, every pick that changed
+had a relative gap to the former winner of at most 1.5e-14 and went to a
+lower id. Rows that moved (strategy, t): ``binary`` 26 of 60 (tv 11-12; msd
+3-4, 7-15; klg 2-7, 9-15), ``binary-initial`` 18 of 30 (tv 3-8, 11-15; msd
+4-10), ``binary-paths`` 30 of 75 (vm 3-12, 14-15; unc 4-10, 12-15; kl 3,
+6-8, 11, 13, 15) and ``binary-schedules`` 41 of 75 (klg 2-3, 5-7, 9-15; fl
+3-5, 7-15; kl 3-6, 10; kl-maxmin 4-15). The ``multiclass`` digest did not
+move.
 """
 
 import hashlib
@@ -48,7 +55,7 @@ GOLDEN = {
             seed=3,
             delta=0.005,
         ),
-        "9b6e873b1defe3698e815faa32ac81ad13a2802a49e976d46a8329df4d2504ea",
+        "3cc793f046f2d13590fdbba49483689332eba5ed1bb71f033d65c306a728f825",
     ),
     "binary-initial": (
         ExperimentConfig(
@@ -60,7 +67,7 @@ GOLDEN = {
             delta=0.005,
             eval_on="initial",
         ),
-        "5d9c75ae42871f4beff06ecc608ff4caff2807d97af64ce419ad9d7d5e06f777",
+        "9701e453e64de64ddec6f944ec1a7583552b582c7e6f9e4352dc649c7cadaa21",
     ),
     "binary-paths": (
         ExperimentConfig(
@@ -77,7 +84,7 @@ GOLDEN = {
             seed=3,
             delta=0.005,
         ),
-        "ff7f9da7cc3addad894b0bc530ae4d92041ec91b24696a02062befdc7a36b487",
+        "29b9241956882f946be892704f4be6cc167c9f23f7ee3c5291837782797103c2",
     ),
     "binary-schedules": (
         ExperimentConfig(
@@ -94,7 +101,7 @@ GOLDEN = {
             seed=3,
             delta=0.005,
         ),
-        "d4f607512491decad363f30aa436e6afc6c540e44c3ee1838e38e5ad287f765a",
+        "6143e5d8cc186a7ddde60dfcc954cce7b48c9e46c93d055c430518c60609a92c",
     ),
     "multiclass": (
         ExperimentConfig(

@@ -25,8 +25,9 @@ from gmrf_active import (
 )
 from gmrf_active import strategies
 from gmrf_active.checks import random_connected_graph
-from gmrf_active.gmrf import PIVOT_FLOOR
-from gmrf_active.strategies import _bernoulli_kl
+from gmrf_active.gmrf import PIVOT_FLOOR, soft_labels
+from gmrf_active.graph import grid_graph
+from gmrf_active.strategies import TIE_RTOL, _bernoulli_kl
 
 
 def make_model(rng, n, delta=0.005, observed=0):
@@ -73,6 +74,19 @@ class TestStrategyConfig:
         assert Strategy("tv").alpha(5) == 0.0
         assert Strategy("tv", confidence="inv_sqrt").alpha(4) == 0.5
         assert Strategy("tv", confidence="const:0.25").alpha(99) == 0.25
+
+    def test_confidence_parsed_once_at_construction(self, monkeypatch):
+        a = Strategy("tv", confidence="const:0.3")
+        b = Strategy("tv", confidence="const:0.3")
+
+        def no_parse(text):
+            raise AssertionError("confidence parsed after construction")
+
+        monkeypatch.setattr(strategies, "_parse_confidence", no_parse)
+        assert a.alpha(7) == 0.3
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == ("Strategy(kind='tv', confidence='const:0.3', hybrid_scale=0.0, "
+                           "maxmin=False, name=None)")
 
     def test_non_finite_or_negative_hybrid_scale_rejected(self):
         for bad in (float("nan"), float("inf"), -0.5):
@@ -456,11 +470,54 @@ class TestScanConsistency:
                 expected = min(plus, minus) if maxmin else w * plus + (1 - w) * minus
                 assert scan[idx] == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("confidence", ["none", "inv_sqrt", "const:0.3"])
+    @pytest.mark.parametrize("maxmin", [False, True])
+    def test_retraining_scan_bit_identical_to_column_loop(self, confidence, maxmin):
+        # the scan reads rows of G, counts flips and hoists the reference
+        # logs; none of that may move a single bit of any score
+        grid = GmrfModel.from_laplacian(
+            regularized_laplacian(grid_graph(10, 10, seed=5).graph, 0.005), 2)
+        for node, class_id in ((0, 1), (99, 0), (45, 1), (12, 0)):
+            grid.observe(node, class_id)
+        for model in (grid, make_model(np.random.default_rng(31), 15, observed=3)):
+            for kind in ("fl", "kl"):
+                strategy = Strategy(kind, confidence=confidence, maxmin=maxmin)
+                scan = utility_scores(strategy, model, 3)
+                assert scan.max() > 0
+                expected = _column_loop(model, kind, strategy.alpha(3), maxmin)
+                assert np.array_equal(scan, expected)
+
     @pytest.mark.parametrize("scorer", [score_fl, score_kl, score_klg, score_tv, score_msd])
     def test_binary_per_node_scorers_reject_multiclass(self, scorer):
         mm = GmrfModel([0, 1], {}, np.eye(2), np.zeros((3, 2)))
         with pytest.raises(ValueError, match="binary models only.*3 classes"):
             scorer(mm, 0)
+
+
+def _column_loop(model, kind, alpha, maxmin):
+    """The fl / kl scan as it was written before the row read: column
+    ``G[:, pos]``, one ``_bernoulli_kl`` per hypothetical mean and a summed
+    boolean flip mask."""
+    mu = model.mu
+    p = soft_labels(mu)
+    above = mu > 0
+    w_plus = 0.5 * alpha + (1.0 - alpha) * p
+    scores = np.empty(model.num_unlabeled)
+    for pos in range(model.num_unlabeled):
+        gkk = float(model.G[pos, pos])
+        totals = []
+        for value in (1.0, -1.0):
+            mu_plus = mu + ((value - mu[pos]) / gkk) * model.G[:, pos]
+            if kind == "fl":
+                per_node = (mu_plus > 0) != above
+            else:
+                per_node = _bernoulli_kl(soft_labels(mu_plus), p)
+            per_node[pos] = 0
+            totals.append(float(per_node.sum()))
+        plus, minus = totals
+        w = w_plus[pos]
+        scores[pos] = min(plus, minus) if maxmin else w * plus + (1.0 - w) * minus
+    return scores
 
 
 SCORED_KINDS = [(2, kind) for kind in ("tv", "msd", "klg", "vm", "sigma-opt", "unc", "fl", "kl")]
@@ -518,6 +575,38 @@ class TestSelect:
     def test_tied_scores_pick_lowest_id(self):
         model = model_with_state([0.0, 0.0, 0.0], np.eye(3))
         assert select(Strategy("tv"), model, 2, np.random.default_rng(0)) == 0
+        # node 0 scores 2 (1 - 1e-14) and nodes 1, 2 score exactly 2: the
+        # argmax is node 1, but a gap of 1e-14 relative is a tie
+        model = model_with_state([1e-7, 0.0, 0.0], np.eye(3))
+        assert int(np.argmax(utility_scores(Strategy("tv"), model, 2))) == 1
+        assert select(Strategy("tv"), model, 2, np.random.default_rng(0)) == 0
+
+    @pytest.mark.parametrize("kind", ["tv", "msd", "klg", "vm", "sigma-opt"])
+    def test_mirror_tie_survives_one_ulp(self, kind, monkeypatch):
+        # on the path 0-1-2-3 the inner nodes 1 and 2 are mirror images and
+        # tie for the best score in exact arithmetic
+        path = Graph(4, {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0})
+        model = GmrfModel.from_laplacian(regularized_laplacian(path, 0.05), 2)
+        strategy = Strategy(kind)
+        scores = utility_scores(strategy, model, 2)
+        assert scores[1] == pytest.approx(scores[2], rel=1e-14)
+        assert min(scores[1], scores[2]) > max(scores[0], scores[3])
+        assert select(strategy, model, 2, np.random.default_rng(0)) == 1
+        top = max(scores[1], scores[2])
+        scores[1], scores[2] = top, np.nextafter(top, np.inf)
+        assert int(np.argmax(scores)) == 2
+        monkeypatch.setattr(strategies, "utility_scores", lambda *args: scores)
+        assert select(strategy, model, 2, np.random.default_rng(0)) == 1
+
+    @pytest.mark.parametrize("best", [1.0, -1.0, 250.0, -3e-4])
+    @pytest.mark.parametrize("gap, winner", [(0.99, 0), (1.01, 1)])
+    def test_gap_around_tie_rtol(self, best, gap, winner, monkeypatch):
+        # node 1 leads node 0 by gap * TIE_RTOL relative: just below the
+        # tolerance the lower id wins, just above it the true argmax does
+        scores = np.array([best, best + gap * TIE_RTOL * abs(best), best - 1.0])
+        monkeypatch.setattr(strategies, "utility_scores", lambda *args: scores)
+        model = model_with_state([0.0, 0.0, 0.0], np.eye(3))
+        assert select(Strategy("tv"), model, 2, np.random.default_rng(0)) == winner
 
     def test_never_reselects_within_run(self):
         rng = np.random.default_rng(24)
