@@ -30,6 +30,12 @@ from .graph import RegularizedLaplacian
 # Diagonal entries of G below this are treated as degenerate pivots.
 PIVOT_FLOOR = 1e-12
 
+# Binary means within this of 0 are ties, decided for class 0. Nodes that are
+# tied in exact arithmetic (the symmetry axis between a +1 and a -1 label)
+# compute as about +/-1e-15, and rounding must not pick their class. Means
+# lie in [-1, 1], so an absolute tolerance suffices.
+DECISION_ATOL = 1e-12
+
 
 def spd_inverse(matrix: np.ndarray) -> np.ndarray:
     """Invert a symmetric positive definite matrix via Cholesky.
@@ -296,7 +302,8 @@ def class_decision(means: np.ndarray) -> np.ndarray:
     """Predicted class id per column of a ``(C, |U|)`` one-vs-rest mean matrix.
 
     For C = 2 the two fields are exact negations of each other, and the rule
-    is the binary sign rule: class 1 iff its mean is positive. For C >= 3 it
+    is the binary sign rule: class 1 iff its mean exceeds ``DECISION_ATOL``,
+    so a mean within rounding of 0 is a tie and goes to class 0. For C >= 3 it
     is class-mass normalization with uniform class weights (Zhu, Ghahramani &
     Lafferty, ICML 2003): node ``i`` gets the class maximizing
     ``(m_ci + 1) / sum_{j in U} (m_cj + 1)``, the soft labels ``(m_c + 1) / 2``
@@ -309,7 +316,7 @@ def class_decision(means: np.ndarray) -> np.ndarray:
     """
     means = np.asarray(means, dtype=float)
     if means.shape[0] == 2:
-        return (means[1] > 0.0).astype(np.intp)
+        return (means[1] > DECISION_ATOL).astype(np.intp)
     soft = np.maximum(means + 1.0, 0.0)
     mass = soft.sum(axis=1, keepdims=True)
     scores = np.divide(soft, mass, out=np.full_like(soft, -np.inf), where=mass > 0.0)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gmrf import PIVOT_FLOOR, GmrfModel, soft_labels
+from .gmrf import DECISION_ATOL, PIVOT_FLOOR, GmrfModel, soft_labels
 
 KINDS = ("random", "unc", "vm", "sigma-opt", "fl", "klg", "kl", "tv", "msd")
 RETRAINING_KINDS = ("fl", "kl")
@@ -187,7 +187,7 @@ def _expected_change(model: GmrfModel, kind: str, alpha: float, maxmin: bool,
     mu = _binary_mu(model)
     p = soft_labels(mu)
     if kind == "fl":
-        above = mu > 0
+        above = mu > DECISION_ATOL
     else:
         logs = _floored_log(p), _floored_log(1.0 - p)
     w_plus = _mix(alpha, p)
@@ -198,7 +198,7 @@ def _expected_change(model: GmrfModel, kind: str, alpha: float, maxmin: bool,
         for value in (1.0, -1.0):
             mu_plus = model.hypothetical_mean(node, value)
             if kind == "fl":
-                flips = (mu_plus > 0) != above
+                flips = (mu_plus > DECISION_ATOL) != above
                 flips[pos] = False
                 totals.append(float(np.count_nonzero(flips)))
             else:
@@ -214,8 +214,9 @@ def _expected_change(model: GmrfModel, kind: str, alpha: float, maxmin: bool,
 def score_fl(model: GmrfModel, node: int, alpha: float = 0.0, maxmin: bool = False) -> float:
     """Expected number of prediction flips among the other unlabeled nodes.
 
-    A node flips when its hypothetical mean changes sign against the current
-    prediction; see :func:`_expected_change` for how the two labels combine.
+    A node flips when its hypothetical mean changes its binary decision
+    (above ``DECISION_ATOL`` or not) against the current one; see
+    :func:`_expected_change` for how the two labels combine.
     """
     return float(_expected_change(model, "fl", alpha, maxmin, [model.position(node)])[0])
 

@@ -18,7 +18,7 @@ from gmrf_active import (
 )
 from gmrf_active.bench import accuracy
 from gmrf_active.checks import random_connected_graph
-from gmrf_active.gmrf import class_decision, soft_labels
+from gmrf_active.gmrf import DECISION_ATOL, class_decision, soft_labels
 from gmrf_active.strategies import Strategy, select
 
 
@@ -383,7 +383,7 @@ class TestPosteriorAndPredict:
             neg_model.observe(node, 1 - class_id)
         preds_pos, preds_neg = pos_model.predict(), neg_model.predict()
         for node, m in zip(pos_model.unlabeled, pos_model.mu):
-            if m != 0:
+            if abs(m) > DECISION_ATOL:
                 assert preds_pos[int(node)] != preds_neg[int(node)]
 
 
@@ -495,6 +495,11 @@ class TestClassDecision:
             preds = mm.predict()
         assert set(preds.values()) <= {0, 2}
         assert 0 in set(preds.values())
+
+    def test_binary_tie_band_goes_to_class_0(self):
+        # rounding puts a mean that is 0 in exact arithmetic at about +/-1e-15
+        mu = np.array([1e-15, -1e-15, 0.0, DECISION_ATOL, 2e-12, -2e-12])
+        assert class_decision(np.stack([-mu, mu])).tolist() == [0, 0, 0, 0, 1, 0]
 
     def test_class_without_mass_never_predicted(self):
         # class 0 has zero mass; in the last column every class scores at most 0

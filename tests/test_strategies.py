@@ -237,6 +237,15 @@ class TestFl:
         model = GmrfModel.from_laplacian(lap, 2)
         assert score_fl(model, 0, maxmin=True) == 0.0
 
+    def test_move_inside_the_tie_band_is_no_flip(self):
+        # querying node 0 moves node 1 from 1e-15 to 3e-15 or -1e-15, inside
+        # the tie band either way, and node 2 from 0 to +0.5 or -0.5; only
+        # node 2 under the +1 label leaves class 0
+        G = [[1.0, 2e-15, 0.5], [2e-15, 1.0, 0.0], [0.5, 0.0, 1.0]]
+        model = model_with_state([0.0, 1e-15, 0.0], G)
+        assert score_fl(model, 0) == 0.5
+        assert score_fl(model, 0, maxmin=True) == 0.0
+
 
 class TestKl:
     def test_identical_distributions_diverge_zero(self):
