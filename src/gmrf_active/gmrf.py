@@ -1,19 +1,22 @@
 """Gaussian field models over regularized graph Laplacians.
 
-A :class:`GmrfModel` tracks C >= 2 one-vs-rest label fields: the inverse
-``G`` of the regularized Laplacian restricted to the unlabeled nodes, which
-every field shares, and a ``(C, |U|)`` matrix of conditional means given the
-labels observed so far, plus the row sums ``G 1`` that the tv and sigma-opt
-scans read as the l1 norms of the columns of ``G``. Observing a class costs
-``O(|U|^2)`` whatever C is: one Schur-complement downdate of ``G`` and one
-rank-one update of all the means and of ``G 1``; no refactorization happens
-after initialization. The downdate compacts: the kept rows and columns of
-``G`` are copied once into a fresh array and the rank-one term is subtracted
-from that copy in place, so :meth:`GmrfModel.observe` never writes an array
-a caller holds. A binary problem is the case C = 2, whose field ``mu`` is
-the class-1 row of the means. :func:`conditional_mean_direct` re-solves the
-linear system from scratch and serves as the reference implementation the
-incremental path is tested against. :func:`soft_labels` is the one mean -> probability rule,
+A :class:`GmrfModel` tracks C >= 2 one-vs-rest label fields. Its state is
+one ``(|U| + C + 1, |U|)`` array: the inverse ``G`` of the regularized
+Laplacian restricted to the unlabeled nodes, which every field shares, the C
+conditional means given the labels observed so far, and the row sums ``G 1``
+that the tv and sigma-opt scans read as the l1 norms of the columns of
+``G``. Disclosing a label conditions the field, and every row of the state
+moves by the same Schur-complement step on the pivot column ``g``:
+``r' = r_{-k} - (r_k - t_r) g / g_kk``, with target ``t_r = +/-1`` for the
+field rows and 0 for the rest. So observing a class costs ``O(|U|^2)``
+whatever C is, and no refactorization happens after initialization. The
+step compacts: the kept rows and columns are copied once into a fresh array
+and the rank-one term is subtracted from that copy in place, so
+:meth:`GmrfModel.observe` never writes an array a caller holds. A binary
+problem is the case C = 2, whose field ``mu`` is the class-1 row of the
+means. :func:`conditional_mean_direct` re-solves the linear system from
+scratch and serves as the reference implementation the incremental path is
+tested against. :func:`soft_labels` is the one mean -> probability rule,
 ``clamp((m + 1) / 2)``. :func:`class_decision` turns the C means into hard
 labels: the sign rule for C = 2, class-mass normalization for C >= 3.
 """
@@ -75,15 +78,17 @@ class GmrfModel:
     M-matrix, so it is entrywise nonnegative (Berman & Plemmons, 1994,
     ch. 6), and ``G 1`` is the vector of column l1 norms. It starts as
     ``G.sum(axis=0)``, which for a nonnegative ``G`` equals
-    ``np.abs(G).sum(axis=0)`` bit for bit without a ``|U|^2`` temporary. It
-    is stored as one extra row below the means, so the same broadcast step
-    of :meth:`observe` keeps it current, with target 0 in place of the field
-    values: ``s' = s_{-k} - (s_k / g_kk) g``.
+    ``np.abs(G).sum(axis=0)`` bit for bit without a ``|U|^2`` temporary.
 
-    ``G`` stays exactly symmetric: :func:`spd_inverse` symmetrizes it, and
-    the downdate subtracts ``(g_i g_j) / g_kk``, which rounds the same for
-    ``(i, j)`` and ``(j, i)``. So row ``k`` of ``G`` equals column ``k`` bit
-    for bit, and readers take the contiguous row.
+    ``G``, the means and ``G 1`` are the row blocks of one state array, and
+    :meth:`observe` moves every row ``r`` by one rule,
+    ``r' = r_{-k} - (r_k - t_r) g / g_kk``. The target ``t_r`` is 0 for the
+    rows of ``G`` and for ``G 1``, and the observed field value ``+/-1`` for
+    the means. On the rows of ``G`` the rule subtracts ``(g_i g_j) / g_kk``,
+    which rounds the same for ``(i, j)`` and ``(j, i)``; with
+    :func:`spd_inverse` symmetrizing the start, ``G`` stays exactly
+    symmetric. So row ``k`` of ``G`` equals column ``k`` bit for bit, and
+    readers take the contiguous row.
 
     Attributes
     ----------
@@ -101,14 +106,15 @@ class GmrfModel:
     row_sums : ndarray
         ``G 1`` over ``unlabeled``, carried through every :meth:`observe`.
     mu : ndarray or None
-        For C = 2 the read-only view ``means[1]``, re-set by every
-        :meth:`observe`; None for C > 2.
+        For C = 2 the read-only view ``means[1]``; None for C > 2.
     retrain_calls : int
         Number of hypothetical-mean evaluations performed on this model;
         lets callers audit which selection rules avoid retraining.
 
-    ``means``, ``row_sums`` and ``mu`` are views of one ``(C + 1, |U|)``
-    array that :meth:`observe` replaces.
+    ``G``, ``means``, ``row_sums`` and ``mu`` are views of one
+    ``(|U| + C + 1, |U|)`` array, filled from the constructor's arguments
+    (which are copied, never aliased) and replaced, never written, by every
+    :meth:`observe`.
 
     Only :meth:`observe` changes the fields and ``G``, and each model is owned
     by one experiment run; :meth:`hypothetical_mean` only counts itself in
@@ -117,15 +123,15 @@ class GmrfModel:
 
     def __init__(self, unlabeled, labeled, G, means):
         self.unlabeled = np.asarray(unlabeled, dtype=np.int64)
-        self.G = np.asarray(G, dtype=float)
+        G = np.asarray(G, dtype=float)
         means = np.asarray(means, dtype=float)
         self.labeled = {int(k): int(v) for k, v in labeled.items()}
         ids = self.unlabeled
         n = ids.size
         if ids.ndim != 1 or np.any(ids[1:] <= ids[:-1]):
             raise ValueError("unlabeled must be a 1-D array of strictly increasing node ids")
-        if self.G.shape != (n, n):
-            raise ValueError(f"G has shape {self.G.shape}, expected ({n}, {n})")
+        if G.shape != (n, n):
+            raise ValueError(f"G has shape {G.shape}, expected ({n}, {n})")
         if means.ndim != 2 or means.shape[0] < 2:
             raise ValueError("means needs at least two class fields")
         if means.shape[1] != n:
@@ -137,20 +143,18 @@ class GmrfModel:
                 raise ValueError(f"labeled nodes {sorted(both.tolist())} are also unlabeled")
         self.retrain_calls = 0
         c = means.shape[0]
-        self._rows = np.empty((c + 1, n))
-        self._rows[:c] = means
-        self.G.sum(axis=0, out=self._rows[c])
-        # row c: the +1/-1 value every field takes when class c is observed,
-        # then the target 0 that turns the means' step into the G 1 update
-        self._targets = 2.0 * np.eye(c, c + 1) - 1.0
-        self._targets[:, c] = 0.0
-        self._expose_rows()
+        self._state = np.empty((n + c + 1, n))
+        self._state[:n] = G
+        self._state[n:-1] = means
+        self._state[:n].sum(axis=0, out=self._state[-1])
+        # row c: the +1/-1 value every field takes when class c is observed
+        self._targets = 2.0 * np.eye(c) - 1.0
+        self._expose_state()
 
     @classmethod
     def from_laplacian(cls, lap: RegularizedLaplacian, num_classes: int) -> "GmrfModel":
         """Fresh model with all nodes unlabeled and zero means."""
-        return cls(np.arange(lap.n), {}, spd_inverse(lap.matrix),
-                   np.zeros((num_classes, lap.n)))
+        return cls.from_inverse(spd_inverse(lap.matrix), num_classes)
 
     @classmethod
     def from_inverse(cls, G: np.ndarray, num_classes: int) -> "GmrfModel":
@@ -158,17 +162,17 @@ class GmrfModel:
 
         The copy is what keeps a shared inverse safe: ``run_experiment``
         hands one inverse to every strategy of a run, and to later runs on
-        the same graph, and :meth:`observe` then works on the model's own
-        ``G``.
+        the same graph, and each model fills its own state array from it.
         """
         n = G.shape[0]
-        return cls(np.arange(n), {}, np.array(G, dtype=float, copy=True),
-                   np.zeros((num_classes, n)))
+        return cls(np.arange(n), {}, G, np.zeros((num_classes, n)))
 
-    def _expose_rows(self) -> None:
+    def _expose_state(self) -> None:
         # stored views, not properties: the retraining scans read mu per node
-        self.means = self._rows[:-1]
-        self.row_sums = self._rows[-1]
+        n = self.unlabeled.size
+        self.G = self._state[:n]
+        self.means = self._state[n:-1]
+        self.row_sums = self._state[-1]
         if self.num_classes == 2:
             self.mu = self.means[1]
             self.mu.flags.writeable = False
@@ -203,51 +207,43 @@ class GmrfModel:
         """Copy of the per-class means, shape (num_classes, |U|)."""
         return self.means.copy()
 
-    def _downdate(self, pos: int, gkk: float) -> np.ndarray:
-        """Drop node ``pos`` from ``G`` and subtract ``g g^T / g_kk``.
-
-        ``g`` is column ``pos`` of ``G`` without its own entry. The kept
-        blocks of ``G`` are copied once into a fresh ``(k, k)`` array, and the
-        rank-one term is subtracted from it in place, on contiguous memory.
-        Every kept entry is ``G_ij - (g_i g_j) / g_kk``, the same arithmetic
-        as downdating the full ``G`` and deleting row and column ``pos``
-        afterwards. The old ``G`` is replaced, never written. Returns ``g``.
-        """
-        G = self.G
-        k = G.shape[0] - 1
-        g = _without(G[:, pos], pos)
-        D = np.empty((k, k))
-        D[:pos, :pos] = G[:pos, :pos]
-        D[:pos, pos:] = G[:pos, pos + 1:]
-        D[pos:, :pos] = G[pos + 1:, :pos]
-        D[pos:, pos:] = G[pos + 1:, pos + 1:]
-        self.G = D
-        del G  # lets the old G be freed before the rank-one temporary exists
-        T = np.multiply.outer(g, g)
-        T /= gkk
-        D -= T
-        self.unlabeled = _without(self.unlabeled, pos)
-        return g
-
     def observe(self, node: int, class_id: int) -> "GmrfModel":
         """Absorb an observed class and shrink the model to ``U \\ {node}``.
 
-        Column ``k`` is dropped and every kept entry of field ``c`` moves by
-        ``(v_c - mu_ck) / g_kk * g_k`` with ``v_c = +1`` for the observed
-        class and ``-1`` otherwise, and ``G 1`` moves by the same step with
-        target 0; :meth:`_downdate` shrinks ``G`` once. Cost ``O(|U|^2)``,
-        independent of the class count.
+        Every row ``r`` of the state, the rows of ``G``, the C means and
+        ``G 1``, becomes ``r_{-k} - (r_k - t_r) g / g_kk``. Here ``g`` is
+        column ``k`` of ``G`` without its own entry, and ``t_r`` is ``+1``
+        for the observed class's field, ``-1`` for the other fields and 0
+        for the rest. The kept rows and columns are copied once into a fresh
+        array, and the rank-one term is subtracted from it in place, on
+        contiguous memory; the old state is replaced, never written. Cost
+        ``O(|U|^2)``, independent of the class count.
         """
         if class_id not in range(self.num_classes):
             raise ValueError(f"class id {class_id} outside 0..{self.num_classes - 1}")
         class_id = int(class_id)
         pos = self.position(node)
         gkk = self.pivot(pos)
-        step = (self._targets[class_id] - self._rows[:, pos]) / gkk
-        g = self._downdate(pos, gkk)
-        self._rows = _without(self._rows, pos) + step[:, None] * g
+        S = self._state
+        k = S.shape[1] - 1
+        D = np.empty((S.shape[0] - 1, k))
+        D[:pos, :pos] = S[:pos, :pos]
+        D[:pos, pos:] = S[:pos, pos + 1:]
+        D[pos:, :pos] = S[pos + 1:, :pos]
+        D[pos:, pos:] = S[pos + 1:, pos + 1:]
+        coef = _without(S[:, pos], pos)
+        coef[k:-1] -= self._targets[class_id]
+        g = coef[:k]
+        self._state = D
+        self.unlabeled = _without(self.unlabeled, pos)
         self.labeled[int(node)] = class_id
-        self._expose_rows()
+        # the old views go first, so the old state can be freed before the
+        # rank-one temporary exists
+        self._expose_state()
+        del S
+        T = np.multiply.outer(coef, g)
+        T /= gkk
+        D -= T
         return self
 
     def hypothetical_mean(self, node: int, value) -> np.ndarray:

@@ -193,7 +193,12 @@ class TestObserve:
 
 
 class TestCompactingDowndate:
-    """``observe`` against the delete-after-downdate formula, bit for bit."""
+    """``observe`` against the delete-after-update formula, bit for bit.
+
+    The reference moves every row ``r`` of ``G`` and of the means to
+    ``r - (r_k - t) g_k / g_kk`` on the full state and deletes entry ``k``
+    afterwards.
+    """
 
     @staticmethod
     def reference_step(G, pos, gkk):
@@ -236,7 +241,7 @@ class TestCompactingDowndate:
 
         def update_ref(mu, pos, gk, gkk, class_id):
             value = 2.0 * class_id - 1.0
-            return np.delete(mu + ((value - mu[pos]) / gkk) * gk, pos)
+            return np.delete(mu - ((mu[pos] - value) * gk) / gkk, pos)
 
         for model in (GmrfModel.from_inverse(passed, 2),
                       GmrfModel(np.arange(11), {}, passed, np.zeros((2, 11)))):
@@ -253,7 +258,7 @@ class TestCompactingDowndate:
         def update_ref(means, pos, gk, gkk, class_id):
             values = np.full(3, -1.0)
             values[class_id] = 1.0
-            moved = means + ((values - means[:, pos]) / gkk)[:, None] * gk
+            moved = means - np.multiply.outer(means[:, pos] - values, gk) / gkk
             return np.delete(moved, pos, axis=1)
 
         for model in (GmrfModel.from_inverse(passed, 3),
@@ -272,13 +277,17 @@ class TestCarriedRowSums:
         assert np.array_equal(model.row_sums, np.abs(G).sum(axis=0))
 
     def test_step_is_the_means_step_with_target_zero(self):
+        # one rule for every row: r' = r_{-k} - (r_k - t) g_k / g_kk
         model = GmrfModel.from_laplacian(random_lap(np.random.default_rng(13), 9), 2)
         model.observe(3, 1)
-        s, G, pos = model.row_sums.copy(), model.G.copy(), model.position(6)
+        s, m, G = model.row_sums.copy(), model.means.copy(), model.G.copy()
+        pos = model.position(6)
         model.observe(6, 0)
-        g = np.delete(G[:, pos], pos)
-        assert np.array_equal(model.row_sums,
-                              np.delete(s, pos) + ((0.0 - s[pos]) / G[pos, pos]) * g)
+        g, gkk = G[:, pos], G[pos, pos]
+        assert np.array_equal(model.row_sums, np.delete(s - ((s[pos] - 0.0) * g) / gkk, pos))
+        targets = np.array([1.0, -1.0])
+        assert np.array_equal(
+            model.means, np.delete(m - np.multiply.outer(m[:, pos] - targets, g) / gkk, pos, axis=1))
 
     # the golden digests' graphs, and the benchmark's largest grid
     @pytest.mark.parametrize("graph, seed", [
