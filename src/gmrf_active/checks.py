@@ -18,6 +18,9 @@ from .gmrf import DECISION_ATOL, GmrfModel, conditional_mean_direct
 from .graph import Graph, regularized_laplacian
 from .strategies import Strategy, utility_scores
 
+# Regularizer of every random graph's Laplacian.
+DELTA = 0.005
+
 
 @dataclass
 class CheckResult:
@@ -42,28 +45,29 @@ def random_connected_graph(n: int, rng: np.random.Generator) -> Graph:
     return Graph(n, edges)
 
 
-def random_model(rng: np.random.Generator, n: int, delta: float = 0.005,
-                 num_observed: int = 0) -> tuple:
+def random_model(rng: np.random.Generator, n: int, num_observed: int = 0) -> tuple:
     """Random connected graph, its Laplacian, and a model with some labels."""
     g = random_connected_graph(n, rng)
-    lap = regularized_laplacian(g, delta)
+    lap = regularized_laplacian(g, DELTA)
     model = GmrfModel.from_laplacian(lap, 2)
     for node in rng.permutation(n)[:num_observed]:
         model.observe(int(node), 1 if rng.random() < 0.5 else 0)
     return g, lap, model
 
 
-def check_incremental_vs_direct(num_graphs: int = 30, max_nodes: int = 40,
-                                delta: float = 0.005, tol: float = 1e-8,
-                                seed: int = 0) -> CheckResult:
-    """Full observe sequences vs fresh solves and dense inverses."""
+def check_incremental_vs_direct(seed: int = 0) -> CheckResult:
+    """Full observe sequences vs fresh solves and dense inverses.
+
+    30 random graphs of 5-40 nodes; means and inverses must agree to 1e-8.
+    """
+    num_graphs, tol = 30, 1e-8
     rng = np.random.default_rng(seed)
     worst_mu = 0.0
     worst_g = 0.0
     for _ in range(num_graphs):
-        n = int(rng.integers(5, max_nodes + 1))
+        n = int(rng.integers(5, 41))
         g = random_connected_graph(n, rng)
-        lap = regularized_laplacian(g, delta)
+        lap = regularized_laplacian(g, DELTA)
         model = GmrfModel.from_laplacian(lap, 2)
         for node in rng.permutation(n)[: n - 1]:
             model.observe(int(node), 1 if rng.random() < 0.5 else 0)
@@ -82,16 +86,18 @@ def check_incremental_vs_direct(num_graphs: int = 30, max_nodes: int = 40,
     )
 
 
-def check_partition_identity(num_instances: int = 20, max_nodes: int = 30,
-                             delta: float = 0.005, tol: float = 1e-8,
-                             seed: int = 1) -> CheckResult:
-    """Blocked-inverse identity C_UL C_LL^{-1} = -M_UU^{-1} M_UL."""
+def check_partition_identity(seed: int = 1) -> CheckResult:
+    """Blocked-inverse identity C_UL C_LL^{-1} = -M_UU^{-1} M_UL.
+
+    20 random graphs of 6-30 nodes; both sides must agree to 1e-8.
+    """
+    num_instances, tol = 20, 1e-8
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(num_instances):
-        n = int(rng.integers(6, max_nodes + 1))
+        n = int(rng.integers(6, 31))
         g = random_connected_graph(n, rng)
-        M = regularized_laplacian(g, delta).matrix
+        M = regularized_laplacian(g, DELTA).matrix
         C = np.linalg.inv(M)
         size_l = int(rng.integers(1, n))
         perm = rng.permutation(n)
@@ -107,12 +113,13 @@ def check_partition_identity(num_instances: int = 20, max_nodes: int = 30,
     )
 
 
-def check_squared_distance_identity(num_instances: int = 5, draws: int = 100_000,
-                                    rel_tol: float = 0.02, seed: int = 2) -> CheckResult:
+def check_squared_distance_identity(seed: int = 2) -> CheckResult:
     """Monte-Carlo E||x1 - x2||^2 vs 2 tr(C) + ||m1 - m2||^2.
 
-    x1 and x2 are independent Gaussians with shared covariance C.
+    x1 and x2 are independent Gaussians with shared covariance C. Five
+    instances of 100,000 draws each must agree to 2% relative.
     """
+    num_instances, draws, rel_tol = 5, 100_000, 0.02
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(num_instances):
@@ -135,16 +142,18 @@ def check_squared_distance_identity(num_instances: int = 5, draws: int = 100_000
     )
 
 
-def check_retraining_equivalence(num_instances: int = 10, max_nodes: int = 30,
-                                 delta: float = 0.005, tol: float = 1e-8,
-                                 seed: int = 3) -> CheckResult:
-    """Closed-form update norms vs explicit hypothetical retraining."""
+def check_retraining_equivalence(seed: int = 3) -> CheckResult:
+    """Closed-form update norms vs explicit hypothetical retraining.
+
+    10 random graphs of 6-30 nodes; the norms must agree to 1e-8.
+    """
+    num_instances, tol = 10, 1e-8
     rng = np.random.default_rng(seed)
     worst_l1 = 0.0
     worst_l2 = 0.0
     for _ in range(num_instances):
-        n = int(rng.integers(6, max_nodes + 1))
-        _, _, model = random_model(rng, n, delta, num_observed=int(rng.integers(1, n // 2 + 1)))
+        n = int(rng.integers(6, 31))
+        _, _, model = random_model(rng, n, num_observed=int(rng.integers(1, n // 2 + 1)))
         for node in model.unlabeled:
             node = int(node)
             pos = model.position(node)
@@ -166,21 +175,21 @@ def check_retraining_equivalence(num_instances: int = 10, max_nodes: int = 30,
     )
 
 
-def check_nonadaptive_reduction(num_instances: int = 20, max_nodes: int = 30,
-                                delta: float = 0.005, seed: int = 4) -> CheckResult:
+def check_nonadaptive_reduction(seed: int = 4) -> CheckResult:
     """At full confidence the adaptive scores pick the ensemble argmax.
 
     msd with a_t = 1 must select vm's argmax and tv must select
-    sigma-opt's argmax, exactly, on tie-free instances.
+    sigma-opt's argmax, exactly, on 20 tie-free instances of 6-30 nodes.
     """
+    num_instances = 20
     rng = np.random.default_rng(seed)
     collected = 0
     attempts = 0
     mismatches = 0
     while collected < num_instances and attempts < 20 * num_instances:
         attempts += 1
-        n = int(rng.integers(6, max_nodes + 1))
-        _, _, model = random_model(rng, n, delta, num_observed=int(rng.integers(1, n // 2 + 1)))
+        n = int(rng.integers(6, 31))
+        _, _, model = random_model(rng, n, num_observed=int(rng.integers(1, n // 2 + 1)))
         vm = utility_scores(Strategy("vm"), model, t=2)
         sig = utility_scores(Strategy("sigma-opt"), model, t=2)
 
@@ -201,18 +210,19 @@ def check_nonadaptive_reduction(num_instances: int = 20, max_nodes: int = 30,
     return CheckResult(
         "full-confidence reduction to ensemble scores",
         passed,
-        f"{collected} tie-free instances, {mismatches} argmax mismatches",
+        f"{collected} of {num_instances} tie-free instances, {mismatches} argmax mismatches",
     )
 
 
-def check_bounds_and_symmetry(num_instances: int = 10, max_nodes: int = 30,
-                              delta: float = 0.005, seed: int = 5) -> CheckResult:
+def check_bounds_and_symmetry(seed: int = 5) -> CheckResult:
     """Mean boundedness plus sign symmetry under label negation.
 
+    On 10 graphs of 6-30 nodes the means must stay within 1e-9 of [-1, 1].
     Negating every observed label must negate the mean exactly, flip every
-    prediction outside the tie band ``|m| <= DECISION_ATOL``, and leave the tv/msd/klg/vm/sigma-opt scores
-    unchanged to 1e-12.
+    prediction outside the tie band ``|m| <= DECISION_ATOL``, and leave
+    the tv/msd/klg/vm/sigma-opt scores unchanged to 1e-12.
     """
+    num_instances = 10
     rng = np.random.default_rng(seed)
     slack = 1e-9
     score_kinds = [Strategy(k) for k in ("tv", "msd", "klg", "vm", "sigma-opt")]
@@ -220,9 +230,9 @@ def check_bounds_and_symmetry(num_instances: int = 10, max_nodes: int = 30,
     worst_score = 0.0
     symmetry_ok = True
     for _ in range(num_instances):
-        n = int(rng.integers(6, max_nodes + 1))
+        n = int(rng.integers(6, 31))
         g = random_connected_graph(n, rng)
-        lap = regularized_laplacian(g, delta)
+        lap = regularized_laplacian(g, DELTA)
         pos_model = GmrfModel.from_laplacian(lap, 2)
         neg_model = GmrfModel.from_laplacian(lap, 2)
         for node in rng.permutation(n)[: n // 2 + 1]:
@@ -247,8 +257,9 @@ def check_bounds_and_symmetry(num_instances: int = 10, max_nodes: int = 30,
     return CheckResult(
         "mean bounds and negation symmetry",
         passed,
-        f"max |mu| {worst_mu:.12f}, max score asymmetry {worst_score:.2e}, "
-        f"sign symmetry {'ok' if symmetry_ok else 'violated'}",
+        f"max |mu| {worst_mu:.12f} (<= 1 + {slack:.0e}), max score asymmetry "
+        f"{worst_score:.2e} (tol 1e-12), sign symmetry "
+        f"{'ok' if symmetry_ok else 'violated'} over {num_instances} instances",
     )
 
 
