@@ -1,22 +1,17 @@
 """Gaussian field models over regularized graph Laplacians.
 
-A :class:`GmrfModel` tracks C >= 2 one-vs-rest label fields. Its state is
-one ``(|U| + C + 1, |U|)`` array: the inverse ``G`` of the regularized
-Laplacian restricted to the unlabeled nodes, which every field shares, the C
-conditional means given the labels observed so far, and the row sums ``G 1``
-that the tv and sigma-opt scans read as the l1 norms of the columns of
-``G``. Disclosing a label conditions the field, and every row of the state
-moves by the same Schur-complement step on the pivot column ``g``:
-``r' = r_{-k} - (r_k - t_r) g / g_kk``, with target ``t_r = +/-1`` for the
-field rows and 0 for the rest. So observing a class costs ``O(|U|^2)``
-whatever C is, and no refactorization happens after initialization. The
-step compacts: the kept rows and columns are copied once into a fresh array
-and the rank-one term is subtracted from that copy in place, so
-:meth:`GmrfModel.observe` never writes an array a caller holds. A binary
-problem is the case C = 2, whose field ``mu`` is the class-1 row of the
-means. :func:`conditional_mean_direct` re-solves the linear system from
-scratch and serves as the reference implementation the incremental path is
-tested against. :func:`soft_labels` is the one mean -> probability rule,
+A :class:`GmrfModel` tracks C >= 2 one-vs-rest label fields in one state
+array: the inverse ``G`` of the regularized Laplacian restricted to the
+unlabeled nodes, which every field shares, the C conditional means given the
+labels observed so far, and the row sums ``G 1`` that the tv and sigma-opt
+scans read as the l1 norms of the columns of ``G``. Disclosing a label moves
+every row by one Schur-complement step, ``O(|U|^2)`` whatever C is, into a
+fresh array, so :meth:`GmrfModel.observe` never writes an array a caller
+holds; no refactorization happens after initialization. A binary problem is
+the case C = 2, whose field ``mu`` is the class-1 row of the means.
+:func:`conditional_mean_direct` re-solves the linear system from scratch and
+serves as the reference implementation the incremental path is tested
+against. :func:`soft_labels` is the one mean -> probability rule,
 ``clamp((m + 1) / 2)``. :func:`class_decision` turns the C means into hard
 labels: the sign rule for C = 2, class-mass normalization for C >= 3.
 """
@@ -33,10 +28,9 @@ from .graph import RegularizedLaplacian
 # Diagonal entries of G below this are treated as degenerate pivots.
 PIVOT_FLOOR = 1e-12
 
-# Binary means within this of 0 are ties, decided for class 0. Nodes that are
-# tied in exact arithmetic (the symmetry axis between a +1 and a -1 label)
-# compute as about +/-1e-15, and rounding must not pick their class. Means
-# lie in [-1, 1], so an absolute tolerance suffices.
+# Binary means within this of 0 are ties and go to class 0: a mean that is 0
+# in exact arithmetic (midway between a +1 and a -1 label) computes as about
+# +/-1e-15, and rounding must not pick its class.
 DECISION_ATOL = 1e-12
 
 
@@ -80,15 +74,16 @@ class GmrfModel:
     ``G.sum(axis=0)``, which for a nonnegative ``G`` equals
     ``np.abs(G).sum(axis=0)`` bit for bit without a ``|U|^2`` temporary.
 
-    ``G``, the means and ``G 1`` are the row blocks of one state array, and
-    :meth:`observe` moves every row ``r`` by one rule,
-    ``r' = r_{-k} - (r_k - t_r) g / g_kk``. The target ``t_r`` is 0 for the
-    rows of ``G`` and for ``G 1``, and the observed field value ``+/-1`` for
-    the means. On the rows of ``G`` the rule subtracts ``(g_i g_j) / g_kk``,
-    which rounds the same for ``(i, j)`` and ``(j, i)``; with
-    :func:`spd_inverse` symmetrizing the start, ``G`` stays exactly
-    symmetric. So row ``k`` of ``G`` equals column ``k`` bit for bit, and
-    readers take the contiguous row.
+    ``G``, ``means``, ``row_sums`` and ``mu`` are views of one
+    ``(|U| + C + 1, |U|)`` state array, which the constructor fills with
+    copies of its arguments. :meth:`observe` at position ``k`` replaces it,
+    never writes it: every row ``r`` becomes ``r_{-k} - (r_k - t_r) g / g_kk``,
+    with ``g`` column ``k`` of ``G`` without entry ``k`` and target ``t_r``
+    the observed field value ``+/-1`` for the means and 0 for ``G`` and
+    ``G 1``. On ``G`` that subtracts ``(g_i g_j) / g_kk``, which rounds
+    the same for ``(i, j)`` and ``(j, i)``, so ``G`` stays exactly symmetric
+    (:func:`spd_inverse` symmetrizes the start) and readers take the
+    contiguous row ``k`` for column ``k``.
 
     Attributes
     ----------
@@ -110,11 +105,6 @@ class GmrfModel:
     retrain_calls : int
         Number of hypothetical-mean evaluations performed on this model;
         lets callers audit which selection rules avoid retraining.
-
-    ``G``, ``means``, ``row_sums`` and ``mu`` are views of one
-    ``(|U| + C + 1, |U|)`` array, filled from the constructor's arguments
-    (which are copied, never aliased) and replaced, never written, by every
-    :meth:`observe`.
 
     Only :meth:`observe` changes the fields and ``G``, and each model is owned
     by one experiment run; :meth:`hypothetical_mean` only counts itself in
@@ -210,14 +200,12 @@ class GmrfModel:
     def observe(self, node: int, class_id: int) -> "GmrfModel":
         """Absorb an observed class and shrink the model to ``U \\ {node}``.
 
-        Every row ``r`` of the state, the rows of ``G``, the C means and
-        ``G 1``, becomes ``r_{-k} - (r_k - t_r) g / g_kk``. Here ``g`` is
-        column ``k`` of ``G`` without its own entry, and ``t_r`` is ``+1``
-        for the observed class's field, ``-1`` for the other fields and 0
-        for the rest. The kept rows and columns are copied once into a fresh
-        array, and the rank-one term is subtracted from it in place, on
-        contiguous memory; the old state is replaced, never written. Cost
-        ``O(|U|^2)``, independent of the class count.
+        Every row of the state takes the one Schur step of the class
+        docstring, with ``t_r = +1`` for the observed class's field and
+        ``-1`` for the other fields. The kept rows and columns are copied
+        once into a fresh array and the rank-one term is subtracted from it
+        in place, on contiguous memory. Cost ``O(|U|^2)``, independent of the
+        class count.
         """
         if class_id not in range(self.num_classes):
             raise ValueError(f"class id {class_id} outside 0..{self.num_classes - 1}")

@@ -285,9 +285,8 @@ class TestCarriedRowSums:
         model.observe(6, 0)
         g, gkk = G[:, pos], G[pos, pos]
         assert np.array_equal(model.row_sums, np.delete(s - ((s[pos] - 0.0) * g) / gkk, pos))
-        targets = np.array([1.0, -1.0])
-        assert np.array_equal(
-            model.means, np.delete(m - np.multiply.outer(m[:, pos] - targets, g) / gkk, pos, axis=1))
+        moved = m - np.multiply.outer(m[:, pos] - np.array([1.0, -1.0]), g) / gkk
+        assert np.array_equal(model.means, np.delete(moved, pos, axis=1))
 
     # the golden digests' graphs, and the benchmark's largest grid
     @pytest.mark.parametrize("graph, seed", [
