@@ -159,7 +159,7 @@ class GmrfModel:
 
     def _expose_state(self) -> None:
         # stored views, not properties: the retraining scans read mu per node
-        n = self.unlabeled.size
+        n = self._state.shape[1]
         self.G = self._state[:n]
         self.means = self._state[n:-1]
         self.row_sums = self._state[-1]
