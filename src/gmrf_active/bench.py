@@ -85,6 +85,9 @@ class ExperimentConfig:
         labels = [s.label for s in self.strategies]
         if len(set(labels)) != len(labels):
             raise ValueError(f"strategy labels must be unique, got {labels}")
+        for label in labels:
+            if any(ch in label for ch in ',"\r\n'):  # emit_csv writes unquoted fields
+                raise ValueError(f"strategy label {label!r} must not contain , \" CR or LF")
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
         if self.runs < 1:

@@ -103,12 +103,12 @@ class GmrfModel:
     mu : ndarray or None
         For C = 2 the read-only view ``means[1]``; None for C > 2.
     retrain_calls : int
-        Number of hypothetical-mean evaluations performed on this model;
-        lets callers audit which selection rules avoid retraining.
+        Number of hypothetical means the fl and kl scans have evaluated on
+        this model; lets callers audit which selection rules avoid
+        retraining.
 
     Only :meth:`observe` changes the fields and ``G``, and each model is owned
-    by one experiment run; :meth:`hypothetical_mean` only counts itself in
-    ``retrain_calls``.
+    by one experiment run.
     """
 
     def __init__(self, unlabeled, labeled, G, means):
@@ -137,6 +137,11 @@ class GmrfModel:
         self._state[:n] = G
         self._state[n:-1] = means
         self._state[:n].sum(axis=0, out=self._state[-1])
+        # a non-finite G entry makes its column sum non-finite; NaN passes pivot floors
+        if not np.isfinite(self._state[-1]).all():
+            raise ValueError("G holds non-finite entries")
+        if not np.isfinite(self._state[n:-1]).all():
+            raise ValueError("means hold non-finite entries")
         # row c: the +1/-1 value every field takes when class c is observed
         self._targets = 2.0 * np.eye(c) - 1.0
         self._expose_state()
@@ -233,25 +238,6 @@ class GmrfModel:
         T /= gkk
         D -= T
         return self
-
-    def hypothetical_mean(self, node: int, value) -> np.ndarray:
-        """Mean ``mu`` would have if ``node`` were assigned ``value`` (C = 2).
-
-        ``value`` is the field value, -1 or +1. Returns the updated vector
-        over the current ``unlabeled`` (entry ``node`` included, as computed
-        by the rank-one formula) without mutating the model. Increments
-        ``retrain_calls``. Reads the row of ``G`` at the node's position,
-        which equals the column because ``G`` is symmetric.
-        """
-        if self.mu is None:
-            raise ValueError("hypothetical_mean is defined for binary models only")
-        value = float(value)
-        if value not in (-1.0, 1.0):
-            raise ValueError(f"field value must be -1 or +1, got {value}")
-        pos = self.position(node)
-        gkk = self.pivot(pos)
-        self.retrain_calls += 1
-        return self.mu + ((value - self.mu[pos]) / gkk) * self.G[pos]
 
     def predict(self) -> dict[int, int]:
         """Hard class per unlabeled node by :func:`class_decision`."""

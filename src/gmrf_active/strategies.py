@@ -18,8 +18,8 @@ its row sums ``G 1`` and the conditional mean ``mu``:
 A :class:`Strategy` bundles a scorer with its confidence schedule ``a_t``
 (mixing the posterior toward the uninformative prior) and an optional
 hybrid schedule ``pi_t`` that diverts single queries to uniform random
-exploration. Scoring changes no field of a model; fl and kl scans only add
-their hypothetical means to the model's ``retrain_calls`` counter.
+exploration. Scoring changes no field of a model; fl and kl scans only count
+their hypothetical means in the model's ``retrain_calls``.
 :func:`select` takes the best score, with scores within ``TIE_RTOL`` of it
 counted as ties.
 """
@@ -122,34 +122,43 @@ def _binary_mu(model: GmrfModel) -> np.ndarray:
     """``model.mu``; a model with more than two classes has none to score."""
     if model.mu is None:
         raise ValueError(
-            "the per-node scorers tv, msd, klg, fl and kl are defined for binary models "
+            "the per-node scorers klg, fl and kl are defined for binary models "
             f"only, but the model has {model.num_classes} classes"
         )
     return model.mu
 
 
-def _column(model: GmrfModel, node: int) -> tuple[int, np.ndarray, float, float]:
-    mu = _binary_mu(model)
-    pos, gi, gii = _gcol(model, node)
-    return pos, gi, gii, float(mu[pos])
+def _label_weight(model: GmrfModel, pos: int, binary_scale: float) -> float:
+    """tv / msd weight: ``binary_scale (1 - mu_i^2)`` if C = 2, else the class
+    spread ``sum_c (1 - pbar_c^2)``. C = 2 reads the scalar mean, not the scan."""
+    if model.mu is None:
+        return float(_class_spread(model)[pos])
+    mui = float(model.mu[pos])
+    return binary_scale * (1.0 - mui * mui)
 
 
 def score_klg(model: GmrfModel, node: int) -> float:
     """Expected Gaussian-field divergence: ``(1 - mu_i^2) / (2 g_ii)``."""
-    _, _, gii, mui = _column(model, node)
+    mu = _binary_mu(model)
+    pos, _, gii = _gcol(model, node)
+    mui = float(mu[pos])
     return (1.0 - mui * mui) / (2.0 * gii)
 
 
 def score_tv(model: GmrfModel, node: int) -> float:
-    """Expected total variation: ``2 (1 - mu_i^2) ||g_i||_1 / g_ii``."""
-    _, gi, gii, mui = _column(model, node)
-    return 2.0 * (1.0 - mui * mui) * float(np.abs(gi).sum()) / gii
+    """Expected total variation ``w_i ||g_i||_1 / g_ii``, any C >= 2.
+
+    ``w_i`` is ``2 (1 - mu_i^2)`` for C = 2, else the class spread."""
+    pos, gi, gii = _gcol(model, node)
+    return _label_weight(model, pos, 2.0) * float(np.abs(gi).sum()) / gii
 
 
 def score_msd(model: GmrfModel, node: int) -> float:
-    """Expected mean-square deviation: ``(1 - mu_i^2) ||g_i||_2^2 / g_ii^2``."""
-    _, gi, gii, mui = _column(model, node)
-    return (1.0 - mui * mui) * float(gi @ gi) / (gii * gii)
+    """Expected mean-square deviation ``w_i ||g_i||_2^2 / g_ii^2``, any C >= 2.
+
+    ``w_i`` is ``1 - mu_i^2`` for C = 2, else the class spread."""
+    pos, gi, gii = _gcol(model, node)
+    return _label_weight(model, pos, 1.0) * float(gi @ gi) / (gii * gii)
 
 
 def score_vm(model: GmrfModel, node: int) -> float:
@@ -180,7 +189,8 @@ def _expected_change(model: GmrfModel, kind: str, alpha: float, maxmin: bool,
     combined by the confidence-mixed posterior of ``node``, or by the
     minimum when ``maxmin`` is set. The reference labels (fl), their floored
     logs (kl) and the mixed posterior are built once per call; each candidate
-    costs two hypothetical means.
+    costs one pivot and two hypothetical means ``mu + ((v - mu_k) / g_kk) G[k]``,
+    all counted in ``model.retrain_calls``.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"confidence weight must lie in [0, 1], got {alpha}")
@@ -191,12 +201,13 @@ def _expected_change(model: GmrfModel, kind: str, alpha: float, maxmin: bool,
     else:
         logs = _floored_log(p), _floored_log(1.0 - p)
     w_plus = _mix(alpha, p)
+    G = model.G
     scores = np.empty(len(positions))
     for k, pos in enumerate(positions):
-        node = int(model.unlabeled[pos])
+        gkk = model.pivot(pos)
         totals = []
         for value in (1.0, -1.0):
-            mu_plus = model.hypothetical_mean(node, value)
+            mu_plus = mu + ((value - mu[pos]) / gkk) * G[pos]
             if kind == "fl":
                 flips = (mu_plus > DECISION_ATOL) != above
                 flips[pos] = False
@@ -208,6 +219,7 @@ def _expected_change(model: GmrfModel, kind: str, alpha: float, maxmin: bool,
         plus, minus = totals
         w = w_plus[pos]
         scores[k] = min(plus, minus) if maxmin else w * plus + (1.0 - w) * minus
+    model.retrain_calls += 2 * len(positions)
     return scores
 
 
@@ -284,18 +296,6 @@ def _class_spread(mm: GmrfModel) -> np.ndarray:
     safe = np.where(total > 0, total, 1.0)
     pbar = np.where(total > 0, shifted / safe, 1.0 / mm.num_classes)
     return mm.num_classes - (pbar * pbar).sum(axis=0)
-
-
-def score_tv_mc(mm: GmrfModel, node: int) -> float:
-    """Multi-class total-variation score ``sum_c (1 - pbar_c^2) ||g_i||_1 / g_ii``."""
-    pos, gi, gii = _gcol(mm, node)
-    return float(_class_spread(mm)[pos]) * float(np.abs(gi).sum()) / gii
-
-
-def score_msd_mc(mm: GmrfModel, node: int) -> float:
-    """Multi-class deviation score ``sum_c (1 - pbar_c^2) ||g_i||_2^2 / g_ii^2``."""
-    pos, gi, gii = _gcol(mm, node)
-    return float(_class_spread(mm)[pos]) * float(gi @ gi) / (gii * gii)
 
 
 def _scan_diag(G: np.ndarray) -> np.ndarray:

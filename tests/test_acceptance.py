@@ -177,10 +177,10 @@ def test_criterion_8_complexity_contract():
 
     pool = model.num_unlabeled
     speedup = fl_time / tv_time
-    ok = tv_calls == 0 and fl_calls <= 2 * pool and speedup >= 10.0
+    ok = tv_calls == 0 and fl_calls == 2 * pool and speedup >= 10.0
     detail = (
         f"|U|={pool}: tv scan {tv_time * 1e3:.1f}ms with {tv_calls} retraining calls; "
-        f"fl scan {fl_time * 1e3:.1f}ms with {fl_calls} calls (<= {2 * pool}); "
+        f"fl scan {fl_time * 1e3:.1f}ms with {fl_calls} calls (== {2 * pool}); "
         f"speedup {speedup:.0f}x (>= 10x)"
     )
     assert _report(8, "selection cost contract", ok, detail)

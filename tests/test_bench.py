@@ -1,6 +1,7 @@
 """Monte-Carlo harness: determinism, accuracy metrics, CSV output."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,11 @@ class TestConfigValidation:
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError, match="unique"):
             ExperimentConfig("grid:4x4", [Strategy("tv"), Strategy("tv")], budget=3)
+
+    @pytest.mark.parametrize("label", ["tv,a", 'tv"a', "tv\na", "tv\ra"])
+    def test_rejects_labels_that_break_csv_rows(self, label):
+        with pytest.raises(ValueError, match=re.escape(f"strategy label {label!r}")):
+            ExperimentConfig("grid:4x4", [Strategy("tv", name=label)], budget=3)
 
     def test_rejects_bad_budget_runs_delta(self):
         with pytest.raises(ValueError, match="budget"):

@@ -5,19 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gmrf_active
 from gmrf_active import (
+    KINDS,
     Graph,
     GmrfModel,
     Strategy,
+    conditional_mean_direct,
     regularized_laplacian,
     score_fl,
     score_kl,
     score_klg,
     score_msd,
-    score_msd_mc,
     score_sigma_opt,
     score_tv,
-    score_tv_mc,
     score_unc,
     score_vm,
     select,
@@ -30,12 +31,30 @@ from gmrf_active.graph import grid_graph
 from gmrf_active.strategies import TIE_RTOL, _bernoulli_kl
 
 
-def make_model(rng, n, delta=0.005, observed=0):
+def make_lap_model(rng, n, delta=0.005, observed=0):
     lap = regularized_laplacian(random_connected_graph(n, rng), delta)
     model = GmrfModel.from_laplacian(lap, 2)
     for node in rng.permutation(n)[:observed]:
         model.observe(int(node), 1 if rng.random() < 0.5 else 0)
-    return model
+    return lap, model
+
+
+def make_model(rng, n, delta=0.005, observed=0):
+    return make_lap_model(rng, n, delta, observed)[1]
+
+
+def rank_one_mean(model, pos, value):
+    """``mu`` after field value ``value`` at ``pos``: the rank-one step on
+    column ``G[:, pos]``."""
+    return model.mu + ((value - model.mu[pos]) / model.G[pos, pos]) * model.G[:, pos]
+
+
+def retrained_move(lap, model, node, value):
+    """Move of ``mu`` over ``model.unlabeled`` when ``node`` takes field value
+    ``value``, by a fresh solve; the node's own move is ``value - mu_node``."""
+    signed = {k: 2.0 * c - 1.0 for k, c in model.labeled.items()}
+    fresh = conditional_mean_direct(lap, {**signed, node: value})
+    return np.insert(fresh, model.position(node), value) - model.mu
 
 
 def single_unlabeled_model(mu_value=0.3):
@@ -135,12 +154,12 @@ class TestTv:
 
     def test_retraining_l1_identity_per_label(self):
         rng = np.random.default_rng(1)
-        model = make_model(rng, 10, observed=2)
+        lap, model = make_lap_model(rng, 10, observed=2)
         for node in (int(model.unlabeled[0]), int(model.unlabeled[-1])):
             pos = model.position(node)
             gi, gii, mui = model.G[:, pos], model.G[pos, pos], model.mu[pos]
             for value in (1.0, -1.0):
-                diff = model.hypothetical_mean(node, value) - model.mu
+                diff = retrained_move(lap, model, node, value)
                 closed = abs(value - mui) * np.abs(gi).sum() / gii
                 assert np.abs(diff).sum() == pytest.approx(closed, abs=1e-8)
 
@@ -179,12 +198,12 @@ class TestMsd:
 
     def test_retraining_l2_identity_per_label(self):
         rng = np.random.default_rng(4)
-        model = make_model(rng, 10, observed=2)
+        lap, model = make_lap_model(rng, 10, observed=2)
         node = int(model.unlabeled[1])
         pos = model.position(node)
         gi, gii, mui = model.G[:, pos], model.G[pos, pos], model.mu[pos]
         for value in (1.0, -1.0):
-            diff = model.hypothetical_mean(node, value) - model.mu
+            diff = retrained_move(lap, model, node, value)
             closed = (value - mui) ** 2 * float(gi @ gi) / (gii * gii)
             assert float(diff @ diff) == pytest.approx(closed, abs=1e-8)
 
@@ -267,7 +286,7 @@ class TestKl:
         total = 0.0
         floor = 1e-12
         for value, weight in ((1.0, p_plus), (-1.0, 1.0 - p_plus)):
-            mu_plus = model.hypothetical_mean(node, value)
+            mu_plus = rank_one_mean(model, pos, value)
             branch = 0.0
             for j in range(model.num_unlabeled):
                 if j == pos:
@@ -426,7 +445,7 @@ class TestScanConsistency:
         mm = GmrfModel.from_laplacian(lap, 3)
         mm.observe(0, 1)
         mm.observe(6, 2)
-        for kind, fn in (("tv", score_tv_mc), ("msd", score_msd_mc), ("unc", score_unc)):
+        for kind, fn in (("tv", score_tv), ("msd", score_msd), ("unc", score_unc)):
             scan = utility_scores(Strategy(kind), mm, t=4)
             for idx, node in enumerate(mm.unlabeled):
                 assert scan[idx] == pytest.approx(fn(mm, int(node)), abs=1e-12)
@@ -464,7 +483,7 @@ class TestScanConsistency:
             for idx, node in enumerate(model.unlabeled):
                 totals = []
                 for value in (1.0, -1.0):
-                    mu_plus = model.hypothetical_mean(int(node), value)
+                    mu_plus = rank_one_mean(model, idx, value)
                     total = 0.0
                     for j in range(model.num_unlabeled):
                         if j == idx:
@@ -496,11 +515,23 @@ class TestScanConsistency:
                 expected = _column_loop(model, kind, strategy.alpha(3), maxmin)
                 assert np.array_equal(scan, expected)
 
-    @pytest.mark.parametrize("scorer", [score_fl, score_kl, score_klg, score_tv, score_msd])
+    @pytest.mark.parametrize("scorer", [score_fl, score_kl, score_klg])
     def test_binary_per_node_scorers_reject_multiclass(self, scorer):
         mm = GmrfModel([0, 1], {}, np.eye(2), np.zeros((3, 2)))
         with pytest.raises(ValueError, match="binary models only.*3 classes"):
             scorer(mm, 0)
+
+    @pytest.mark.parametrize("scorer", [score_fl, score_kl])
+    def test_retraining_scorers_reject_degenerate_pivot(self, scorer):
+        model = model_with_state([0.0, 0.0], np.diag([1.0, 0.5 * PIVOT_FLOOR]))
+        assert scorer(model, 0) == 0.0
+        with pytest.raises(ValueError, match="degenerate pivot .* at node 1"):
+            scorer(model, 1)
+
+    def test_one_exported_per_node_scorer_per_kind(self):
+        exported = sorted(name for name in gmrf_active.__all__ if name.startswith("score_"))
+        scored = sorted("score_" + kind.replace("-", "_") for kind in KINDS if kind != "random")
+        assert exported == scored
 
 
 def _column_loop(model, kind, alpha, maxmin):
@@ -513,10 +544,9 @@ def _column_loop(model, kind, alpha, maxmin):
     w_plus = 0.5 * alpha + (1.0 - alpha) * p
     scores = np.empty(model.num_unlabeled)
     for pos in range(model.num_unlabeled):
-        gkk = float(model.G[pos, pos])
         totals = []
         for value in (1.0, -1.0):
-            mu_plus = mu + ((value - mu[pos]) / gkk) * model.G[:, pos]
+            mu_plus = rank_one_mean(model, pos, value)
             if kind == "fl":
                 per_node = (mu_plus > 0) != above
             else:
@@ -565,6 +595,18 @@ class TestRetrainCounters:
             before = model.retrain_calls
             utility_scores(Strategy(kind), model, t=3)
             assert model.retrain_calls - before == 2 * model.num_unlabeled
+
+    @pytest.mark.parametrize("kind", ["fl", "kl"])
+    @pytest.mark.parametrize("maxmin", [False, True])
+    def test_retraining_scan_leaves_state_bit_identical(self, kind, maxmin):
+        model = make_model(np.random.default_rng(29), 13, observed=3)
+        G, means, row_sums = model.G.copy(), model.means.copy(), model.row_sums.copy()
+        before = model.retrain_calls
+        utility_scores(Strategy(kind, confidence="inv_sqrt", maxmin=maxmin), model, t=3)
+        assert model.retrain_calls - before == 2 * model.num_unlabeled
+        assert np.array_equal(model.G, G)
+        assert np.array_equal(model.means, means)
+        assert np.array_equal(model.row_sums, row_sums)
 
 
 class TestSelect:
