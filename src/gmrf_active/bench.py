@@ -17,6 +17,7 @@ flag.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -88,6 +89,12 @@ class ExperimentConfig:
         for label in labels:
             if any(ch in label for ch in ',"\r\n'):  # emit_csv writes unquoted fields
                 raise ValueError(f"strategy label {label!r} must not contain , \" CR or LF")
+        for name in ("budget", "runs", "seed"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
         if self.runs < 1:

@@ -489,7 +489,8 @@ def from_spec(spec: str, seed: int = 0) -> LabeledGraph:
             raise ValueError("file spec must name both files: file:EDGES:LABELS")
         g = load_edge_list(edge_path)
         labels, num_classes = canonical_labels(load_labels(label_path))
-        if set(labels) != set(range(g.n)):
+        # the length test comes first: one stray id makes g.n huge
+        if len(labels) != g.n or set(labels) != set(range(g.n)):
             raise ValueError(
                 f"label file {label_path} must cover exactly the {g.n} nodes "
                 f"of {edge_path}"

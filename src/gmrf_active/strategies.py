@@ -15,6 +15,12 @@ its row sums ``G 1`` and the conditional mean ``mu``:
   per scan.
 - ``unc``: negative top-two soft-label margin.
 
+The four closed-form kinds vm, sigma-opt, tv and msd share one scan in
+:func:`utility_scores` over two column norms of ``G``: the carried ``G 1``
+(sigma-opt, tv) and the column sums of squares (vm, msd). For C >= 3, tv and
+msd weigh a node by its class spread ``sum_c (1 - pbar_c^2)`` in place of the
+binary ``1 - mu_i^2``; klg, fl and kl are binary only.
+
 A :class:`Strategy` bundles a scorer with its confidence schedule ``a_t``
 (mixing the posterior toward the uninformative prior) and an optional
 hybrid schedule ``pi_t`` that diverts single queries to uniform random
@@ -49,8 +55,8 @@ TIE_RTOL = 1e-11
 class Strategy:
     """A named scorer plus its schedule parameters.
 
-    ``confidence`` is one of ``none``, ``inv_sqrt`` (``a_t = 1/sqrt(t)``), or
-    ``const:<a>`` with ``a`` in [0, 1]. ``hybrid_scale`` sets
+    ``confidence`` is ``inv_sqrt`` (``a_t = 1/sqrt(t)``), ``const:<a>`` with
+    ``a`` in [0, 1], or ``none``, which is ``const:0``. ``hybrid_scale`` sets
     ``pi_t = min(1, scale / sqrt(t))``, the per-iteration probability of a
     uniform exploration query; 0 disables it. ``maxmin`` replaces the
     expectation over candidate labels by the worst case and applies only to
@@ -62,7 +68,7 @@ class Strategy:
     hybrid_scale: float = 0.0
     maxmin: bool = False
     name: str | None = None
-    _confidence: tuple[str, float] = field(init=False, repr=False, compare=False)
+    _confidence: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -79,25 +85,22 @@ class Strategy:
 
     def alpha(self, t: int) -> float:
         """Confidence weight ``a_t`` at iteration ``t`` (1-based)."""
-        mode, value = self._confidence
-        if mode == "none":
-            return 0.0
-        if mode == "inv_sqrt":
+        if self._confidence is None:
             return min(1.0, 1.0 / math.sqrt(max(t, 1)))
-        return value
+        return self._confidence
 
     def mixing_probability(self, t: int) -> float:
         """Uniform-branch probability ``pi_t`` at iteration ``t``."""
-        if self.hybrid_scale == 0.0:
-            return 0.0
         return min(1.0, self.hybrid_scale / math.sqrt(max(t, 1)))
 
 
-def _parse_confidence(text: str) -> tuple[str, float]:
+def _parse_confidence(text: str) -> float | None:
+    """The constant ``a`` of a confidence spec (``none`` is ``const:0``), or
+    None for the ``inv_sqrt`` schedule."""
     if text == "none":
-        return "none", 0.0
+        return 0.0
     if text == "inv_sqrt":
-        return "inv_sqrt", 0.0
+        return None
     if text.startswith("const:"):
         try:
             value = float(text.split(":", 1)[1])
@@ -105,7 +108,7 @@ def _parse_confidence(text: str) -> tuple[str, float]:
             raise ValueError(f"bad confidence spec {text!r}") from None
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"confidence constant must lie in [0, 1], got {value}")
-        return "const", value
+        return value
     raise ValueError(f"bad confidence spec {text!r}; expected none, inv_sqrt, or const:<a>")
 
 
@@ -122,8 +125,8 @@ def _binary_mu(model: GmrfModel) -> np.ndarray:
     """``model.mu``; a model with more than two classes has none to score."""
     if model.mu is None:
         raise ValueError(
-            "the per-node scorers klg, fl and kl are defined for binary models "
-            f"only, but the model has {model.num_classes} classes"
+            "the scorers klg, fl and kl are defined for binary models only, "
+            f"but the model has {model.num_classes} classes"
         )
     return model.mu
 
@@ -307,72 +310,51 @@ def _scan_diag(G: np.ndarray) -> np.ndarray:
     return dg
 
 
-def _ensemble_scan(model: GmrfModel, dg: np.ndarray, kind: str) -> np.ndarray:
-    """Label-independent vm / sigma-opt scores of every column of ``G``."""
-    if kind == "vm":
-        G = model.G
-        return (G * G).sum(axis=0) / dg
-    l1 = model.row_sums
-    return l1 * l1 / dg
-
-
-def _change_scan(model: GmrfModel, dg: np.ndarray, kind: str, alpha: float,
-                 weight: np.ndarray) -> np.ndarray:
-    """tv / msd scores with per-node label weight ``weight``.
-
-    tv reads the column l1 norms from the carried ``G 1``, so its scan is
-    O(|U|); msd sums the squares of ``G``. With ``alpha > 0`` tv blends
-    toward the sigma-opt score and msd toward the vm score:
-    ``0.5 alpha * ensemble + (1 - alpha) * adaptive``.
-    """
-    if kind == "tv":
-        l1 = model.row_sums
-        base = weight * l1 / dg
-        if alpha == 0.0:
-            return base
-        return 0.5 * alpha * (l1 * l1 / dg) + (1.0 - alpha) * base
-    if kind == "msd":
-        G = model.G
-        l2sq = (G * G).sum(axis=0)
-        base = weight * l2sq / (dg * dg)
-        if alpha == 0.0:
-            return base
-        return 0.5 * alpha * (l2sq / dg) + (1.0 - alpha) * base
-    raise ValueError(f"unknown strategy kind {kind!r}")
-
-
 def utility_scores(strategy: Strategy, model, t: int) -> np.ndarray:
     """Schedule-adjusted scores of every unlabeled node at iteration ``t``.
 
-    With confidence weight ``a_t``: tv blends toward the sigma-opt score and
-    msd toward the vm score (``0.5 a_t * ensemble + (1 - a_t) * adaptive``),
-    while klg/fl/kl take their label expectation under the mixed posterior.
-    Returned array aligns with ``model.unlabeled``.
+    vm, sigma-opt, tv and msd share one scan over two column norms of ``G``:
+    the carried ``G 1`` (sigma-opt, tv) or the column sums of squares (vm,
+    msd). With confidence weight ``a_t``, tv blends toward the sigma-opt
+    score and msd toward the vm score
+    (``0.5 a_t * ensemble + (1 - a_t) * adaptive``), while klg/fl/kl take
+    their label expectation under the mixed posterior. Returned array aligns
+    with ``model.unlabeled``.
     """
     kind = strategy.kind
     if kind == "random":
         raise ValueError("the random strategy is not score-driven")
-    binary = model.num_classes == 2
-    if not binary and kind in BINARY_ONLY_KINDS:
-        raise ValueError(f"strategy {kind!r} is defined for binary models only")
     alpha = strategy.alpha(t)
-    dg = _scan_diag(model.G)
-    if kind in ("vm", "sigma-opt"):
-        return _ensemble_scan(model, dg, kind)
+    G = model.G
+    dg = _scan_diag(G)
     if kind == "unc":
         return _top_two_margin(model.means)
-    if not binary:
-        return _change_scan(model, dg, kind, alpha, _class_spread(model))
     if kind in RETRAINING_KINDS:
         return _expected_change(model, kind, alpha, strategy.maxmin, range(model.num_unlabeled))
-    mu = model.mu
-    unc_term = 1.0 - mu * mu
     if kind == "klg":
+        mu = _binary_mu(model)
         if alpha == 0.0:
-            return unc_term / (2.0 * dg)
+            return (1.0 - mu * mu) / (2.0 * dg)
         w_plus = _mix(alpha, soft_labels(mu))
         return (w_plus * (1.0 - mu) ** 2 + (1.0 - w_plus) * (1.0 + mu) ** 2) / (2.0 * dg)
-    return _change_scan(model, dg, kind, alpha, 2.0 * unc_term if kind == "tv" else unc_term)
+    l1 = kind in ("tv", "sigma-opt")
+    norm = model.row_sums if l1 else (G * G).sum(axis=0)
+    adaptive = kind in ("tv", "msd")
+    if adaptive:
+        mu = model.mu
+        if mu is None:
+            weight = _class_spread(model)
+        else:
+            weight = 1.0 - mu * mu
+            if l1:
+                weight = 2.0 * weight
+        base = weight * norm / dg if l1 else weight * norm / (dg * dg)
+        if alpha == 0.0:
+            return base
+    ensemble = norm * norm / dg if l1 else norm / dg
+    if not adaptive:
+        return ensemble
+    return 0.5 * alpha * ensemble + (1.0 - alpha) * base
 
 
 def _uniform_draw(ids: np.ndarray, rng: np.random.Generator) -> int:

@@ -60,6 +60,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("name, value", [
         ("delta", float("nan")), ("delta", float("inf")), ("seed", -1),
+        ("seed", 1.5), ("budget", 2.5), ("runs", 2.5),
     ])
     def test_rejects_bad_delta_or_seed_before_any_compute(self, monkeypatch, name, value):
         def no_compute(*args, **kwargs):
@@ -69,8 +70,13 @@ class TestConfigValidation:
         monkeypatch.setattr(bench, "regularized_laplacian", no_compute)
         monkeypatch.setattr(bench, "spd_inverse", no_compute)
         with pytest.raises(ValueError, match=name):
-            run_experiment(ExperimentConfig("grid:4x4", [Strategy("tv")], budget=3,
-                                            **{name: value}))
+            run_experiment(ExperimentConfig("grid:4x4", [Strategy("tv")],
+                                            **{"budget": 3, name: value}))
+
+    def test_numpy_integers_accepted(self):
+        cfg = ExperimentConfig("grid:4x4", [Strategy("tv")], budget=np.int64(3),
+                               runs=np.int32(2), seed=np.uint8(5))
+        assert (cfg.budget, cfg.runs, cfg.seed) == (3, 2, 5)
 
     def test_budget_must_stay_below_node_count(self):
         cfg = ExperimentConfig(small_labeled_graph(), [Strategy("random")], budget=12, runs=1)

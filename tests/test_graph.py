@@ -1,5 +1,7 @@
 """Graph construction, generators, Laplacians, and file round-trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -382,6 +384,21 @@ class TestFromSpec:
         lg = from_spec(f"file:{edges}:{labels}")
         assert lg.graph.edges == src.graph.edges
         assert lg.labels == src.labels
+
+    def test_stray_node_id_rejected_in_small_memory(self, tmp_path):
+        # one stray id sets n = 2,000,001; building range(n) would take over
+        # 100 MB before the label file is found to be short
+        edges, labels = tmp_path / "g.edges", tmp_path / "g.labels"
+        edges.write_text("0 1 1\n1 2 1\n2 2000000 1\n")
+        labels.write_text("0 0\n1 1\n2 0\n3 1\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="must cover exactly the 2000001 nodes"):
+                from_spec(f"file:{edges}:{labels}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_unknown_spec_rejected(self):
         with pytest.raises(ValueError, match="unknown graph spec"):

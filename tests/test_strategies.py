@@ -359,16 +359,25 @@ class TestConfidence:
             sig = utility_scores(Strategy("sigma-opt"), model, t=3)
             assert int(np.argmax(adjusted)) == int(np.argmax(sig))
 
-    def test_blend_formula(self):
+    @pytest.mark.parametrize("alpha", [0.4, 1.0])
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    @pytest.mark.parametrize("kind, adaptive, ensemble", [
+        ("tv", score_tv, score_sigma_opt), ("msd", score_msd, score_vm),
+    ], ids=["tv", "msd"])
+    def test_blend_formula(self, kind, adaptive, ensemble, num_classes, alpha):
         rng = np.random.default_rng(13)
-        model = make_model(rng, 8, observed=2)
-        alpha = 0.4
-        adjusted = utility_scores(Strategy("tv", confidence="const:0.4"), model, t=9)
+        if num_classes == 2:
+            model = make_model(rng, 8, observed=2)
+        else:
+            lap = regularized_laplacian(random_connected_graph(8, rng), 0.005)
+            model = GmrfModel.from_laplacian(lap, 3)
+            model.observe(0, 1)
+            model.observe(5, 2)
+        adjusted = utility_scores(Strategy(kind, confidence=f"const:{alpha}"), model, t=9)
         for idx, node in enumerate(model.unlabeled):
             node = int(node)
-            expected = 0.5 * alpha * score_sigma_opt(model, node) + (1 - alpha) * score_tv(
-                model, node
-            )
+            expected = (0.5 * alpha * ensemble(model, node)
+                        + (1 - alpha) * adaptive(model, node))
             assert adjusted[idx] == pytest.approx(expected, rel=1e-12)
 
     def test_out_of_range_alpha_rejected(self):
