@@ -7,7 +7,9 @@ validation suites). Exit codes: 0 success, 1 runtime error, 2 usage error.
 Diagnostics go to stderr; result tables go to stdout and CSVs to files.
 
 The environment variable ``GMRF_ACTIVE_OUTDIR`` sets the default output
-directory when ``--out`` paths are omitted.
+directory when ``--out`` paths are omitted. Every output path is checked
+before any compute: a missing parent directory or a path that is a directory
+exits 1 with a message that names the path.
 """
 
 from __future__ import annotations
@@ -98,6 +100,16 @@ def _default_out(filename: str) -> str:
     return os.path.join(os.environ.get(OUTDIR_ENV, "."), filename)
 
 
+def _output_path(path: str) -> str:
+    """``path`` if a file can be created there; raises before any compute."""
+    if os.path.isdir(path):
+        raise ValueError(f"output path {path} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"output path {path}: directory {parent} does not exist")
+    return path
+
+
 def _add_experiment_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--graph", required=True,
                     help="grid:RxC | community:S1,S2,..:pin=P:pout=Q | file:EDGES:LABELS")
@@ -154,6 +166,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
+    _output_path(args.out_edges)
+    _output_path(args.out_labels)
     lg = graph_mod.from_spec(args.graph, seed=args.seed)
     graph_mod.save_edge_list(lg.graph, args.out_edges)
     graph_mod.save_labels(lg.labels, args.out_labels)
@@ -166,14 +180,16 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_build_graph(args) -> int:
+    stem = os.path.splitext(os.path.basename(args.features))[0]
+    out_edges = _output_path(args.out_edges or _default_out(stem + ".edges"))
+    if args.out_labels:
+        _output_path(args.out_labels)
     features, labels = graph_mod.load_features(args.features)
     if not args.no_normalize:
         features = graph_mod.normalize_features(features)
     g = graph_mod.build_from_features(
         features, args.method, sigma=args.sigma, threshold=args.threshold
     )
-    stem = os.path.splitext(os.path.basename(args.features))[0]
-    out_edges = args.out_edges or _default_out(stem + ".edges")
     graph_mod.save_edge_list(g, out_edges)
     print(f"wrote {out_edges} ({g.n} nodes, {g.num_edges} edges)", file=sys.stderr)
     if args.out_labels:
@@ -194,6 +210,7 @@ def _make_strategies(args, names: list[str]) -> list[Strategy]:
 
 
 def _cmd_experiment(args, names: list[str]) -> int:
+    out = _output_path(args.out or _default_out("results.csv"))
     cfg = ExperimentConfig(
         graph=args.graph,
         strategies=_make_strategies(args, names),
@@ -203,7 +220,6 @@ def _cmd_experiment(args, names: list[str]) -> int:
         delta=args.delta,
         eval_on=args.eval_on,
     )
-    out = args.out or _default_out("results.csv")
     results = run_experiment(cfg)
     emit_csv(results, out)
     print(emit_summary(results))

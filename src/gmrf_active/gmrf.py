@@ -35,17 +35,38 @@ DECISION_ATOL = 1e-12
 
 
 def spd_inverse(matrix: np.ndarray) -> np.ndarray:
-    """Invert a symmetric positive definite matrix via Cholesky.
+    """Inverse of a symmetric positive definite matrix in one working buffer.
 
-    The result is explicitly symmetrized so later rank-one downdates cannot
-    drift off the symmetric manifold.
+    The input must be square and finite; it is never written. One
+    Fortran-order copy is factored in place by LAPACK ``dpotrf`` and inverted
+    in place by ``dpotri``, both reading and writing the lower triangle only,
+    and the lower triangle is then mirrored into the upper one, so the result
+    is exactly symmetric and later rank-one downdates cannot drift off the
+    symmetric manifold. The returned array is the transpose of that buffer, a
+    C-contiguous view holding the same matrix. Peak memory is about one
+    ``n^2`` array above the input.
     """
-    try:
-        factor = scipy.linalg.cho_factor(np.asarray(matrix, dtype=float), lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise ValueError(f"matrix is not positive definite: {exc}") from None
-    inv = scipy.linalg.cho_solve(factor, np.eye(matrix.shape[0]))
-    return (inv + inv.T) / 2.0
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if a.shape[0] == 0:  # LAPACK rejects a leading dimension of 0
+        return np.empty((0, 0))
+    # dpotrf reads one triangle, so a NaN or inf in the other would pass
+    if not np.isfinite(a).all():
+        raise ValueError("matrix holds non-finite entries")
+    work = np.array(a, order="F")
+    # clean=0: the upper triangle is overwritten by the mirror below
+    work, info = scipy.linalg.lapack.dpotrf(work, lower=1, clean=0, overwrite_a=1)
+    if info == 0:
+        work, info = scipy.linalg.lapack.dpotri(work, lower=1, overwrite_c=1)
+    if info < 0:
+        raise ValueError(f"LAPACK rejected argument {-info} of the Cholesky inverse")
+    if info > 0:
+        raise ValueError(f"matrix is not positive definite: {info}-th leading minor "
+                         "of the array is not positive definite")
+    for j in range(1, work.shape[0]):
+        work[:j, j] = work[j, :j]
+    return work.T
 
 
 def soft_labels(means):

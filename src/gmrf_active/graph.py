@@ -168,9 +168,13 @@ def regularized_laplacian(graph: Graph, delta: float) -> RegularizedLaplacian:
             f"graph is disconnected ({graph.component_count()} components); "
             "a connected graph is required for model construction"
         )
-    W = graph.weight_matrix()
-    L = np.diag(W.sum(axis=1)) - W
-    L[np.diag_indices_from(L)] += delta
+    # L is built inside W's array: 0 - W off the diagonal, whose zeros stay
+    # +0.0 (negation would make them -0.0), and row sum + delta on it, the
+    # same bytes as np.diag(W.sum(axis=1)) - W with delta added
+    L = graph.weight_matrix()
+    row_sums = L.sum(axis=1)
+    np.subtract(0.0, L, out=L)
+    L.flat[::graph.n + 1] = row_sums + delta
     return RegularizedLaplacian(graph.n, L)
 
 

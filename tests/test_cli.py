@@ -9,6 +9,8 @@ from gmrf_active import (
     load_labels,
     normalize_features,
 )
+from gmrf_active import cli
+from gmrf_active import graph as graph_mod
 from gmrf_active.cli import main
 
 
@@ -169,3 +171,61 @@ def test_maxmin_with_closed_form_strategy_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert "--maxmin" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _no_compute(*args, **kwargs):
+    # pytest.fail raises past main's `except Exception`, so the test fails
+    pytest.fail("compute ran before the output path was checked")
+
+
+# command -> (argv without the output flag, output flag, default file name)
+OUTPUT_COMMANDS = {
+    "run": (["run", "--strategy", "tv", "--graph", "grid:40x40", "--T", "30", "--runs", "100"],
+            "--out", "results.csv"),
+    "compare": (["compare", "--graph", "grid:5x5", "--strategies", "tv,random", "--T", "3"],
+                "--out", "results.csv"),
+    "build-graph": (["build-graph", "--features", "data.csv"], "--out-edges", "data.edges"),
+}
+
+
+@pytest.mark.parametrize("target", ["missing-parent", "directory", "outdir-env"])
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+def test_bad_output_path_fails_before_any_compute(tmp_path, monkeypatch, capsys,
+                                                  command, target):
+    monkeypatch.setattr(cli, "run_experiment", _no_compute)
+    monkeypatch.setattr(graph_mod, "load_features", _no_compute)
+    monkeypatch.setattr(graph_mod, "build_from_features", _no_compute)
+    argv, flag, default_name = OUTPUT_COMMANDS[command]
+    missing = tmp_path / "no_such_dir"
+    if target == "missing-parent":
+        path = str(missing / "x.csv")
+        argv = argv + [flag, path]
+    elif target == "directory":
+        path = str(tmp_path)
+        argv = argv + [flag, path]
+    else:
+        monkeypatch.setenv("GMRF_ACTIVE_OUTDIR", str(missing))
+        path = str(missing / default_name)
+    assert main(argv) == 1
+    assert path in capsys.readouterr().err
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("build-graph", "--out-labels"), ("gen", "--out-edges"), ("gen", "--out-labels"),
+])
+def test_every_output_path_of_a_command_is_checked_first(tmp_path, monkeypatch, capsys,
+                                                         command, flag):
+    monkeypatch.setattr(graph_mod, "load_features", _no_compute)
+    monkeypatch.setattr(graph_mod, "from_spec", _no_compute)
+    paths = {"--out-edges": str(tmp_path / "g.edges"), "--out-labels": str(tmp_path / "g.labels")}
+    paths[flag] = str(tmp_path / "no_such_dir" / "x")
+    if command == "gen":
+        argv = ["gen", "--graph", "grid:5x5"]
+    else:
+        argv = ["build-graph", "--features", str(tmp_path / "f.csv")]
+    for name, path in paths.items():
+        argv += [name, path]
+    assert main(argv) == 1
+    assert paths[flag] in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

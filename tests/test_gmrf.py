@@ -1,7 +1,10 @@
 """Field-model state: initialization, rank-one updates, predictions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +15,7 @@ from gmrf_active import (
     community_graph,
     conditional_mean_direct,
     from_spec,
+    grid_graph,
     regularized_laplacian,
     run_experiment,
     spd_inverse,
@@ -473,6 +477,17 @@ class TestClassDecision:
         assert winners.tolist() == [1, 2, 1, 1]
 
 
+def cho_solve_inverse(M):
+    """The former spd_inverse: ``cho_solve`` against I, then ``(inv + inv.T) / 2``."""
+    factor = scipy.linalg.cho_factor(M, lower=True)
+    inv = scipy.linalg.cho_solve(factor, np.eye(M.shape[0]))
+    return (inv + inv.T) / 2.0
+
+
+def _no_lapack(*args, **kwargs):
+    raise AssertionError("LAPACK ran before the input was checked")
+
+
 class TestSpdHelpers:
     def test_spd_inverse_symmetry(self):
         rng = np.random.default_rng(17)
@@ -481,3 +496,64 @@ class TestSpdHelpers:
         inv = spd_inverse(M)
         assert np.array_equal(inv, inv.T)
         assert np.abs(inv @ M - np.eye(12)).max() < 1e-8
+
+    @pytest.mark.parametrize("spec, seed", [
+        ("grid:10x10", 7), ("community:75,105,120:pin=0.15:pout=0.006", 11), ("grid:20x20", 3),
+    ], ids=["n100", "n300", "n400"])
+    def test_matches_former_cholesky_solve_and_is_exactly_symmetric(self, spec, seed):
+        M = regularized_laplacian(from_spec(spec, seed=seed).graph, 0.005).matrix
+        G = spd_inverse(M)
+        ref = cho_solve_inverse(M)
+        assert np.abs(G - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(G, G.T)
+        assert G.flags.c_contiguous
+
+    @pytest.mark.parametrize("layout", ["C", "F", "read-only"])
+    def test_input_never_written(self, layout):
+        M = random_lap(np.random.default_rng(21), 30).matrix
+        expected = spd_inverse(M.copy())
+        if layout == "F":
+            M = np.asfortranarray(M)
+        kept = M.copy()
+        if layout == "read-only":
+            M.flags.writeable = False
+        G = spd_inverse(M)
+        assert np.array_equal(M, kept)
+        assert np.array_equal(G, expected)
+        assert not np.shares_memory(G, M)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2)])
+    def test_non_square_rejected_before_lapack(self, monkeypatch, shape):
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", _no_lapack)
+        with pytest.raises(ValueError, match="must be square"):
+            spd_inverse(np.ones(shape))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(3, 0), (0, 3)], ids=["lower", "upper"])
+    def test_non_finite_rejected_before_lapack(self, monkeypatch, value, where):
+        # dpotrf reads the lower triangle only; an upper entry must not slip by
+        M = random_lap(np.random.default_rng(22), 5).matrix
+        M[where] = value
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", _no_lapack)
+        with pytest.raises(ValueError, match="non-finite"):
+            spd_inverse(M)
+
+    def test_not_positive_definite_names_the_leading_minor(self):
+        with pytest.raises(ValueError, match="not positive definite: 2-th leading minor"):
+            spd_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_empty_matrix_has_empty_inverse(self):
+        assert spd_inverse(np.zeros((0, 0))).shape == (0, 0)
+
+    def test_peak_memory_is_one_working_buffer(self):
+        M = regularized_laplacian(grid_graph(20, 20, seed=3).graph, 0.005).matrix
+        n = M.shape[0]
+        spd_inverse(M)  # first call loads what it needs outside the measurement
+        tracemalloc.start()
+        try:
+            spd_inverse(M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the former cho_solve(I) path peaked at 3.0 n^2 doubles above M
+        assert peak <= 1.1 * 8 * n * n

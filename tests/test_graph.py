@@ -219,6 +219,40 @@ class TestRegularizedLaplacian:
         M = regularized_laplacian(g, 0.005).matrix
         assert np.array_equal(M, M.T)
 
+    @pytest.mark.parametrize("source", ["grid", "community", "file"])
+    def test_bytes_equal_three_array_formula(self, tmp_path, source):
+        if source == "file":
+            src = community_graph([12, 15], 0.4, 0.05, seed=6)
+            edges, labels = tmp_path / "g.edges", tmp_path / "g.labels"
+            save_edge_list(src.graph, edges)
+            save_labels(src.labels, labels)
+            g = from_spec(f"file:{edges}:{labels}").graph
+        elif source == "grid":
+            g = grid_graph(7, 9, seed=1).graph
+        else:
+            g = community_graph([10, 20, 15], 0.3, 0.02, seed=4).graph
+        delta = 0.005
+        # the former formula: one array for W, one for the diagonal, one for L
+        W = g.weight_matrix()
+        expected = np.diag(W.sum(axis=1)) - W
+        expected[np.diag_indices_from(expected)] += delta
+        L = regularized_laplacian(g, delta).matrix
+        assert L.dtype == expected.dtype and L.shape == expected.shape
+        assert L.tobytes() == expected.tobytes()
+
+    def test_peak_memory_is_one_array(self):
+        g = grid_graph(20, 20, seed=3).graph
+        n = g.n
+        regularized_laplacian(g, 0.005)  # counts the components outside the measurement
+        tracemalloc.start()
+        try:
+            regularized_laplacian(g, 0.005)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the former three-array formula peaked at 2.0 n^2 doubles
+        assert peak <= 1.1 * 8 * n * n
+
 
 class TestGridGraph:
     def test_node_and_edge_counts(self):
