@@ -59,9 +59,7 @@ def spd_inverse(matrix: np.ndarray) -> np.ndarray:
     work, info = scipy.linalg.lapack.dpotrf(work, lower=1, clean=0, overwrite_a=1)
     if info == 0:
         work, info = scipy.linalg.lapack.dpotri(work, lower=1, overwrite_c=1)
-    if info < 0:
-        raise ValueError(f"LAPACK rejected argument {-info} of the Cholesky inverse")
-    if info > 0:
+    if info != 0:
         raise ValueError(f"matrix is not positive definite: {info}-th leading minor "
                          "of the array is not positive definite")
     for j in range(1, work.shape[0]):

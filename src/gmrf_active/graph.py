@@ -168,9 +168,8 @@ def regularized_laplacian(graph: Graph, delta: float) -> RegularizedLaplacian:
             f"graph is disconnected ({graph.component_count()} components); "
             "a connected graph is required for model construction"
         )
-    # L is built inside W's array: 0 - W off the diagonal, whose zeros stay
-    # +0.0 (negation would make them -0.0), and row sum + delta on it, the
-    # same bytes as np.diag(W.sum(axis=1)) - W with delta added
+    # built inside W's array, the same bytes as np.diag(W.sum(axis=1)) - W
+    # plus delta: 0 - W keeps the zeros +0.0, where negation gives -0.0
     L = graph.weight_matrix()
     row_sums = L.sum(axis=1)
     np.subtract(0.0, L, out=L)

@@ -77,7 +77,7 @@ class TestInit:
     def test_non_pd_rejected(self):
         lap = two_node_lap()
         lap.matrix = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
-        with pytest.raises(ValueError, match="positive definite"):
+        with pytest.raises(ValueError, match="not positive definite: 2-th leading minor"):
             GmrfModel.from_laplacian(lap, 2)
 
 
@@ -537,10 +537,6 @@ class TestSpdHelpers:
         monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", _no_lapack)
         with pytest.raises(ValueError, match="non-finite"):
             spd_inverse(M)
-
-    def test_not_positive_definite_names_the_leading_minor(self):
-        with pytest.raises(ValueError, match="not positive definite: 2-th leading minor"):
-            spd_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_empty_matrix_has_empty_inverse(self):
         assert spd_inverse(np.zeros((0, 0))).shape == (0, 0)
