@@ -270,7 +270,9 @@ def conditional_mean_direct(lap: RegularizedLaplacian, labeled: dict) -> np.ndar
     Solves ``M_UU m = -M_UL y_L`` with ``M`` the regularized Laplacian and
     returns ``m`` ordered by ascending unlabeled node id. This is the
     reference the incremental :meth:`GmrfModel.observe` path is checked
-    against.
+    against. The fresh block ``M_UU`` is factored in place through its
+    Fortran-ordered transpose, which holds the same matrix because ``M`` is
+    exactly symmetric, so the solve holds one ``|U|^2`` array.
     """
     if not labeled:
         raise ValueError("at least one labeled node is required")
@@ -283,7 +285,7 @@ def conditional_mean_direct(lap: RegularizedLaplacian, labeled: dict) -> np.ndar
     A = M[np.ix_(unl_ids, unl_ids)]
     B = M[np.ix_(unl_ids, lab_ids)]
     y = np.array([labeled[i] for i in lab_ids])
-    factor = scipy.linalg.cho_factor(A, lower=True)
+    factor = scipy.linalg.cho_factor(A.T, lower=True, overwrite_a=True)
     return scipy.linalg.cho_solve(factor, -B @ y)
 
 

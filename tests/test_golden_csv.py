@@ -43,6 +43,12 @@ sequence, whose first change was a decision on a mean with |m| of at most
 10-15), ``binary-initial`` 7 of 30 (tv 9-15), ``binary-paths`` 1 of 75
 (vm 2) and ``binary-schedules`` 13 of 75 (fl 2-9, 11-15). The
 ``multiclass`` digest did not move.
+
+The ``multi-block`` digest runs fl and kl on a 20x20 grid, where one scan
+spans five row blocks of ``G`` with a ragged last one (``|U|`` = 399 at
+t = 2 and about 82 rows per block), while the 8x8 digests fit in one block.
+It was recorded with the per-candidate fl/kl loop, before the block scan
+replaced it.
 """
 
 import hashlib
@@ -113,6 +119,23 @@ GOLDEN = {
             delta=0.005,
         ),
         "501ba9f9ffe1f5d3a165b547042e4f5c92215b85c48556a271b54f9caf036db9",
+    ),
+    "multi-block": (
+        ExperimentConfig(
+            graph="grid:20x20",
+            strategies=[
+                Strategy("fl"),
+                Strategy("kl", confidence="inv_sqrt"),
+                Strategy("fl", confidence="const:0.4", name="fl-const"),
+                Strategy("fl", maxmin=True, name="fl-maxmin"),
+                Strategy("kl", maxmin=True, name="kl-maxmin"),
+            ],
+            budget=8,
+            runs=1,
+            seed=3,
+            delta=0.005,
+        ),
+        "89ac819a90ffd7ee112210dfa5f7e44db9567ee1d036af218f6c17117f384ae4",
     ),
     "multiclass": (
         ExperimentConfig(

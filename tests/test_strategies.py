@@ -1,5 +1,7 @@
 """Utility scores, confidence schedules, and query selection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,8 +28,8 @@ from gmrf_active import (
 )
 from gmrf_active import strategies
 from gmrf_active.checks import random_connected_graph
-from gmrf_active.gmrf import PIVOT_FLOOR, soft_labels
-from gmrf_active.graph import grid_graph
+from gmrf_active.gmrf import DECISION_ATOL, PIVOT_FLOOR, soft_labels
+from gmrf_active.graph import community_graph, grid_graph
 from gmrf_active.strategies import TIE_RTOL, _bernoulli_kl
 
 
@@ -566,6 +568,163 @@ def _column_loop(model, kind, alpha, maxmin):
         w = w_plus[pos]
         scores[pos] = min(plus, minus) if maxmin else w * plus + (1.0 - w) * minus
     return scores
+
+
+def _per_candidate_loop(model, kind, alpha, maxmin, positions):
+    """The fl / kl scan as it was written before the block scan: one pivot
+    and two hypothetical means per candidate, one Python iteration each.
+    ``_bernoulli_kl`` rounds each divergence as the scan's hoisted-log form."""
+    mu = model.mu
+    p = soft_labels(mu)
+    above = mu > DECISION_ATOL
+    w_plus = 0.5 * alpha + (1.0 - alpha) * p
+    G = model.G
+    scores = np.empty(len(positions))
+    for k, pos in enumerate(positions):
+        gkk = model.pivot(pos)
+        totals = []
+        for value in (1.0, -1.0):
+            mu_plus = mu + ((value - mu[pos]) / gkk) * G[pos]
+            if kind == "fl":
+                flips = (mu_plus > DECISION_ATOL) != above
+                flips[pos] = False
+                totals.append(float(np.count_nonzero(flips)))
+            else:
+                per_node = _bernoulli_kl(soft_labels(mu_plus), p)
+                per_node[pos] = 0
+                totals.append(float(per_node.sum()))
+        plus, minus = totals
+        w = w_plus[pos]
+        scores[k] = min(plus, minus) if maxmin else w * plus + (1.0 - w) * minus
+    model.retrain_calls += 2 * len(positions)
+    return scores
+
+
+def _observed_grid(side, observations):
+    model = GmrfModel.from_laplacian(
+        regularized_laplacian(grid_graph(side, side, seed=5).graph, 0.005), 2)
+    for node, class_id in observations:
+        model.observe(node, class_id)
+    return model
+
+
+class TestBlockScan:
+    """The fl / kl scan scores candidates in row blocks of G; every score
+    must equal the per-candidate loop's bit for bit, across block edges."""
+
+    @pytest.fixture(scope="class")
+    def multi_block(self):
+        # |U| = 395: 82 rows per default block, so 5 blocks, the last ragged
+        model = _observed_grid(20, ((0, 1), (399, 0), (210, 1), (57, 0), (342, 1)))
+        height = strategies._BLOCK_BYTES // (8 * model.num_unlabeled)
+        assert model.num_unlabeled > 3 * height and model.num_unlabeled % height
+        return model
+
+    @pytest.mark.parametrize("kind", ["fl", "kl"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("maxmin", [False, True])
+    def test_bit_identical_to_per_candidate_loop(self, multi_block, kind, alpha, maxmin):
+        positions = np.arange(multi_block.num_unlabeled)
+        scan = strategies._expected_change(multi_block, kind, alpha, maxmin, positions)
+        expected = _per_candidate_loop(multi_block, kind, alpha, maxmin, positions)
+        assert scan.max() > 0
+        assert np.array_equal(scan, expected)
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    @pytest.mark.parametrize("kind", ["fl", "kl"])
+    @pytest.mark.parametrize("maxmin", [False, True])
+    def test_bit_identical_for_any_block_height(self, monkeypatch, rows, kind, maxmin):
+        model = _observed_grid(10, ((0, 1), (99, 0), (45, 1)))
+        monkeypatch.setattr(strategies, "_BLOCK_BYTES", rows * 8 * model.num_unlabeled)
+        strategy = Strategy(kind, confidence="inv_sqrt", maxmin=maxmin)
+        scan = utility_scores(strategy, model, t=4)
+        positions = range(model.num_unlabeled)
+        expected = _per_candidate_loop(model, kind, strategy.alpha(4), maxmin, positions)
+        assert np.array_equal(scan, expected)
+
+    @pytest.mark.parametrize("scorer, kind", [(score_fl, "fl"), (score_kl, "kl")])
+    def test_per_node_scorer_is_a_one_row_block(self, multi_block, scorer, kind):
+        for node in multi_block.unlabeled[::37]:
+            pos = multi_block.position(int(node))
+            expected = _per_candidate_loop(multi_block, kind, 0.3, False, [pos])[0]
+            assert scorer(multi_block, int(node), alpha=0.3) == expected
+
+    @pytest.mark.parametrize("kind", ["fl", "kl"])
+    def test_first_degenerate_pivot_in_order_raises(self, monkeypatch, kind):
+        # degenerate pivots at nodes 5 (first block of three) and 2 (second
+        # block); the loop meets node 5 first and names it
+        monkeypatch.setattr(strategies, "_BLOCK_BYTES", 3 * 8 * 8)
+        diagonal = np.ones(8)
+        diagonal[[2, 5]] = 0.5 * PIVOT_FLOOR
+        model = model_with_state(np.linspace(-0.5, 0.5, 8), np.diag(diagonal))
+        positions = [4, 0, 5, 1, 2, 3]
+        with pytest.raises(ValueError) as expected:
+            _per_candidate_loop(model, kind, 0.0, False, positions)
+        before = model.retrain_calls
+        with pytest.raises(ValueError) as raised:
+            strategies._expected_change(model, kind, 0.0, False, positions)
+        assert str(raised.value) == str(expected.value)
+        assert "at node 5" in str(raised.value)
+        assert model.retrain_calls == before
+
+    @pytest.mark.parametrize("kind", ["fl", "kl"])
+    def test_peak_memory_is_a_few_blocks(self, kind):
+        # |U| = 2000: one |U|^2 temporary would be 32 MB
+        n = 2000
+        G = np.full((n, n), 0.1)
+        G[np.diag_indices(n)] += 1.0
+        mu = np.random.default_rng(3).uniform(-0.9, 0.9, n)
+        model = model_with_state(mu, G)
+        del G
+        positions = np.arange(n)
+        strategies._expected_change(model, kind, 0.3, False, positions)
+        tracemalloc.start()
+        try:
+            strategies._expected_change(model, kind, 0.3, False, positions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured: about 2.3 blocks (fl) and 6.5 blocks (kl), O(|U|) included
+        assert peak <= 8 * strategies._BLOCK_BYTES + 32 * 8 * n
+
+
+class TestColumnSumsOfSquares:
+    """vm and msd read ``einsum("ij,ij->j", G, G)``; its summation order is
+    not a documented contract, so the scores are pinned to the former
+    ``(G * G).sum(axis=0)`` bit for bit."""
+
+    @staticmethod
+    def _states():
+        grid = _observed_grid(12, ())
+        yield grid
+        for node, class_id in ((0, 1), (143, 0), (70, 1), (30, 0)):
+            grid.observe(node, class_id)
+            yield grid
+        lap = regularized_laplacian(community_graph([20, 20, 20], 0.5, 0.02, seed=4).graph,
+                                    0.005)
+        community = GmrfModel.from_laplacian(lap, 3)
+        for node, class_id in ((0, 0), (25, 1), (47, 2)):
+            community.observe(node, class_id)
+            yield community
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.4])
+    def test_vm_and_msd_match_former_expression(self, alpha):
+        confidence = f"const:{alpha}"
+        for model in self._states():
+            G = model.G
+            dg = np.diagonal(G)
+            norm = (G * G).sum(axis=0)
+            if model.mu is None:
+                weight = strategies._class_spread(model)
+            else:
+                weight = 1.0 - model.mu * model.mu
+            vm = norm / dg
+            msd = weight * norm / (dg * dg)
+            if alpha:
+                msd = 0.5 * alpha * vm + (1.0 - alpha) * msd
+            assert np.array_equal(utility_scores(Strategy("vm"), model, t=3), vm)
+            assert np.array_equal(
+                utility_scores(Strategy("msd", confidence=confidence), model, t=3), msd)
 
 
 SCORED_KINDS = [(2, kind) for kind in ("tv", "msd", "klg", "vm", "sigma-opt", "unc", "fl", "kl")]
