@@ -5,9 +5,10 @@ array: the inverse ``G`` of the regularized Laplacian restricted to the
 unlabeled nodes, which every field shares, the C conditional means given the
 labels observed so far, and the row sums ``G 1`` that the tv and sigma-opt
 scans read as the l1 norms of the columns of ``G``. Disclosing a label moves
-every row by one Schur-complement step, ``O(|U|^2)`` whatever C is, into a
-fresh array, so :meth:`GmrfModel.observe` never writes an array a caller
-holds; no refactorization happens after initialization. A binary problem is
+every row by one Schur-complement step, one BLAS rank-one update of cost
+``O(|U|^2)`` whatever C is, applied to a fresh array, so
+:meth:`GmrfModel.observe` never writes an array a caller holds; no
+refactorization happens after initialization. A binary problem is
 the case C = 2, whose field ``mu`` is the class-1 row of the means.
 :func:`conditional_mean_direct` re-solves the linear system from scratch and
 serves as the reference implementation the incremental path is tested
@@ -96,13 +97,15 @@ class GmrfModel:
     ``G``, ``means``, ``row_sums`` and ``mu`` are views of one
     ``(|U| + C + 1, |U|)`` state array, which the constructor fills with
     copies of its arguments. :meth:`observe` at position ``k`` replaces it,
-    never writes it: every row ``r`` becomes ``r_{-k} - (r_k - t_r) g / g_kk``,
-    with ``g`` column ``k`` of ``G`` without entry ``k`` and target ``t_r``
-    the observed field value ``+/-1`` for the means and 0 for ``G`` and
-    ``G 1``. On ``G`` that subtracts ``(g_i g_j) / g_kk``, which rounds
-    the same for ``(i, j)`` and ``(j, i)``, so ``G`` stays exactly symmetric
-    (:func:`spd_inverse` symmetrizes the start) and readers take the
-    contiguous row ``k`` for column ``k``.
+    never writes it: every row ``r`` becomes ``r_{-k} - c_r s``, with
+    ``c_r = (r_k - t_r) / sqrt(g_kk)``, ``s = g / sqrt(g_kk)`` the ``G`` part
+    of ``c``, ``g`` column ``k`` of ``G`` without entry ``k`` and target
+    ``t_r`` the observed field value ``+/-1`` for the means and 0 for ``G``
+    and ``G 1``. On ``G`` that subtracts ``s_i s_j``, the same product for
+    ``(i, j)`` and ``(j, i)``, and each entry is rounded once, so ``G`` stays
+    exactly symmetric (:func:`spd_inverse` symmetrizes the start) and readers
+    take the contiguous row ``k`` for column ``k``. Negated targets negate
+    ``c`` exactly, so the two fields of a binary model stay exact negations.
 
     Attributes
     ----------
@@ -227,9 +230,10 @@ class GmrfModel:
         Every row of the state takes the one Schur step of the class
         docstring, with ``t_r = +1`` for the observed class's field and
         ``-1`` for the other fields. The kept rows and columns are copied
-        once into a fresh array and the rank-one term is subtracted from it
-        in place, on contiguous memory. Cost ``O(|U|^2)``, independent of the
-        class count.
+        once into a fresh array, and one BLAS ``dger`` call subtracts
+        ``c s^T`` from it in place, rounding each entry once; no rank-one
+        temporary is formed. Cost ``O(|U|^2)``, independent of the class
+        count.
         """
         if class_id not in range(self.num_classes):
             raise ValueError(f"class id {class_id} outside 0..{self.num_classes - 1}")
@@ -243,19 +247,17 @@ class GmrfModel:
         D[:pos, pos:] = S[:pos, pos + 1:]
         D[pos:, :pos] = S[pos + 1:, :pos]
         D[pos:, pos:] = S[pos + 1:, pos + 1:]
-        coef = _without(S[:, pos], pos)
-        coef[k:-1] -= self._targets[class_id]
-        g = coef[:k]
+        c = _without(S[:, pos], pos)
+        c[k:-1] -= self._targets[class_id]
+        c /= np.sqrt(gkk)
         self._state = D
         self.unlabeled = _without(self.unlabeled, pos)
         self.labeled[int(node)] = class_id
-        # the old views go first, so the old state can be freed before the
-        # rank-one temporary exists
         self._expose_state()
-        del S
-        T = np.multiply.outer(coef, g)
-        T /= gkk
-        D -= T
+        if k:
+            # D -= outer(c, s) with s = c[:k]; D.T is F-contiguous, so BLAS
+            # writes D itself, rounding each entry once
+            scipy.linalg.blas.dger(-1.0, c[:k], c, a=D.T, overwrite_a=1)
         return self
 
     def predict(self) -> dict[int, int]:

@@ -242,7 +242,11 @@ def _expected_change(model: GmrfModel, kind: str, alpha: float, maxmin: bool,
                 flips[own] = False
                 total[block] = np.count_nonzero(flips, axis=1)
             else:
-                per_node = _kl_from_logs(soft_labels(means), *logs)
+                # soft_labels(means), in place on the block
+                means += 1.0
+                means /= 2.0
+                np.clip(means, 0.0, 1.0, out=means)
+                per_node = _kl_from_logs(means, *logs)
                 per_node[own] = 0
                 total[block] = per_node.sum(axis=1)
     plus, minus = totals

@@ -1,6 +1,7 @@
 """Field-model state: initialization, rank-one updates, predictions."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,6 +38,14 @@ def random_lap(rng, n, delta=0.005):
 def signed(labeled):
     """Binary class ids as the +/-1 field values of class 1."""
     return {k: 2.0 * c - 1.0 for k, c in labeled.items()}
+
+
+def minus_outer_once_rounded(rows, c, s):
+    """``rows - outer(c, s)`` with each entry rounded once from exact rationals."""
+    rows = np.asarray(rows, dtype=float)
+    exact = [[float(Fraction(x) - Fraction(ci) * Fraction(sj)) for x, sj in zip(row, s)]
+             for row, ci in zip(rows, c)]
+    return np.array(exact, dtype=float).reshape(rows.shape)
 
 
 class TestInit:
@@ -225,18 +234,19 @@ class TestObserve:
 
 
 class TestCompactingDowndate:
-    """``observe`` against the delete-after-update formula, bit for bit.
+    """``observe`` against the delete formula, bit for bit.
 
-    The reference moves every row ``r`` of ``G`` and of the means to
-    ``r - (r_k - t) g_k / g_kk`` on the full state and deletes entry ``k``
-    afterwards.
+    The reference deletes entry ``k`` and moves every row ``r`` of ``G`` and
+    of the means to ``r_{-k} - c_r s``, with ``c_r = (r_k - t) / sqrt(g_kk)``
+    and ``s`` column ``k`` of ``G`` without entry ``k`` over ``sqrt(g_kk)``,
+    each entry rounded once.
     """
 
     @staticmethod
     def reference_step(G, pos, gkk):
-        gk = G[:, pos].copy()
-        shrunk = np.delete(np.delete(G - np.outer(gk, gk) / gkk, pos, 0), pos, 1)
-        return gk, shrunk
+        s = np.delete(G[:, pos], pos) / np.sqrt(gkk)
+        kept = np.delete(np.delete(G, pos, 0), pos, 1)
+        return s, minus_outer_once_rounded(kept, s, s)
 
     @staticmethod
     def positions(rng, n):
@@ -253,9 +263,9 @@ class TestCompactingDowndate:
         for pos in self.positions(rng, ids.size):
             held, held_copy = model.G, model.G.copy()
             gkk = G_ref[pos, pos]
-            gk, G_ref = self.reference_step(G_ref, pos, gkk)
+            s, G_ref = self.reference_step(G_ref, pos, gkk)
             label = draw_label(rng)
-            ref = update_ref(ref, pos, gk, gkk, label)
+            ref = update_ref(ref, pos, s, gkk, label)
             model.observe(int(ids[pos]), label)
             ids = np.delete(ids, pos)
             assert np.array_equal(held, held_copy)
@@ -271,9 +281,10 @@ class TestCompactingDowndate:
         passed = spd_inverse(lap.matrix)
         kept = passed.copy()
 
-        def update_ref(mu, pos, gk, gkk, class_id):
+        def update_ref(mu, pos, s, gkk, class_id):
             value = 2.0 * class_id - 1.0
-            return np.delete(mu - ((mu[pos] - value) * gk) / gkk, pos)
+            c = (mu[pos] - value) / np.sqrt(gkk)
+            return minus_outer_once_rounded(np.delete(mu, pos)[None], [c], s)[0]
 
         for model in (GmrfModel.from_inverse(passed, 2),
                       GmrfModel(np.arange(11), {}, passed, np.zeros((2, 11)))):
@@ -287,17 +298,60 @@ class TestCompactingDowndate:
         passed = spd_inverse(lap.matrix)
         kept = passed.copy()
 
-        def update_ref(means, pos, gk, gkk, class_id):
+        def update_ref(means, pos, s, gkk, class_id):
             values = np.full(3, -1.0)
             values[class_id] = 1.0
-            moved = means - np.multiply.outer(means[:, pos] - values, gk) / gkk
-            return np.delete(moved, pos, axis=1)
+            c = (means[:, pos] - values) / np.sqrt(gkk)
+            return minus_outer_once_rounded(np.delete(means, pos, axis=1), c, s)
 
         for model in (GmrfModel.from_inverse(passed, 3),
                       GmrfModel(np.arange(10), {}, passed, np.zeros((3, 10)))):
             self.check_observe_sequence(
                 model, lambda m: m.means, lambda rng: int(rng.integers(3)), update_ref)
             assert np.array_equal(passed, kept)
+
+
+    def test_peak_memory_is_the_fresh_state(self):
+        model = GmrfModel.from_laplacian(
+            regularized_laplacian(grid_graph(20, 20, seed=3).graph, 0.005), 2)
+        model.observe(0, 1)  # loads what it needs outside the measurement
+        tracemalloc.start()
+        try:
+            model.observe(210, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured: 1.00 states; the outer-product step peaked at 2.10
+        assert peak <= 1.1 * model._state.nbytes
+
+    def test_rank_one_update_lands_in_the_state(self, monkeypatch):
+        # f2py copies an array of the wrong layout silently; the update must
+        # write the model's own state
+        written = []
+        dger = scipy.linalg.blas.dger
+
+        def recording_dger(*args, **kwargs):
+            written.append(dger(*args, **kwargs))
+            return written[-1]
+
+        monkeypatch.setattr(scipy.linalg.blas, "dger", recording_dger)
+        for num_classes in (2, 3):
+            model = GmrfModel.from_laplacian(random_lap(np.random.default_rng(16), 12),
+                                             num_classes)
+            for node in (4, 0, 11):
+                model.observe(node, 1)
+                assert np.shares_memory(written[-1], model._state)
+        assert len(written) == 6
+
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_G_exactly_symmetric_after_every_step(self, num_classes):
+        # |U| from 17 down to 0 runs the rank-one kernel over every tail length
+        rng = np.random.default_rng(17 + num_classes)
+        model = GmrfModel.from_laplacian(random_lap(rng, 17), num_classes)
+        while model.num_unlabeled:
+            node = int(rng.choice(model.unlabeled))
+            model.observe(node, int(rng.integers(num_classes)))
+            assert np.array_equal(model.G, model.G.T)
 
 
 class TestCarriedRowSums:
@@ -309,16 +363,20 @@ class TestCarriedRowSums:
         assert np.array_equal(model.row_sums, np.abs(G).sum(axis=0))
 
     def test_step_is_the_means_step_with_target_zero(self):
-        # one rule for every row: r' = r_{-k} - (r_k - t) g_k / g_kk
+        # one rule for every row: r' = r_{-k} - ((r_k - t) / sqrt(g_kk)) s
         model = GmrfModel.from_laplacian(random_lap(np.random.default_rng(13), 9), 2)
         model.observe(3, 1)
-        s, m, G = model.row_sums.copy(), model.means.copy(), model.G.copy()
+        sums, m, G = model.row_sums.copy(), model.means.copy(), model.G.copy()
         pos = model.position(6)
         model.observe(6, 0)
-        g, gkk = G[:, pos], G[pos, pos]
-        assert np.array_equal(model.row_sums, np.delete(s - ((s[pos] - 0.0) * g) / gkk, pos))
-        moved = m - np.multiply.outer(m[:, pos] - np.array([1.0, -1.0]), g) / gkk
-        assert np.array_equal(model.means, np.delete(moved, pos, axis=1))
+        root = np.sqrt(G[pos, pos])
+        s = np.delete(G[:, pos], pos) / root
+        c = (sums[pos] - 0.0) / root
+        expected = minus_outer_once_rounded(np.delete(sums, pos)[None], [c], s)[0]
+        assert np.array_equal(model.row_sums, expected)
+        c = (m[:, pos] - np.array([1.0, -1.0])) / root
+        expected = minus_outer_once_rounded(np.delete(m, pos, axis=1), c, s)
+        assert np.array_equal(model.means, expected)
 
     # the golden digests' graphs, and the benchmark's largest grid
     @pytest.mark.parametrize("graph, seed", [

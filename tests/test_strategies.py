@@ -570,12 +570,16 @@ def _column_loop(model, kind, alpha, maxmin):
     return scores
 
 
-def _per_candidate_loop(model, kind, alpha, maxmin, positions):
+def _former_soft_labels(means):
+    return np.clip((means + 1.0) / 2.0, 0.0, 1.0)
+
+
+def _per_candidate_loop(model, kind, alpha, maxmin, positions, soft=soft_labels):
     """The fl / kl scan as it was written before the block scan: one pivot
     and two hypothetical means per candidate, one Python iteration each.
     ``_bernoulli_kl`` rounds each divergence as the scan's hoisted-log form."""
     mu = model.mu
-    p = soft_labels(mu)
+    p = soft(mu)
     above = mu > DECISION_ATOL
     w_plus = 0.5 * alpha + (1.0 - alpha) * p
     G = model.G
@@ -590,7 +594,7 @@ def _per_candidate_loop(model, kind, alpha, maxmin, positions):
                 flips[pos] = False
                 totals.append(float(np.count_nonzero(flips)))
             else:
-                per_node = _bernoulli_kl(soft_labels(mu_plus), p)
+                per_node = _bernoulli_kl(soft(mu_plus), p)
                 per_node[pos] = 0
                 totals.append(float(per_node.sum()))
         plus, minus = totals
@@ -649,6 +653,29 @@ class TestBlockScan:
             expected = _per_candidate_loop(multi_block, kind, 0.3, False, [pos])[0]
             assert scorer(multi_block, int(node), alpha=0.3) == expected
 
+    @pytest.mark.parametrize("maxmin", [False, True])
+    def test_kl_soft_labels_match_the_former_expression(self, monkeypatch, multi_block, maxmin):
+        # the block takes its soft labels in place; pin them to the former
+        # clamp((m + 1) / 2) expression, also where the clip is active
+        positions = np.arange(multi_block.num_unlabeled)
+        expected = _per_candidate_loop(multi_block, "kl", 0.3, maxmin, positions,
+                                       soft=_former_soft_labels)
+        assert np.array_equal(
+            strategies._expected_change(multi_block, "kl", 0.3, maxmin, positions), expected)
+        n = 60
+        G = np.full((n, n), 0.1)
+        G[np.diag_indices(n)] += 1.0
+        mu = np.random.default_rng(8).uniform(-0.95, 0.95, n)
+        model = model_with_state(mu, G)
+        means = mu + ((1.0 - mu[:, None]) / np.diag(G)[:, None]) * G
+        assert (means > 1.0).any()  # the hypothetical means overshoot the clip
+        monkeypatch.setattr(strategies, "_BLOCK_BYTES", 7 * 8 * n)
+        positions = np.arange(n)
+        expected = _per_candidate_loop(model, "kl", 0.3, maxmin, positions,
+                                       soft=_former_soft_labels)
+        assert np.array_equal(
+            strategies._expected_change(model, "kl", 0.3, maxmin, positions), expected)
+
     @pytest.mark.parametrize("kind", ["fl", "kl"])
     def test_first_degenerate_pivot_in_order_raises(self, monkeypatch, kind):
         # degenerate pivots at nodes 5 (first block of three) and 2 (second
@@ -684,7 +711,8 @@ class TestBlockScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # measured: about 2.3 blocks (fl) and 6.5 blocks (kl), O(|U|) included
+        # measured: about 2.4 blocks (fl) and 5.6 blocks (kl, in-place soft
+        # labels; 6.5 with three block temporaries), O(|U|) included
         assert peak <= 8 * strategies._BLOCK_BYTES + 32 * 8 * n
 
 
