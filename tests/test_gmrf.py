@@ -310,7 +310,6 @@ class TestCompactingDowndate:
                 model, lambda m: m.means, lambda rng: int(rng.integers(3)), update_ref)
             assert np.array_equal(passed, kept)
 
-
     def test_peak_memory_is_the_fresh_state(self):
         model = GmrfModel.from_laplacian(
             regularized_laplacian(grid_graph(20, 20, seed=3).graph, 0.005), 2)

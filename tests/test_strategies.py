@@ -711,8 +711,7 @@ class TestBlockScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # measured: about 2.4 blocks (fl) and 5.6 blocks (kl, in-place soft
-        # labels; 6.5 with three block temporaries), O(|U|) included
+        # measured: about 2.4 blocks (fl) and 5.6 blocks (kl), O(|U|) included
         assert peak <= 8 * strategies._BLOCK_BYTES + 32 * 8 * n
 
 
