@@ -149,8 +149,8 @@ def check_retraining_equivalence(seed: int = 3) -> CheckResult:
         _, lap, model = random_model(rng, n, num_observed=int(rng.integers(1, n // 2 + 1)))
         signed = {k: 2.0 * c - 1.0 for k, c in model.labeled.items()}
         for pos, node in enumerate(model.unlabeled.tolist()):
-            gi = model.G[:, pos]
-            gii = model.G[pos, pos]
+            gi = model.rows(pos)
+            gii = model.diagonal[pos]
             others = np.delete(model.mu, pos)
             for value in (1.0, -1.0):
                 move = conditional_mean_direct(lap, {**signed, node: value}) - others

@@ -4,9 +4,11 @@ A :class:`GmrfModel` tracks C >= 2 one-vs-rest label fields in one state
 array: the inverse ``G`` of the regularized Laplacian restricted to the
 unlabeled nodes, which every field shares, the C conditional means given the
 labels observed so far, and the row sums ``G 1`` that the tv and sigma-opt
-scans read as the l1 norms of the columns of ``G``. Disclosing a label moves
-every row by one Schur-complement step, one BLAS rank-one update of cost
-``O(|U|^2)`` whatever C is, applied to a fresh array, so
+scans read as the l1 norms of the columns of ``G``. The array keeps its
+size for the model's life: disclosing a label moves every row by one
+Schur-complement step, one in-place BLAS rank-one update whatever C is, and
+zeroes the labeled node's row and column. Readers get compact arrays over
+the unlabeled nodes, gathered afresh after each step, so
 :meth:`GmrfModel.observe` never writes an array a caller holds; no
 refactorization happens after initialization. A binary problem is
 the case C = 2, whose field ``mu`` is the class-1 row of the means.
@@ -94,18 +96,27 @@ class GmrfModel:
     ``G.sum(axis=0)``, which for a nonnegative ``G`` equals
     ``np.abs(G).sum(axis=0)`` bit for bit without a ``|U|^2`` temporary.
 
-    ``G``, ``means``, ``row_sums`` and ``mu`` are views of one
-    ``(|U| + C + 1, |U|)`` state array, which the constructor fills with
-    copies of its arguments. :meth:`observe` at position ``k`` replaces it,
-    never writes it: every row ``r`` becomes ``r_{-k} - c_r s``, with
-    ``c_r = (r_k - t_r) / sqrt(g_kk)``, ``s = g / sqrt(g_kk)`` the ``G`` part
-    of ``c``, ``g`` column ``k`` of ``G`` without entry ``k`` and target
-    ``t_r`` the observed field value ``+/-1`` for the means and 0 for ``G``
-    and ``G 1``. On ``G`` that subtracts ``s_i s_j``, the same product for
-    ``(i, j)`` and ``(j, i)``, and each entry is rounded once, so ``G`` stays
-    exactly symmetric (:func:`spd_inverse` symmetrizes the start) and readers
-    take the contiguous row ``k`` for column ``k``. Negated targets negate
-    ``c`` exactly, so the two fields of a binary model stay exact negations.
+    ``G``, the means and ``G 1`` live in one ``(n + C + 1, n)`` state
+    array, ``n`` the node count at construction, which the constructor
+    fills with copies of its arguments and :meth:`observe` writes in place
+    for the model's whole life. Row and column ``i`` of its ``G`` block and
+    column ``i`` of the other rows belong to the ``i``-th node of the
+    constructor's ``unlabeled``; once that node is labeled they are exactly
+    0. Observing position ``k`` moves every row ``r`` to ``r - c_r s``, with
+    ``c_r = (r_k - t_r) / sqrt(g_kk)``, ``s = g / sqrt(g_kk)`` the ``G``
+    part of ``c``, ``g`` column ``k`` of ``G`` with entry ``k`` set to 0 and
+    target ``t_r`` the observed field value ``+/-1`` for the means and 0 for
+    ``G`` and ``G 1``. On ``G`` that subtracts ``s_i s_j``, the same product
+    for ``(i, j)`` and ``(j, i)``, and each entry is rounded once, so ``G``
+    stays exactly symmetric (the constructor requires a symmetric start) and
+    readers take the contiguous row ``k`` for column ``k``. Negated targets
+    negate ``c`` exactly, so the two fields of a binary model stay exact
+    negations.
+
+    Readers see the unlabeled nodes only. ``means``, ``mu``, ``row_sums``
+    and ``diagonal`` are read-only compact arrays that :meth:`observe`
+    gathers afresh, so an array a caller holds never changes; ``G`` and
+    :meth:`rows` return fresh compact copies.
 
     Attributes
     ----------
@@ -115,13 +126,15 @@ class GmrfModel:
     labeled : dict
         node id -> observed class id.
     G : ndarray
-        Inverse of the regularized Laplacian restricted to ``unlabeled``;
-        must be symmetric.
+        Inverse of the regularized Laplacian restricted to ``unlabeled``,
+        exactly symmetric; each read is an ``O(|U|^2)`` copy.
     means : ndarray
         Conditional means of the C fields over ``unlabeled``, shape
         ``(C, |U|)``.
     row_sums : ndarray
         ``G 1`` over ``unlabeled``, carried through every :meth:`observe`.
+    diagonal : ndarray
+        ``diag(G)`` over ``unlabeled``: the pivots.
     mu : ndarray or None
         For C = 2 the read-only view ``means[1]``; None for C > 2.
     retrain_calls : int
@@ -164,9 +177,16 @@ class GmrfModel:
             raise ValueError("G holds non-finite entries")
         if not np.isfinite(self._state[n:-1]).all():
             raise ValueError("means hold non-finite entries")
+        # the scans read row i of G as column i, and G 1 as the column l1 norms
+        if not np.array_equal(G, G.T):
+            i, j = np.argwhere(G != G.T)[0]
+            raise ValueError(f"G is not exactly symmetric: G[{i}, {j}] = {float(G[i, j])!r} "
+                             f"but G[{j}, {i}] = {float(G[j, i])!r}")
         # row c: the +1/-1 value every field takes when class c is observed
         self._targets = 2.0 * np.eye(c) - 1.0
-        self._expose_state()
+        # state row / column of each unlabeled node, ascending like unlabeled
+        self._idx = np.arange(n)
+        self._gather()
 
     @classmethod
     def from_laplacian(cls, lap: RegularizedLaplacian, num_classes: int) -> "GmrfModel":
@@ -179,26 +199,48 @@ class GmrfModel:
 
         The copy is what keeps a shared inverse safe: ``run_experiment``
         hands one inverse to every strategy of a run, and to later runs on
-        the same graph, and each model fills its own state array from it.
+        the same graph, and each model copies it into the state array that
+        its :meth:`observe` then writes in place.
         """
         n = G.shape[0]
         return cls(np.arange(n), {}, G, np.zeros((num_classes, n)))
 
-    def _expose_state(self) -> None:
-        # stored views, not properties: the retraining scans read mu per node
-        n = self._state.shape[1]
-        self.G = self._state[:n]
-        self.means = self._state[n:-1]
-        self.row_sums = self._state[-1]
-        if self.num_classes == 2:
-            self.mu = self.means[1]
-            self.mu.flags.writeable = False
-        else:
-            self.mu = None
+    def _gather(self) -> None:
+        # stored, not properties, because the scans read mu per node; fresh
+        # copies, not views, so an array a caller holds never changes
+        S, idx = self._state, self._idx
+        n = S.shape[1]
+        self.means = S[n:-1].take(idx, axis=1)
+        self.row_sums = S[-1].take(idx)
+        self.diagonal = np.diagonal(S).take(idx)
+        for a in (self.means, self.row_sums, self.diagonal):
+            a.flags.writeable = False
+        self.mu = self.means[1] if self.num_classes == 2 else None
+
+    @property
+    def G(self) -> np.ndarray:
+        return self.rows(slice(None))
+
+    def rows(self, positions) -> np.ndarray:
+        """Fresh compact copy of ``G[positions]``; one position costs ``O(|U|)``.
+
+        ``G`` is exactly symmetric, so row ``i`` is also column ``i``.
+        """
+        return self._state[self._idx[positions]].take(self._idx, axis=-1)
+
+    def square_sums(self) -> np.ndarray:
+        """Column sums of squares ``||g_j||_2^2`` of ``G`` over ``unlabeled``.
+
+        One ``einsum`` runs over the whole ``G`` block of the state, whose
+        labeled rows add exact zeros, and the unlabeled columns are gathered
+        from it; no ``|U|^2`` temporary is formed.
+        """
+        G = self._state[:self._state.shape[1]]
+        return np.einsum("ij,ij->j", G, G).take(self._idx)
 
     @property
     def num_classes(self) -> int:
-        return int(self.means.shape[0])
+        return int(self._targets.shape[0])
 
     @property
     def num_unlabeled(self) -> int:
@@ -213,7 +255,7 @@ class GmrfModel:
 
     def pivot(self, pos: int) -> float:
         """Diagonal entry ``g_kk`` at position ``pos``; raises if degenerate."""
-        gkk = float(self.G[pos, pos])
+        gkk = float(self.diagonal[pos])
         if gkk < PIVOT_FLOOR:
             raise ValueError(
                 f"degenerate pivot g_kk={gkk:.3e} at node {int(self.unlabeled[pos])}"
@@ -221,7 +263,7 @@ class GmrfModel:
         return gkk
 
     def class_means(self) -> np.ndarray:
-        """Copy of the per-class means, shape (num_classes, |U|)."""
+        """Writable copy of the per-class means, shape (num_classes, |U|)."""
         return self.means.copy()
 
     def observe(self, node: int, class_id: int) -> "GmrfModel":
@@ -229,11 +271,12 @@ class GmrfModel:
 
         Every row of the state takes the one Schur step of the class
         docstring, with ``t_r = +1`` for the observed class's field and
-        ``-1`` for the other fields. The kept rows and columns are copied
-        once into a fresh array, and one BLAS ``dger`` call subtracts
-        ``c s^T`` from it in place, rounding each entry once; no rank-one
-        temporary is formed. Cost ``O(|U|^2)``, independent of the class
-        count.
+        ``-1`` for the other fields. One BLAS ``dger`` call subtracts
+        ``c s^T`` from the state in place, rounding each entry once; the
+        labeled rows and columns, where ``c`` and ``s`` are 0, gain exact
+        zeros. Row and column ``k`` are then set to 0. Nothing is copied
+        but the step column and the compact arrays of the readers. Cost
+        ``O(n^2)`` for the step, independent of the class count.
         """
         if class_id not in range(self.num_classes):
             raise ValueError(f"class id {class_id} outside 0..{self.num_classes - 1}")
@@ -241,23 +284,21 @@ class GmrfModel:
         pos = self.position(node)
         gkk = self.pivot(pos)
         S = self._state
-        k = S.shape[1] - 1
-        D = np.empty((S.shape[0] - 1, k))
-        D[:pos, :pos] = S[:pos, :pos]
-        D[:pos, pos:] = S[:pos, pos + 1:]
-        D[pos:, :pos] = S[pos + 1:, :pos]
-        D[pos:, pos:] = S[pos + 1:, pos + 1:]
-        c = _without(S[:, pos], pos)
-        c[k:-1] -= self._targets[class_id]
+        n = S.shape[1]
+        k = int(self._idx[pos])
+        c = S[:, k].copy()
+        c[k] = 0.0
+        c[n:-1] -= self._targets[class_id]
         c /= np.sqrt(gkk)
-        self._state = D
+        # S -= outer(c, s) with s = c[:n]; S.T is F-contiguous, so BLAS
+        # writes S itself, rounding each entry once
+        scipy.linalg.blas.dger(-1.0, c[:n], c, a=S.T, overwrite_a=1)
+        S[k] = 0.0
+        S[:, k] = 0.0
+        self._idx = _without(self._idx, pos)
         self.unlabeled = _without(self.unlabeled, pos)
         self.labeled[int(node)] = class_id
-        self._expose_state()
-        if k:
-            # D -= outer(c, s) with s = c[:k]; D.T is F-contiguous, so BLAS
-            # writes D itself, rounding each entry once
-            scipy.linalg.blas.dger(-1.0, c[:k], c, a=D.T, overwrite_a=1)
+        self._gather()
         return self
 
     def predict(self) -> dict[int, int]:

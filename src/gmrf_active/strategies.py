@@ -121,10 +121,10 @@ def _parse_confidence(text: str) -> float | None:
 def _gcol(model, node: int) -> tuple[int, np.ndarray, float]:
     """Position, column ``g_i`` and diagonal ``g_ii`` of ``node`` in ``model.G``.
 
-    The column is read as the equal, contiguous row: ``G`` is symmetric.
+    The column is read as the equal row, in ``O(|U|)``: ``G`` is symmetric.
     """
     pos = model.position(node)
-    return pos, model.G[pos], model.pivot(pos)
+    return pos, model.rows(pos), model.pivot(pos)
 
 
 def _binary_mu(model: GmrfModel) -> np.ndarray:
@@ -202,8 +202,9 @@ def _expected_change(model: GmrfModel, kind: str, alpha: float, maxmin: bool,
     ``positions`` order raises.
 
     The candidates are scored in blocks of rows of ``G`` of about
-    ``_BLOCK_BYTES``. For a block ``pb`` of positions, pivots ``g = diag(G)``
-    and label value ``v``, row ``r`` of
+    ``_BLOCK_BYTES``, each gathered once and read for both label values. For
+    a block ``pb`` of positions, pivots ``g = diag(G)`` and label value
+    ``v``, row ``r`` of
     ``((v - mu[pb]) / g[pb])[:, None] * G[pb] + mu`` is the hypothetical mean
     ``mu + ((v - mu_k) / g_kk) G[k]`` of candidate ``pb[r]``, element for
     element the same arithmetic as one candidate at a time. Each candidate
@@ -216,8 +217,7 @@ def _expected_change(model: GmrfModel, kind: str, alpha: float, maxmin: bool,
         raise ValueError(f"confidence weight must lie in [0, 1], got {alpha}")
     mu = _binary_mu(model)
     positions = np.asarray(positions, dtype=np.intp)
-    G = model.G
-    pivots = np.diagonal(G)[positions]
+    pivots = model.diagonal[positions]
     degenerate = np.flatnonzero(pivots < PIVOT_FLOOR)
     if degenerate.size:
         model.pivot(int(positions[degenerate[0]]))  # raises, naming the node
@@ -226,15 +226,16 @@ def _expected_change(model: GmrfModel, kind: str, alpha: float, maxmin: bool,
         above = mu > DECISION_ATOL
     else:
         logs = _floored_log(p), _floored_log(1.0 - p)
-    height = max(1, _BLOCK_BYTES // (G.itemsize * max(mu.size, 1)))
+    height = max(1, _BLOCK_BYTES // (mu.itemsize * max(mu.size, 1)))
     totals = np.empty((2, positions.size))
     for start in range(0, positions.size, height):
         block = slice(start, start + height)
         pb = positions[block]
         own = (np.arange(pb.size), pb)
+        rows = model.rows(pb)
+        means = np.empty_like(rows)
         for total, value in zip(totals, (1.0, -1.0)):
-            means = G[pb]
-            means *= ((value - mu[pb]) / pivots[block])[:, None]
+            np.multiply(rows, ((value - mu[pb]) / pivots[block])[:, None], out=means)
             means += mu
             if kind == "fl":
                 flips = means > DECISION_ATOL
@@ -342,8 +343,8 @@ def _class_spread(mm: GmrfModel) -> np.ndarray:
     return mm.num_classes - (pbar * pbar).sum(axis=0)
 
 
-def _scan_diag(G: np.ndarray) -> np.ndarray:
-    dg = np.diagonal(G)
+def _scan_diag(model: GmrfModel) -> np.ndarray:
+    dg = model.diagonal
     if dg.size == 0:
         raise ValueError("no unlabeled nodes to score")
     if dg.min() < PIVOT_FLOOR:
@@ -366,8 +367,7 @@ def utility_scores(strategy: Strategy, model, t: int) -> np.ndarray:
     if kind == "random":
         raise ValueError("the random strategy is not score-driven")
     alpha = strategy.alpha(t)
-    G = model.G
-    dg = _scan_diag(G)
+    dg = _scan_diag(model)
     if kind == "unc":
         return _top_two_margin(model.means)
     if kind in RETRAINING_KINDS:
@@ -380,7 +380,7 @@ def utility_scores(strategy: Strategy, model, t: int) -> np.ndarray:
         w_plus = _mix(alpha, soft_labels(mu))
         return (w_plus * (1.0 - mu) ** 2 + (1.0 - w_plus) * (1.0 + mu) ** 2) / (2.0 * dg)
     l1 = kind in ("tv", "sigma-opt")
-    norm = model.row_sums if l1 else np.einsum("ij,ij->j", G, G)
+    norm = model.row_sums if l1 else model.square_sums()
     adaptive = kind in ("tv", "msd")
     if adaptive:
         mu = model.mu

@@ -83,6 +83,17 @@ class TestInit:
         with pytest.raises(ValueError, match=f"^{name} "):
             GmrfModel(unlabeled, labeled, G, means)
 
+    def test_asymmetric_G_rejected_naming_the_entries(self):
+        # score_tv would read row 0 (l1 = 1.5) and the carried G 1 column 0 (1.1)
+        with pytest.raises(ValueError, match=r"^G is not exactly symmetric: "
+                                             r"G\[0, 1\] = 0.5 but G\[1, 0\] = 0.1$"):
+            GmrfModel([0, 1], {}, [[1.0, 0.5], [0.1, 1.0]], np.zeros((2, 2)))
+        # one ulp off is not symmetric either
+        G = spd_inverse(random_lap(np.random.default_rng(24), 9).matrix)
+        G[7, 2] = np.nextafter(G[7, 2], np.inf)
+        with pytest.raises(ValueError, match=r"^G is not exactly symmetric: G\[2, 7\]"):
+            GmrfModel.from_inverse(G, 3)
+
     def test_non_pd_rejected(self):
         lap = two_node_lap()
         lap.matrix = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
@@ -184,7 +195,8 @@ class TestObserve:
         model = GmrfModel.from_laplacian(lap, 2)
         model.observe(0, 1)
         pos = model.position(3)
-        updated = model.mu + ((model.mu[pos] - model.mu[pos]) / model.G[pos, pos]) * model.G[:, pos]
+        step = (model.mu[pos] - model.mu[pos]) / model.diagonal[pos]
+        updated = model.mu + step * model.rows(pos)
         assert np.array_equal(updated, model.mu)
 
     def test_observe_labeled_node_rejected(self):
@@ -200,9 +212,8 @@ class TestObserve:
                 model.observe(0, bad)
 
     def test_degenerate_pivot_rejected(self):
-        model = GmrfModel.from_laplacian(two_node_lap(), 2)
-        model.G[0, 0] = 1e-15
-        with pytest.raises(ValueError, match="degenerate pivot"):
+        model = GmrfModel([0, 1], {}, np.diag([1e-15, 1.0]), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="degenerate pivot g_kk=1.000e-15 at node 0"):
             model.observe(0, 1)
 
     @given(st.integers(0, 2**32 - 1), st.integers(4, 20))
@@ -311,6 +322,8 @@ class TestCompactingDowndate:
             assert np.array_equal(passed, kept)
 
     def test_peak_memory_is_the_fresh_state(self):
+        # observe writes the state in place: it allocates only the step
+        # column and the readers' compact vectors, O(|U|)
         model = GmrfModel.from_laplacian(
             regularized_laplacian(grid_graph(20, 20, seed=3).graph, 0.005), 2)
         model.observe(0, 1)  # loads what it needs outside the measurement
@@ -320,8 +333,9 @@ class TestCompactingDowndate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # measured: 1.00 states; the outer-product step peaked at 2.10
-        assert peak <= 1.1 * model._state.nbytes
+        # measured 0.026 MB, about 8 vectors of |U| = 398 doubles; copying the
+        # kept blocks into a fresh state peaked at 1.28 MB
+        assert peak <= 12 * 8 * model.num_unlabeled
 
     def test_rank_one_update_lands_in_the_state(self, monkeypatch):
         # f2py copies an array of the wrong layout silently; the update must
@@ -341,6 +355,59 @@ class TestCompactingDowndate:
                 model.observe(node, 1)
                 assert np.shares_memory(written[-1], model._state)
         assert len(written) == 6
+
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_labeled_rows_and_columns_stay_exactly_zero(self, num_classes):
+        # later steps add exact zeros to them, down to |U| = 0
+        rng = np.random.default_rng(30 + num_classes)
+        model = GmrfModel.from_laplacian(random_lap(rng, 15), num_classes)
+        S = model._state
+        while model.num_unlabeled:
+            model.observe(int(rng.choice(model.unlabeled)), int(rng.integers(num_classes)))
+            assert model._state is S
+            gone = np.setdiff1d(np.arange(15), model._idx)
+            assert not S[gone].any()
+            assert not S[:, gone].any()
+            assert not np.signbit(S[gone]).any() and not np.signbit(S[:, gone]).any()
+        assert S.shape == (15 + num_classes + 1, 15)
+
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_held_arrays_never_change(self, num_classes):
+        rng = np.random.default_rng(40 + num_classes)
+        model = GmrfModel.from_laplacian(random_lap(rng, 12), num_classes)
+        held = []
+        while model.num_unlabeled:
+            arrays = [model.G, model.means, model.row_sums, model.diagonal, model.rows(0)]
+            held.append([(a, a.copy()) for a in arrays])
+            model.observe(int(rng.choice(model.unlabeled)), int(rng.integers(num_classes)))
+            for pairs in held:
+                for a, kept in pairs:
+                    assert np.array_equal(a, kept)
+        assert len(held) == 12
+
+    def test_reader_arrays_are_read_only(self):
+        model = GmrfModel.from_laplacian(random_lap(np.random.default_rng(44), 6), 2)
+        model.observe(2, 1)
+        for a in (model.means, model.mu, model.row_sums, model.diagonal):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.5
+        writable = model.class_means()
+        writable[0, 0] = 0.5
+        assert model.means[0, 0] != 0.5
+
+    def test_rows_are_compact_copies_of_G(self):
+        model = GmrfModel.from_laplacian(random_lap(np.random.default_rng(45), 14), 3)
+        for node in (13, 0, 6):
+            model.observe(node, 2)
+        G = model.G
+        assert G.shape == (11, 11)
+        for pos in range(11):
+            row = model.rows(pos)
+            assert np.array_equal(row, G[pos])
+            assert not np.shares_memory(row, model._state)
+        block = model.rows(np.array([4, 0, 10]))
+        assert np.array_equal(block, G[[4, 0, 10]])
+        assert np.array_equal(model.diagonal, np.diagonal(G))
 
     @pytest.mark.parametrize("num_classes", [2, 3])
     def test_G_exactly_symmetric_after_every_step(self, num_classes):

@@ -48,7 +48,7 @@ def make_model(rng, n, delta=0.005, observed=0):
 def rank_one_mean(model, pos, value):
     """``mu`` after field value ``value`` at ``pos``: the rank-one step on
     column ``G[:, pos]``."""
-    return model.mu + ((value - model.mu[pos]) / model.G[pos, pos]) * model.G[:, pos]
+    return model.mu + ((value - model.mu[pos]) / model.diagonal[pos]) * model.rows(pos)
 
 
 def retrained_move(lap, model, node, value):
