@@ -240,7 +240,7 @@ class GmrfModel:
 
     @property
     def num_classes(self) -> int:
-        return int(self._targets.shape[0])
+        return int(self.means.shape[0])
 
     @property
     def num_unlabeled(self) -> int:
