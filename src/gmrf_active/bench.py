@@ -164,7 +164,7 @@ def run_experiment(cfg: ExperimentConfig,
                    step_hook: Callable | None = None) -> dict[str, AccuracyCurve]:
     """Run the full Monte-Carlo experiment; returns one curve per strategy.
 
-    A run whose graph equals the previous run's (same ``n`` and edge map,
+    A run whose graph equals the previous run's (same ``n`` and edge arrays,
     as for every grid, file and ready-graph source) reuses that run's
     Laplacian and inverse; equal graphs give byte-equal inverses, so the
     curves are the same as with a fresh inverse per run. Every model copies

@@ -2,7 +2,7 @@
 
 This module provides:
 - ``Graph``: undirected graph with strictly positive edge weights and no
-  self-loops, stored sparsely as a canonical edge map.
+  self-loops, stored as sorted canonical edge arrays.
 - ``LabeledGraph``: a graph plus a total assignment of class ids 0..C-1.
 - ``RegularizedLaplacian``: dense ``D - W + delta*I`` for a connected graph.
 - generators ``grid_graph`` (two-block lattice) and ``community_graph``
@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,60 +27,81 @@ Edge = tuple[int, int]
 # Samples community_graph draws before giving up on a connected graph.
 _CONNECT_ATTEMPTS = 50
 
+# Node counts up to this one sort edges by the int64 key lo * n + hi.
+_MAX_KEYED_NODES = 3_037_000_499
 
-@dataclass
+# Bytes of one row block of build_from_features' rbf difference array.
+_BLOCK_BYTES = 1 << 20
+
+
 class Graph:
     """Undirected weighted graph over nodes ``0..n-1``.
 
-    Edges are stored once per unordered pair under the canonical key
-    ``(min(i, j), max(i, j))``, which makes symmetry structural. Weights must
-    be finite and strictly positive; zero-weight edges are simply absent.
-    Instances are treated as immutable after construction and are safe to
-    share across concurrent experiment runs.
+    Edges are stored once per unordered pair as three read-only arrays
+    sorted by ``(lo, hi)``: the end points ``lo < hi`` and the weights ``w``,
+    which makes symmetry structural. Weights must be finite and strictly
+    positive; zero-weight edges are simply absent. ``Graph(n, edges)`` takes
+    a mapping ``{(i, j): w}`` in either orientation and
+    :meth:`from_arrays` takes the three columns; both validate them in one
+    vectorized pass and name the first bad edge in input order. ``edges``
+    is the canonical map ``{(lo, hi): w}``, built when first read.
+    Instances are immutable after construction and are safe to share across
+    concurrent experiment runs.
     """
 
-    n: int
-    edges: dict[Edge, float]
+    def __init__(self, n: int, edges: Mapping[Edge, float]):
+        m = len(edges)
+        ends = np.array(list(edges)) if m else np.empty((0, 2), dtype=np.intp)
+        if ends.shape != (m, 2):
+            raise ValueError("edge keys must be (i, j) node pairs")
+        self._set(n, ends[:, 0], ends[:, 1], np.fromiter(edges.values(), float, m))
 
-    def __post_init__(self):
-        if self.n < 1:
+    @classmethod
+    def from_arrays(cls, n: int, i, j, w) -> Graph:
+        """Graph from edge columns ``i``, ``j``, ``w`` (either orientation)."""
+        g = cls.__new__(cls)
+        g._set(n, np.asarray(i), np.asarray(j), np.asarray(w, dtype=float))
+        return g
+
+    def _set(self, n, i, j, w) -> None:
+        n = operator.index(n)
+        if n < 1:
             raise ValueError("graph needs at least one node")
-        canonical: dict[Edge, float] = {}
-        for (i, j), w in self.edges.items():
-            i, j, w = int(i), int(j), float(w)
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i}, {j}) outside node range 0..{self.n - 1}")
-            if i == j:
-                raise ValueError(f"self-loop on node {i} is not allowed")
-            if not math.isfinite(w):
-                raise ValueError(f"non-finite weight on edge ({i}, {j})")
-            if w < 0:
-                raise ValueError(f"negative weight {w} on edge ({i}, {j})")
-            if w == 0:
-                raise ValueError(f"zero-weight edge ({i}, {j}) must not be stored")
-            key = (i, j) if i < j else (j, i)
-            if key in canonical and canonical[key] != w:
-                raise ValueError(
-                    f"conflicting weights for edge {key}: {canonical[key]} vs {w}"
-                )
-            canonical[key] = w
-        self.edges = canonical
+        if not (i.ndim == j.ndim == w.ndim == 1 and len(i) == len(j) == len(w)):
+            raise ValueError("edge columns must be 1-d arrays of one length")
+        self.n = n
+        self.lo, self.hi, self.w = _canonical_edges(n, i, j, w)
+        for a in (self.lo, self.hi, self.w):
+            a.setflags(write=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.n == other.n and np.array_equal(self.lo, other.lo)
+                and np.array_equal(self.hi, other.hi)
+                and np.array_equal(self.w, other.w))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n}, num_edges={self.num_edges})"
+
+    @cached_property
+    def edges(self) -> dict[Edge, float]:
+        return dict(zip(zip(self.lo.tolist(), self.hi.tolist()), self.w.tolist()))
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.w)
 
     def weight_matrix(self) -> np.ndarray:
         """Dense symmetric adjacency matrix with zero diagonal."""
         W = np.zeros((self.n, self.n))
-        for (i, j), w in self.edges.items():
-            W[i, j] = w
-            W[j, i] = w
+        W[self.lo, self.hi] = self.w
+        W[self.hi, self.lo] = self.w
         return W
 
     @cached_property
     def _components(self) -> int:
-        return _count_components(self.n, self.edges)
+        return _count_components(self.n, (self.lo, self.hi))
 
     def component_count(self) -> int:
         """Number of connected components.
@@ -92,21 +115,101 @@ class Graph:
         return self._components == 1
 
 
+# Checks on each edge, in the order an edge is checked, and their messages.
+_EDGE_ERRORS = (
+    "non-integral node id in edge ({a}, {b})",
+    "edge ({a}, {b}) outside node range 0..{top}",
+    "self-loop on node {a} is not allowed",
+    "non-finite weight on edge ({a}, {b})",
+    "negative weight {x} on edge ({a}, {b})",
+    "zero-weight edge ({a}, {b}) must not be stored",
+)
+
+
+def _node_str(v) -> str:
+    v = v.item()
+    return str(int(v)) if isinstance(v, int) or v.is_integer() else repr(v)
+
+
+def _canonical_edges(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray):
+    """Validate edges given in input order; return ``lo, hi, w`` sorted by ``(lo, hi)``.
+
+    The first edge in input order that fails a check raises, with the first
+    of its failed checks: integral ids, ids in range, no self-loop, a
+    finite, non-negative, non-zero weight, and the weight of the pair's
+    earlier occurrence, if any.
+    """
+    a, b = i, j
+    if a.dtype.kind in "iu" and b.dtype.kind in "iu":
+        integral = np.ones(len(w), dtype=bool)
+    else:
+        a, b = a.astype(float), b.astype(float)
+        integral = np.isfinite(a) & np.isfinite(b) & (a == np.floor(a)) & (b == np.floor(b))
+    passed = (
+        integral,
+        (0 <= a) & (a < n) & (0 <= b) & (b < n),
+        a != b,
+        np.isfinite(w),
+        ~(w < 0),
+        w != 0,
+    )
+    ok = np.logical_and.reduce(passed)
+    first = len(w) if ok.all() else int(np.argmin(ok))
+
+    # the edges before the first bad one are valid: sort them by (lo, hi),
+    # ties in input order, and find the first that disagrees with the
+    # pair's earlier occurrence
+    lo = np.minimum(a[:first], b[:first]).astype(np.intp, copy=False)
+    hi = np.maximum(a[:first], b[:first]).astype(np.intp, copy=False)
+    if n <= _MAX_KEYED_NODES:
+        order = np.argsort(lo * n + hi, kind="stable")
+    else:
+        order = np.lexsort((hi, lo))
+    lo, hi, x = lo[order], hi[order], w[:first][order]
+    repeat = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+    clashes = np.flatnonzero(repeat & (x[1:] != x[:-1])) + 1
+    if len(clashes):
+        k = clashes[np.argmin(order[clashes])]
+        raise ValueError(
+            f"conflicting weights for edge ({lo[k]}, {hi[k]}): "
+            f"{float(x[k - 1])!r} vs {float(x[k])!r}"
+        )
+    if first < len(w):
+        failed = next(c for c, mask in enumerate(passed) if not mask[first])
+        raise ValueError(_EDGE_ERRORS[failed].format(
+            a=_node_str(a[first]), b=_node_str(b[first]), top=n - 1,
+            x=float(w[first])))
+    if repeat.any():
+        keep = np.ones(first, dtype=bool)
+        keep[1:] = ~repeat
+        lo, hi, x = lo[keep], hi[keep], x[keep]
+    return lo, hi, x
+
+
 def _count_components(n: int, edges) -> int:
-    """Connected components of nodes ``0..n-1`` by union-find over ``edges``."""
-    parent = list(range(n))
+    """Connected components of nodes ``0..n-1`` over the edge arrays ``(lo, hi)``.
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    return len({find(a) for a in range(n)})
+    Hook and pointer jumping, after Shiloach and Vishkin: each round hooks
+    every root that an edge joins to a smaller root under the smallest such
+    root, then jumps pointers until every node points at its root. A root
+    that neither hooks nor is hooked into is joined to a smaller root by
+    its neighbours' hooks, so it hooks in the next round, and the number of
+    roots at least halves every two rounds.
+    """
+    lo, hi = edges
+    parent = np.arange(n)
+    while True:
+        a, b = parent[lo], parent[hi]
+        cross = a != b
+        if not cross.any():
+            return int(np.count_nonzero(parent == np.arange(n)))
+        lo, hi, a, b = lo[cross], hi[cross], a[cross], b[cross]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
 
 
 @dataclass
@@ -127,7 +230,16 @@ class LabeledGraph:
         nodes = set(range(self.graph.n))
         if set(self.labels) != nodes:
             raise ValueError("every node needs exactly one label")
-        self.labels = {int(i): int(c) for i, c in self.labels.items()}
+        labels = {}
+        for i, c in self.labels.items():
+            try:
+                class_id = int(c)
+            except (TypeError, ValueError, OverflowError):
+                class_id = None
+            if class_id != c:
+                raise ValueError(f"class id {c!r} of node {i} is not an integer")
+            labels[int(i)] = class_id
+        self.labels = labels
         seen = set(self.labels.values())
         if not seen <= set(range(self.num_classes)):
             raise ValueError("labels must lie in 0..num_classes-1")
@@ -230,8 +342,13 @@ def build_from_features(features, method: str = "rbf", *, sigma: float = 1.0,
     if method == "rbf":
         if not (math.isfinite(sigma) and sigma > 0):
             raise ValueError(f"sigma must be finite and positive, got {sigma}")
-        diff = X[:, None, :] - X[None, :, :]
-        W = np.exp(-(diff * diff).sum(axis=2) / (sigma * sigma))
+        # row blocks of the (n, n, d) difference array, each pair summed
+        # over its d-vector as in one whole-array pass
+        W = np.empty((n, n))
+        step = max(1, _BLOCK_BYTES // (8 * n * d))
+        for r in range(0, n, step):
+            diff = X[r:r + step, None, :] - X[None, :, :]
+            W[r:r + step] = np.exp(-(diff * diff).sum(axis=2) / (sigma * sigma))
     elif method == "pearson":
         norms = np.linalg.norm(X, axis=1)
         denom = np.outer(norms, norms)
@@ -241,12 +358,11 @@ def build_from_features(features, method: str = "rbf", *, sigma: float = 1.0,
         raise ValueError(f"unknown similarity method {method!r}")
     iu, ju = np.triu_indices(n, k=1)
     w = W[iu, ju]
+    # drop W and the full triangle before the kept edges are sorted
+    del W
     keep = (w > 0.0) & (w >= threshold)
-    edges = {
-        (int(i), int(j)): float(x)
-        for i, j, x in zip(iu[keep], ju[keep], w[keep])
-    }
-    g = Graph(n, edges)
+    iu, ju, w = iu[keep], ju[keep], w[keep]
+    g = Graph.from_arrays(n, iu, ju, w)
     if not g.is_connected():
         raise ValueError(
             f"similarity graph is disconnected ({g.component_count()} components); "
@@ -267,31 +383,22 @@ def grid_graph(rows: int, cols: int, seed: int) -> LabeledGraph:
     if rows < 4 or cols < 4:
         raise ValueError("grid must be at least 4x4 to hold both 3x3 class blocks")
 
-    def node(r: int, c: int) -> int:
-        return r * cols + c
+    node = np.arange(rows * cols).reshape(rows, cols)
+    lo = np.concatenate([node[:, :-1].ravel(), node[:-1, :].ravel()])
+    hi = np.concatenate([node[:, 1:].ravel(), node[1:, :].ravel()])
+    graph = Graph.from_arrays(rows * cols, lo, hi, np.ones(len(lo)))
 
-    edges: dict[Edge, float] = {}
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges[(node(r, c), node(r, c + 1))] = 1.0
-            if r + 1 < rows:
-                edges[(node(r, c), node(r + 1, c))] = 1.0
-
-    labels = {node(r, c): 0 for r in range(rows) for c in range(cols)}
-    for r in range(3):
-        for c in range(3):
-            labels[node(r, c)] = 1
-            labels[node(rows - 1 - r, cols - 1 - c)] = 1
-    line_nodes = sorted(
-        {node(rows // 2, c) for c in range(cols)}
-        | {node(r, cols // 2) for r in range(rows)}
-    )
+    y = np.zeros((rows, cols), dtype=np.int64)
+    y[:3, :3] = 1
+    y[-3:, -3:] = 1
+    line = np.zeros((rows, cols), dtype=bool)
+    line[rows // 2, :] = True
+    line[:, cols // 2] = True
+    # one draw per line node in increasing id order
+    line_nodes = np.flatnonzero(line)
     rng = np.random.default_rng(seed)
-    for v in line_nodes:
-        if rng.random() < 0.5:
-            labels[v] = 1
-    return LabeledGraph(Graph(rows * cols, edges), labels, 2)
+    y.flat[line_nodes[rng.random(len(line_nodes)) < 0.5]] = 1
+    return LabeledGraph(graph, dict(enumerate(y.ravel().tolist())), 2)
 
 
 def community_graph(sizes, p_in: float, p_out: float, seed: int) -> LabeledGraph:
@@ -316,10 +423,9 @@ def community_graph(sizes, p_in: float, p_out: float, seed: int) -> LabeledGraph
     for _ in range(_CONNECT_ATTEMPTS):
         hit = np.triu(rng.random((n, n)) < probs, k=1)
         ii, jj = np.nonzero(hit)
-        g = Graph(n, {(int(i), int(j)): 1.0 for i, j in zip(ii, jj)})
+        g = Graph.from_arrays(n, ii, jj, np.ones(len(ii)))
         if g.is_connected():
-            labels = {i: int(block[i]) for i in range(n)}
-            return LabeledGraph(g, labels, len(sizes))
+            return LabeledGraph(g, dict(enumerate(block.tolist())), len(sizes))
     raise ValueError(
         f"no connected sample after {_CONNECT_ATTEMPTS} attempts; "
         "increase p_in/p_out or the community sizes"
@@ -373,7 +479,7 @@ def load_edge_list(path) -> Graph:
 def save_edge_list(graph: Graph, path) -> None:
     """Write a graph in the ``i j w`` format read by :func:`load_edge_list`."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for (i, j), w in sorted(graph.edges.items()):
+        for i, j, w in zip(graph.lo.tolist(), graph.hi.tolist(), graph.w.tolist()):
             fh.write(f"{i} {j} {w!r}\n")
 
 

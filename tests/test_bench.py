@@ -153,6 +153,16 @@ class TestRunExperiment:
         # scans happen at t = 2..5 over shrinking pools of <= n-1 nodes
         assert 0 < calls["fl"] <= 2 * lg.graph.n * 4
 
+    def test_graph_reuse_never_builds_an_edge_map(self, monkeypatch):
+        # run_experiment's equal-graph test compares the edge arrays
+        def no_map(graph):
+            raise AssertionError("edge map built")
+
+        monkeypatch.setattr(bench.graph_mod.Graph, "edges", property(no_map))
+        for spec in ("grid:5x5", "community:10,12:pin=0.8:pout=0.05"):
+            run_experiment(ExperimentConfig(spec, [Strategy("tv")], budget=3, runs=2,
+                                            seed=1, delta=0.2))
+
     def test_components_counted_once_per_run(self, monkeypatch):
         # community_graph checks connectivity and regularized_laplacian checks
         # the same graph again; the second check reuses the first count

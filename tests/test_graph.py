@@ -1,5 +1,7 @@
 """Graph construction, generators, Laplacians, and file round-trips."""
 
+import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -24,6 +26,285 @@ from gmrf_active import (
 )
 from gmrf_active import graph as graph_mod
 from gmrf_active.checks import random_connected_graph
+from gmrf_active.cli import main
+
+# sha256 of (n, sorted edges with repr(w), labels) at seeds 0-4, recorded
+# before Graph stored its edges as arrays
+GOLDEN_GRAPHS = {
+    "grid:10x10": [
+        "d9af42ff82af677ca3ca3ed89033fb248d7529512f33bc4a94236cf650cfe6f2",
+        "ae1ec202950b03691f21f3eee8eb2103fbbc6deed419fe43f527b6b2d6a2377e",
+        "627ff841533cda626b4c9d27a5ad2a989eda93be9e525a77352c5f7726df207d",
+        "f4625e1d874a0d0748a3f496176c36005805094ac1d7f519c502417df2c789d1",
+        "d6af55ad2d02c8e7736375fc1f4e7fb6b2de99c8250054e7cefc0bde2b978bf1",
+    ],
+    "grid:20x20": [
+        "477512ab32e56116ea177d09b76004d5d4022aba8be4f3d7560b5e20fe2c0915",
+        "7f6e8bc4e1e23548021b3a9446c2baf69589b5194ec88bc4e1622118018630e8",
+        "43f96d611adb3078412df58f8cd806f0af104cda7942c548d594186cfff0bce3",
+        "f98ce654a08655847119d85ce1952b2bdb1e6044e301e3877257aa6ff8017dbc",
+        "7d7b709c8c407be499ce6957c1790ea14aa9d1beebe4c85e103bf5bff6b7f5e3",
+    ],
+    "community:75,105,120:pin=0.15:pout=0.006": [
+        "e3ee7ff1dfbb6bbad748b99deccda9e9c54080e0a925afc0bf5d7753a833810b",
+        "3599a3169766717d30cfec43dab86337ef5431443f16f5acb706ba72772ceae3",
+        "b4fa6635c1278b315da286476b0f0670489fd6e06304e8e7e0cd873a03298417",
+        "14a76ee42acd866802b2de386d97f20fa503b0b220717b2c59545f4414321571",
+        "2e99d3c365a6d97c4282dc4f8a246f518ab3fcb53dacf9cd6d6070a35b8c49fc",
+    ],
+    "community:8,8,8:pin=0.6:pout=0.05": [
+        "b9ce56d3935e4433b6b3b24626894a5850018e5e585353984ee48c769de59b72",
+        "c610692e84ea34abc96bb58b6e70d2516473d0f212f4460dd6c2621de312468d",
+        "4075018f80de1cdbc279217adf2fda2a743cc7051887d113701ff84002ee4b08",
+        "a885ec17533beae776569a3ae750e30ccc27c67c30598bb7bdb6e19f317324fe",
+        "867b43057a534278fb33aa731a3b19313671c4cd3d10c7c2ca2a25540273301d",
+    ],
+}
+
+# sha256 of the edge and label files ``gmrf-active gen`` writes
+GOLDEN_GEN = {
+    ("grid:10x10", 7): (
+        "e70c292998e60d3d31d1484f84a285fdb09460e8b9037c699ca6bccb59d86789",
+        "e3c8746c2198264ce1208fbcd21f41a5dd8963211aa5d685053eba9be8510d96",
+    ),
+    ("community:20,20,20:pin=0.5:pout=0.02", 4): (
+        "329faced8ecaeb4a6dd2552e43c05e31986b4cda3a1dda8d05a066959e371db1",
+        "ca59e520c5a6fdfba5de26d9b36f240658c0d3a14bee28255499f0269d053da7",
+    ),
+}
+
+# sha256 of (n, sorted edges with repr(w)) of similarity graphs over
+# normalize_features(uniform(-3, 3)) rows, one matrix per shape, drawn in
+# this order from seed 0
+GOLDEN_SIMILARITY = [
+    ((40, 3), "rbf", {"sigma": 1.0, "threshold": 0.0},
+     "5279e5f84f8270d2410cb099972b16f6fbc1e3f8aeb2be281517dedff350eefa"),
+    ((40, 3), "rbf", {"sigma": 2.0, "threshold": 0.05},
+     "a53718a975b05646f48d0d3772d4138fa64d685baab4186311ceebf93bd89190"),
+    ((40, 3), "pearson", {"threshold": 0.0},
+     "ae817097ce33c0c3153012adf7fca693021d27f3ceec7a7159aed3f7b77d0c19"),
+    ((351, 34), "rbf", {"sigma": 1.0, "threshold": 0.0},
+     "75b03db6dfa5f7facf67363391ddba3f77559e8861ec42c628c8e2cb9ce1d9f4"),
+    ((351, 34), "rbf", {"sigma": 2.0, "threshold": 0.05}, "161 components"),
+    ((351, 34), "pearson", {"threshold": 0.0},
+     "17c6b6e0176eade9a10357657564b3f636150dc2fc385d76bbb6a3e19c046a53"),
+    ((97, 5), "rbf", {"sigma": 1.0, "threshold": 0.0},
+     "b362b432ad70d2aca04839128e723453601ba8bac000ae89cf93740a3a569cd8"),
+    ((97, 5), "rbf", {"sigma": 2.0, "threshold": 0.05},
+     "c5d2f20aa06350a4815ca633ca22eeb1744f29a9660c18933f055a0bf7084be5"),
+    ((97, 5), "pearson", {"threshold": 0.0},
+     "e6738048eba752496c27affd580842d2d10ffaf0febfbfef76b3f4a22b4d2635"),
+]
+
+
+def edge_digest(g, labels=None) -> str:
+    h = hashlib.sha256()
+    h.update(f"n {g.n}\n".encode())
+    for (i, j), w in sorted(g.edges.items()):
+        h.update(f"{i} {j} {w!r}\n".encode())
+    if labels is not None:
+        for i in range(g.n):
+            h.update(f"{i} {labels[i]}\n".encode())
+    return h.hexdigest()
+
+
+class TestGoldenGraphs:
+    @pytest.mark.parametrize("spec", sorted(GOLDEN_GRAPHS))
+    def test_generated_graphs_unchanged(self, spec):
+        for seed, digest in enumerate(GOLDEN_GRAPHS[spec]):
+            lg = from_spec(spec, seed=seed)
+            assert edge_digest(lg.graph, lg.labels) == digest, (spec, seed)
+
+    @pytest.mark.parametrize("spec, seed", sorted(GOLDEN_GEN))
+    def test_gen_writes_same_bytes(self, tmp_path, spec, seed):
+        edges, labels = tmp_path / "g.edges", tmp_path / "g.labels"
+        assert main(["gen", "--graph", spec, "--seed", str(seed),
+                     "--out-edges", str(edges), "--out-labels", str(labels)]) == 0
+        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (edges, labels))
+        assert digests == GOLDEN_GEN[(spec, seed)]
+
+    def test_similarity_graphs_unchanged(self):
+        rng = np.random.default_rng(0)
+        features = {}
+        for (n, d), method, kwargs, expected in GOLDEN_SIMILARITY:
+            if (n, d) not in features:
+                features[(n, d)] = normalize_features(rng.uniform(-3, 3, size=(n, d)))
+            X = features[(n, d)]
+            if expected.endswith("components"):
+                with pytest.raises(ValueError, match=expected):
+                    build_from_features(X, method, **kwargs)
+            else:
+                g = build_from_features(X, method, **kwargs)
+                assert edge_digest(g) == expected, ((n, d), method, kwargs)
+
+
+def union_find_components(n, pairs) -> int:
+    """Reference count: the union-find the graph module used before."""
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j in pairs:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+    return len({find(a) for a in range(n)})
+
+
+def reference_edges(n, edges) -> dict:
+    """Reference validation: the per-edge loop the graph module used before.
+
+    Returns the canonical map or raises the first bad edge's error.
+    """
+    canonical = {}
+    for (i, j), w in edges.items():
+        i, j, w = int(i), int(j), float(w)
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i}, {j}) outside node range 0..{n - 1}")
+        if i == j:
+            raise ValueError(f"self-loop on node {i} is not allowed")
+        if not math.isfinite(w):
+            raise ValueError(f"non-finite weight on edge ({i}, {j})")
+        if w < 0:
+            raise ValueError(f"negative weight {w} on edge ({i}, {j})")
+        if w == 0:
+            raise ValueError(f"zero-weight edge ({i}, {j}) must not be stored")
+        key = (i, j) if i < j else (j, i)
+        if key in canonical and canonical[key] != w:
+            raise ValueError(f"conflicting weights for edge {key}: {canonical[key]} vs {w}")
+        canonical[key] = w
+    return canonical
+
+
+def outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def edge_maps(draw):
+    """Small maps with ids just outside the range and every kind of weight."""
+    n = draw(st.integers(1, 6))
+    ids = st.integers(-1, n)
+    weight = st.one_of(st.sampled_from([0.5, 1.0, 2.5]),
+                       st.sampled_from([0.0, -0.0, -1.5, math.nan, math.inf, -math.inf]))
+    items = draw(st.lists(st.tuples(st.tuples(ids, ids), weight), max_size=10))
+    return n, dict(items)
+
+
+@st.composite
+def component_cases(draw):
+    """Edge lists with isolated nodes, many components or one long path."""
+    n = draw(st.integers(1, 80))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        cut = draw(st.integers(0, max(n - 1, 0)))
+        pairs = list(zip(order[1:], order[:-1]))[::-1][cut:]
+    else:
+        ids = st.integers(0, n - 1)
+        pairs = draw(st.lists(st.tuples(ids, ids).filter(lambda p: p[0] != p[1]),
+                              max_size=2 * n))
+    return n, pairs
+
+
+# several bad edges each; the first bad one in input order names the error
+FIRST_BAD_EDGE = {
+    "range": ({(0, 1): 1.0, (0, 9): 1.0, (2, 2): 1.0, (1, 2): -1.0},
+              "edge (0, 9) outside node range 0..3"),
+    "self-loop": ({(0, 1): 1.0, (2, 2): 1.0, (0, 9): 1.0, (1, 2): math.nan},
+                  "self-loop on node 2 is not allowed"),
+    "non-finite": ({(0, 1): 1.0, (1, 2): math.nan, (3, 3): 1.0, (0, 2): -1.0},
+                   "non-finite weight on edge (1, 2)"),
+    "negative": ({(0, 1): 1.0, (2, 1): -0.5, (1, 1): 1.0, (0, 3): 0.0},
+                 "negative weight -0.5 on edge (2, 1)"),
+    "zero": ({(0, 1): 1.0, (3, 0): 0.0, (1, 0): 2.0, (2, 2): 1.0},
+             "zero-weight edge (3, 0) must not be stored"),
+    "conflicting": ({(0, 1): 1.0, (2, 3): 1.0, (1, 0): 2.0, (3, 2): 5.0, (2, 2): 1.0},
+                    "conflicting weights for edge (0, 1): 1.0 vs 2.0"),
+}
+
+
+class TestValidationOracle:
+    @pytest.mark.parametrize("kind", sorted(FIRST_BAD_EDGE))
+    def test_first_bad_edge_in_input_order(self, kind):
+        edges, message = FIRST_BAD_EDGE[kind]
+        assert outcome(lambda: reference_edges(4, edges)) == message
+        assert outcome(lambda: Graph(4, edges)) == message
+        i, j = zip(*edges)
+        assert outcome(lambda: Graph.from_arrays(4, i, j, list(edges.values()))) == message
+
+    @given(edge_maps())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_per_edge_loop(self, case):
+        n, edges = case
+        expected = outcome(lambda: reference_edges(n, edges))
+        got = outcome(lambda: Graph(n, edges))
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert got.edges == expected
+            assert list(got.edges) == sorted(expected)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 30), st.integers(40, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_edge_loop_on_repeated_pairs(self, seed, n, m):
+        # many pairs occur in both orientations; the sort must keep them in
+        # input order to name the first conflict and its earlier weight
+        rng = np.random.default_rng(seed)
+        ends = rng.integers(0, n, size=(m, 2)).tolist()
+        weights = rng.choice([0.5, 1.0], size=m, p=[0.05, 0.95]).tolist()
+        edges = {(i, j): w for (i, j), w in zip(ends, weights) if i != j}
+        expected = outcome(lambda: reference_edges(n, edges))
+        got = outcome(lambda: Graph(n, edges))
+        assert (got if isinstance(got, str) else got.edges) == expected
+
+    def test_fractional_node_id_rejected(self):
+        with pytest.raises(ValueError, match=r"non-integral node id in edge \(0.5, 2\)"):
+            Graph(3, {(0.5, 2): 1.0, (1, 2.9): 2.0})
+        with pytest.raises(ValueError, match=r"non-integral node id in edge \(1, 2.9\)"):
+            Graph.from_arrays(3, [0.0, 1.0], [2.0, 2.9], [1.0, 2.0])
+        with pytest.raises(ValueError, match=r"non-integral node id in edge \(nan, 1\)"):
+            Graph(3, {(math.nan, 1): 1.0})
+        # integral floats name the same nodes as ints
+        assert Graph(3, {(0.0, 2.0): 1.0}) == Graph(3, {(0, 2): 1.0})
+
+    def test_fractional_class_id_rejected(self):
+        g = Graph(3, {(0, 1): 1.0, (1, 2): 1.0})
+        with pytest.raises(ValueError, match="class id 1.7 of node 1 is not an integer"):
+            LabeledGraph(g, {0: 0, 1: 1.7, 2: 0}, 2)
+        with pytest.raises(ValueError, match="class id nan of node 2 is not an integer"):
+            LabeledGraph(g, {0: 0, 1: 1, 2: math.nan}, 2)
+        lg = LabeledGraph(g, {0: 0, 1: 1.0, 2: np.int64(0)}, 2)
+        assert lg.labels == {0: 0, 1: 1, 2: 0}
+        assert all(type(c) is int for c in lg.labels.values())
+
+
+class TestComponentOracle:
+    @given(component_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_hook_and_jump_matches_union_find(self, case):
+        n, pairs = case
+        g = Graph(n, {pair: 1.0 for pair in pairs})
+        assert g.component_count() == union_find_components(n, pairs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 2000])
+    def test_reversed_long_path(self, n):
+        pairs = [(i + 1, i) for i in reversed(range(n - 1))]
+        g = Graph(n, {pair: 1.0 for pair in pairs})
+        assert g.component_count() == union_find_components(n, pairs) == 1
+
+    def test_many_components_and_isolated_nodes(self):
+        rng = np.random.default_rng(5)
+        order = rng.permutation(1000)
+        pairs = [(int(a), int(b)) for a, b in zip(order[0:600:2], order[1:600:2])]
+        g = Graph(1000, {pair: 1.0 for pair in pairs})
+        assert g.component_count() == union_find_components(1000, pairs) == 700
 
 
 class TestGraphInvariants:
@@ -60,6 +341,59 @@ class TestGraphInvariants:
         g = Graph(4, {(0, 1): 1.0, (2, 3): 1.0})
         assert g.component_count() == 2
         assert not g.is_connected()
+
+    def test_edges_are_sorted_read_only_arrays(self):
+        g = Graph(5, {(4, 1): 2.0, (0, 3): 1.0, (1, 0): 0.5, (3, 0): 1.0})
+        assert g.lo.tolist() == [0, 0, 1] and g.hi.tolist() == [1, 3, 4]
+        assert g.w.tolist() == [0.5, 1.0, 2.0]
+        assert g.num_edges == 3
+        for column in (g.lo, g.hi, g.w):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+
+    def test_from_arrays_copies_its_input(self):
+        i, j, w = np.array([0, 1]), np.array([1, 2]), np.array([1.0, 2.0])
+        g = Graph.from_arrays(3, i, j, w)
+        i[0], w[0] = 2, 9.0
+        assert g.edges == {(0, 1): 1.0, (1, 2): 2.0}
+
+    def test_equality_reads_arrays_not_the_map(self):
+        a = Graph(3, {(0, 1): 1.0, (2, 1): 0.5})
+        b = Graph.from_arrays(3, [1, 0], [2, 1], [0.5, 1.0])
+        assert a == b
+        assert a != Graph(3, {(0, 1): 1.0, (1, 2): 0.25})
+        assert a != Graph(4, {(0, 1): 1.0, (1, 2): 0.5})
+        assert a != "graph"
+        assert "edges" not in vars(a) and "edges" not in vars(b)
+
+    def test_weight_matrix_matches_per_edge_fill(self):
+        g = random_connected_graph(30, np.random.default_rng(9))
+        W = np.zeros((30, 30))
+        for (i, j), w in g.edges.items():
+            W[i, j] = w
+            W[j, i] = w
+        assert g.weight_matrix().tobytes() == W.tobytes()
+
+    def test_construction_allocates_nothing_sized_by_n(self):
+        n = 10**9
+        tracemalloc.start()
+        try:
+            g = Graph(n, {(0, 1): 1.0, (2, n - 1): 1.0})
+            h = Graph.from_arrays(n, [n - 1, 1], [2, 0], [1.0, 1.0])
+            assert g == h
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_node_count_beyond_int64_key(self):
+        # n * n overflows int64 here, so the edges sort by two keys
+        n = 2**40
+        big = n - 1
+        g = Graph(n, {(big, 3): 1.0, (0, big): 2.0, (5, 4): 1.0, (3, big): 1.0})
+        assert g.edges == {(0, big): 2.0, (3, big): 1.0, (4, 5): 1.0}
+        with pytest.raises(ValueError, match=f"conflicting weights for edge \\(3, {big}\\)"):
+            Graph(n, {(big, 3): 1.0, (0, big): 2.0, (3, big): 1.5})
 
 
 class TestLabeledGraph:
@@ -128,6 +462,21 @@ class TestBuildFromFeatures:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown similarity"):
             build_from_features(np.eye(3), "cosine")
+
+    def test_rbf_peak_memory_at_ionosphere_shape(self):
+        n, d = 351, 34
+        X = normalize_features(np.random.default_rng(0).uniform(-3, 3, size=(n, d)))
+        tracemalloc.start()
+        try:
+            g = build_from_features(X, "rbf", sigma=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.num_edges == n * (n - 1) // 2
+        # W and one row block, then the kept pairs' columns and their sorted
+        # copies; the former (n, n, d) difference array and its square took
+        # 2 d = 68 n^2 doubles on their own
+        assert peak <= 8 * 8 * n * n
 
 
 class TestNormalizeFeatures:
