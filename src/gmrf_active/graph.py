@@ -27,9 +27,6 @@ Edge = tuple[int, int]
 # Samples community_graph draws before giving up on a connected graph.
 _CONNECT_ATTEMPTS = 50
 
-# Node counts up to this one sort edges by the int64 key lo * n + hi.
-_MAX_KEYED_NODES = 3_037_000_499
-
 # Bytes of one row block of build_from_features' rbf difference array.
 _BLOCK_BYTES = 1 << 20
 
@@ -161,10 +158,7 @@ def _canonical_edges(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray):
     # pair's earlier occurrence
     lo = np.minimum(a[:first], b[:first]).astype(np.intp, copy=False)
     hi = np.maximum(a[:first], b[:first]).astype(np.intp, copy=False)
-    if n <= _MAX_KEYED_NODES:
-        order = np.argsort(lo * n + hi, kind="stable")
-    else:
-        order = np.lexsort((hi, lo))
+    order = np.lexsort((hi, lo))
     lo, hi, x = lo[order], hi[order], w[:first][order]
     repeat = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
     clashes = np.flatnonzero(repeat & (x[1:] != x[:-1])) + 1
@@ -234,9 +228,10 @@ class LabeledGraph:
         for i, c in self.labels.items():
             try:
                 class_id = int(c)
+                integral = class_id == c or class_id == float(c)
             except (TypeError, ValueError, OverflowError):
-                class_id = None
-            if class_id != c:
+                integral = False
+            if not integral:
                 raise ValueError(f"class id {c!r} of node {i} is not an integer")
             labels[int(i)] = class_id
         self.labels = labels
