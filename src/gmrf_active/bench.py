@@ -5,8 +5,9 @@ A run draws the graph (generator sources are re-sampled per run with seed
 the same budget of queries. A run whose graph equals the previous run's
 reuses that run's Laplacian and inverse: a grid redraws only its labels, and
 file and ready-graph sources never change, so they pay for the inverse once
-per experiment. The label oracle is the graph's label array
-(``LabeledGraph.label_vector``): a query on node ``i`` reads entry ``i``.
+per experiment. A file source is read once, before the first run. The label
+oracle is the graph's label array ``LabeledGraph.labels``: a query on node
+``i`` reads entry ``i``.
 All strategies in one config share the per-run seed, so their first random
 query coincides and curve differences are strategy-driven. Accuracy after
 each query is the fraction of correctly predicted nodes, evaluated on the
@@ -17,6 +18,7 @@ flag.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -99,7 +101,8 @@ class ExperimentConfig:
             raise ValueError("budget must be at least 1")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
-        if not (math.isfinite(self.delta) and self.delta > 0):
+        if not (isinstance(self.delta, numbers.Real)
+                and math.isfinite(self.delta) and self.delta > 0):
             raise ValueError(f"delta must be finite and positive, got {self.delta}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -112,7 +115,7 @@ def accuracy(model: GmrfModel, labels: np.ndarray, eval_on: str = "remaining") -
 
     The model predicts by :func:`~gmrf_active.gmrf.class_decision`, the same
     rule as :meth:`GmrfModel.predict`. ``labels`` is the 1-D array of true
-    class ids indexed by node id, as ``LabeledGraph.label_vector`` gives;
+    class ids indexed by node id, as ``LabeledGraph.labels`` holds;
     any other input is rejected. With ``eval_on="remaining"`` the fraction
     is over the unlabeled nodes; with ``"initial"`` it is over all nodes, and
     the queried ones count as correct because they carry their disclosed
@@ -154,12 +157,6 @@ def _check_graph(cfg: ExperimentConfig, lg: LabeledGraph) -> None:
                 )
 
 
-def _run_graph(cfg: ExperimentConfig, run_seed: int) -> LabeledGraph:
-    if isinstance(cfg.graph, LabeledGraph):
-        return cfg.graph
-    return graph_mod.from_spec(cfg.graph, seed=run_seed)
-
-
 def run_experiment(cfg: ExperimentConfig,
                    step_hook: Callable | None = None) -> dict[str, AccuracyCurve]:
     """Run the full Monte-Carlo experiment; returns one curve per strategy.
@@ -175,15 +172,18 @@ def run_experiment(cfg: ExperimentConfig,
     observation, which is handy for invariant tracking.
     """
     curves = {s.label: np.zeros((cfg.runs, cfg.budget)) for s in cfg.strategies}
+    source = cfg.graph
+    if isinstance(source, str) and source.startswith("file:"):
+        source = graph_mod.from_spec(source)  # file sources ignore the seed
     graph = inverse = None
     for r in range(cfg.runs):
         run_seed = cfg.seed + r
-        lg = _run_graph(cfg, run_seed)
+        lg = source if isinstance(source, LabeledGraph) else graph_mod.from_spec(source, run_seed)
         _check_graph(cfg, lg)
         if lg.graph != graph:
             graph = lg.graph
             inverse = spd_inverse(regularized_laplacian(graph, cfg.delta).matrix)
-        truth = lg.label_vector()
+        truth = lg.labels
         for strat in cfg.strategies:
             model = GmrfModel.from_inverse(inverse, lg.num_classes)
             rng = np.random.default_rng(run_seed)

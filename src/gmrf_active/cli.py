@@ -193,9 +193,7 @@ def _cmd_build_graph(args) -> int:
     graph_mod.save_edge_list(g, out_edges)
     print(f"wrote {out_edges} ({g.n} nodes, {g.num_edges} edges)", file=sys.stderr)
     if args.out_labels:
-        canon, num_classes = graph_mod.canonical_labels(
-            {i: int(c) for i, c in enumerate(labels)}
-        )
+        canon, num_classes = graph_mod.canonical_labels(labels)
         graph_mod.save_labels(canon, args.out_labels)
         print(f"wrote {args.out_labels} ({num_classes} classes)", file=sys.stderr)
     return 0

@@ -26,7 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.linalg
 
-from .graph import RegularizedLaplacian
+from .graph import RegularizedLaplacian, as_integer
 
 # Diagonal entries of G below this are treated as degenerate pivots.
 PIVOT_FLOOR = 1e-12
@@ -150,7 +150,6 @@ class GmrfModel:
         self.unlabeled = np.asarray(unlabeled, dtype=np.int64)
         G = np.asarray(G, dtype=float)
         means = np.asarray(means, dtype=float)
-        self.labeled = {int(k): int(v) for k, v in labeled.items()}
         ids = self.unlabeled
         n = ids.size
         if ids.ndim != 1 or np.any(ids[1:] <= ids[:-1]):
@@ -161,13 +160,21 @@ class GmrfModel:
             raise ValueError("means needs at least two class fields")
         if means.shape[1] != n:
             raise ValueError(f"means has {means.shape[1]} columns, expected {n}")
+        c = means.shape[0]
+        self.labeled = {}
+        for node, class_id in labeled.items():
+            k, v = as_integer(node), as_integer(class_id)
+            if k is None:
+                raise ValueError(f"labeled node {node} is not an integer id")
+            if v is None or not 0 <= v < c:
+                raise ValueError(f"class id {class_id} of labeled node {k} is not in 0..{c - 1}")
+            self.labeled[k] = v
         if self.labeled:
             keys = np.fromiter(self.labeled, dtype=np.int64, count=len(self.labeled))
             both = keys[np.isin(keys, ids)]
             if both.size:
                 raise ValueError(f"labeled nodes {sorted(both.tolist())} are also unlabeled")
         self.retrain_calls = 0
-        c = means.shape[0]
         self._state = np.empty((n + c + 1, n))
         self._state[:n] = G
         self._state[n:-1] = means

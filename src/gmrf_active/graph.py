@@ -3,7 +3,7 @@
 This module provides:
 - ``Graph``: undirected graph with strictly positive edge weights and no
   self-loops, stored as sorted canonical edge arrays.
-- ``LabeledGraph``: a graph plus a total assignment of class ids 0..C-1.
+- ``LabeledGraph``: a graph plus a read-only array of class ids 0..C-1.
 - ``RegularizedLaplacian``: dense ``D - W + delta*I`` for a connected graph.
 - generators ``grid_graph`` (two-block lattice) and ``community_graph``
   (planted partition), both deterministic given their seed.
@@ -206,43 +206,79 @@ def _count_components(n: int, edges) -> int:
             parent = up
 
 
-@dataclass
+@dataclass(eq=False)
 class LabeledGraph:
     """A graph with one class id per node, classes ``0..num_classes-1``.
 
-    Every node carries exactly one label and every class occurs at least
-    once; generators and loaders enforce this at construction.
+    ``labels`` is a read-only int64 array indexed by node id, copied from a
+    sequence indexed by node id or a ``{node: class}`` mapping over every
+    node. Class ids are integers by :func:`as_integer`; every class occurs.
     """
 
     graph: Graph
-    labels: dict[int, int]
+    labels: np.ndarray
     num_classes: int
 
     def __post_init__(self):
+        n, labels = self.graph.n, self.labels
         if self.num_classes < 2:
             raise ValueError("need at least two classes")
-        nodes = set(range(self.graph.n))
-        if set(self.labels) != nodes:
+        if isinstance(labels, Mapping):
+            labels = _in_node_order(labels, n)
+        elif not isinstance(labels, np.ndarray):
+            labels = np.fromiter(labels, dtype=object)
+        if labels is None or labels.shape != (n,):
             raise ValueError("every node needs exactly one label")
-        labels = {}
-        for i, c in self.labels.items():
+        if labels.dtype.kind not in "biu":
+            # int and float of each id, cast inside numpy; the loop runs on failure only
+            labels = labels.astype(object)
             try:
-                class_id = int(c)
-                integral = class_id == c or class_id == float(c)
+                ids = labels.astype(np.int64)
+                integral = (ids == labels.astype(float)).all()
             except (TypeError, ValueError, OverflowError):
                 integral = False
             if not integral:
-                raise ValueError(f"class id {c!r} of node {i} is not an integer")
-            labels[int(i)] = class_id
-        self.labels = labels
-        seen = set(self.labels.values())
-        if not seen <= set(range(self.num_classes)):
+                _raise_first_fractional(labels)
+            labels = ids
+        if not ((labels >= 0) & (labels < self.num_classes)).all():
             raise ValueError("labels must lie in 0..num_classes-1")
-        if seen != set(range(self.num_classes)):
+        self.labels = labels.astype(np.int64)
+        self.labels.flags.writeable = False
+        if not np.bincount(self.labels, minlength=self.num_classes).all():
             raise ValueError("every class must occur at least once")
 
-    def label_vector(self) -> np.ndarray:
-        return np.array([self.labels[i] for i in range(self.graph.n)], dtype=np.int64)
+
+def _in_node_order(mapping: Mapping, n: int) -> np.ndarray | None:
+    """Values of ``{node: value}`` as an object array indexed by node id, or
+    None unless the keys are exactly the nodes ``0..n-1``."""
+    nodes = np.array(list(mapping))
+    if nodes.shape != (n,) or nodes.dtype.kind not in "iuf":
+        return None
+    if not np.array_equal(np.sort(nodes), np.arange(n)):
+        return None
+    values = np.empty(n, dtype=object)
+    values[nodes.astype(np.intp)] = np.fromiter(mapping.values(), dtype=object, count=n)
+    return values
+
+
+def as_integer(x) -> int | None:
+    """``int(x)`` if it equals ``x`` or ``float(x)``, else None: ``2.0`` and
+    ``'2'`` give 2; ``2.5``, ``'2.5'`` and NaN give None."""
+    try:
+        k = int(x)
+        return k if k == x or k == float(x) else None
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _raise_first_fractional(labels: np.ndarray) -> None:
+    """Raise for the first node whose class id is not an integer; if every id
+    is one, a cast failed on an id too large for the class range."""
+    for i, c in enumerate(labels.tolist()):
+        if as_integer(c) is None:
+            c = c.item() if isinstance(c, np.generic) else c
+            raise ValueError(f"class id {c!r} of node {i} is not an integer")
+    raise ValueError("labels must lie in 0..num_classes-1")
 
 
 @dataclass
@@ -393,7 +429,7 @@ def grid_graph(rows: int, cols: int, seed: int) -> LabeledGraph:
     line_nodes = np.flatnonzero(line)
     rng = np.random.default_rng(seed)
     y.flat[line_nodes[rng.random(len(line_nodes)) < 0.5]] = 1
-    return LabeledGraph(graph, dict(enumerate(y.ravel().tolist())), 2)
+    return LabeledGraph(graph, y.ravel(), 2)
 
 
 def community_graph(sizes, p_in: float, p_out: float, seed: int) -> LabeledGraph:
@@ -420,7 +456,7 @@ def community_graph(sizes, p_in: float, p_out: float, seed: int) -> LabeledGraph
         ii, jj = np.nonzero(hit)
         g = Graph.from_arrays(n, ii, jj, np.ones(len(ii)))
         if g.is_connected():
-            return LabeledGraph(g, dict(enumerate(block.tolist())), len(sizes))
+            return LabeledGraph(g, block, len(sizes))
     raise ValueError(
         f"no connected sample after {_CONNECT_ATTEMPTS} attempts; "
         "increase p_in/p_out or the community sizes"
@@ -501,10 +537,10 @@ def load_labels(path) -> dict[int, int]:
     return labels
 
 
-def save_labels(labels: dict[int, int], path) -> None:
+def save_labels(labels, path) -> None:
+    """Write class ids indexed by node id in the ``i c`` format of :func:`load_labels`."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for i in sorted(labels):
-            fh.write(f"{i} {labels[i]}\n")
+        fh.writelines(f"{i} {c}\n" for i, c in enumerate(np.asarray(labels).tolist()))
 
 
 def load_features(path) -> tuple[np.ndarray, np.ndarray]:
@@ -538,17 +574,16 @@ def load_features(path) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows, dtype=float), np.array(labels, dtype=np.int64)
 
 
-def canonical_labels(raw: dict[int, int]) -> tuple[dict[int, int], int]:
-    """Remap arbitrary integer class values onto contiguous ids ``0..C-1``.
+def canonical_labels(raw) -> tuple[np.ndarray, int]:
+    """Remap integer class values, indexed by node id, onto ids ``0..C-1``.
 
     The mapping follows the sorted order of the distinct values, so it is
-    deterministic; returns the remapped dict and the class count.
+    deterministic; returns the int64 array of ids and the class count.
     """
-    values = sorted(set(raw.values()))
+    values, ids = np.unique(raw, return_inverse=True)
     if len(values) < 2:
         raise ValueError("need at least two distinct classes")
-    remap = {v: k for k, v in enumerate(values)}
-    return {int(i): remap[c] for i, c in raw.items()}, len(values)
+    return ids.astype(np.int64, copy=False), len(values)
 
 
 def from_spec(spec: str, seed: int = 0) -> LabeledGraph:
@@ -592,14 +627,13 @@ def from_spec(spec: str, seed: int = 0) -> LabeledGraph:
         if not edge_path or not label_path:
             raise ValueError("file spec must name both files: file:EDGES:LABELS")
         g = load_edge_list(edge_path)
-        labels, num_classes = canonical_labels(load_labels(label_path))
-        # the length test comes first: one stray id makes g.n huge
-        if len(labels) != g.n or set(labels) != set(range(g.n)):
+        values = _in_node_order(load_labels(label_path), g.n)
+        if values is None:
             raise ValueError(
                 f"label file {label_path} must cover exactly the {g.n} nodes "
                 f"of {edge_path}"
             )
-        return LabeledGraph(g, labels, num_classes)
+        return LabeledGraph(g, *canonical_labels(values))
     raise ValueError(
         f"unknown graph spec {spec!r}; expected grid:RxC, "
         "community:SIZES:pin=..:pout=.., or file:EDGES:LABELS"

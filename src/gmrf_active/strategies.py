@@ -33,6 +33,7 @@ counted as ties.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,7 +81,8 @@ class Strategy:
         if self.kind not in KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}; choose from {KINDS}")
         object.__setattr__(self, "_confidence", _parse_confidence(self.confidence))
-        if not (math.isfinite(self.hybrid_scale) and self.hybrid_scale >= 0):
+        if not (isinstance(self.hybrid_scale, numbers.Real)
+                and math.isfinite(self.hybrid_scale) and self.hybrid_scale >= 0):
             raise ValueError(f"hybrid_scale must be finite and >= 0, got {self.hybrid_scale}")
         if self.maxmin and self.kind not in RETRAINING_KINDS:
             raise ValueError("maxmin applies only to the retraining-based scorers (fl, kl)")
@@ -103,6 +105,8 @@ class Strategy:
 def _parse_confidence(text: str) -> float | None:
     """The constant ``a`` of a confidence spec (``none`` is ``const:0``), or
     None for the ``inv_sqrt`` schedule."""
+    if not isinstance(text, str):
+        raise ValueError(f"confidence must be a string spec, got {text!r}")
     if text == "none":
         return 0.0
     if text == "inv_sqrt":

@@ -1,6 +1,7 @@
 """Monte-Carlo harness: determinism, accuracy metrics, CSV output."""
 
 import csv
+import hashlib
 import re
 
 import numpy as np
@@ -21,6 +22,8 @@ from gmrf_active import (
     grid_graph,
     regularized_laplacian,
     run_experiment,
+    save_edge_list,
+    save_labels,
     spd_inverse,
 )
 from gmrf_active import bench
@@ -60,7 +63,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("name, value", [
         ("delta", float("nan")), ("delta", float("inf")), ("seed", -1),
-        ("seed", 1.5), ("budget", 2.5), ("runs", 2.5),
+        ("seed", 1.5), ("budget", 2.5), ("runs", 2.5), ("delta", "x"), ("delta", None),
     ])
     def test_rejects_bad_delta_or_seed_before_any_compute(self, monkeypatch, name, value):
         def no_compute(*args, **kwargs):
@@ -257,6 +260,31 @@ class TestInverseReuse:
             for s in strategies:
                 assert np.array_equal(together[s.label].values[r], alone[s.label].values[0])
 
+    def test_file_source_read_once_per_experiment(self, monkeypatch, tmp_path):
+        lg = community_graph([12, 14], 0.5, 0.05, seed=2)
+        save_edge_list(lg.graph, tmp_path / "g.edges")
+        save_labels(lg.labels, tmp_path / "g.labels")
+        reads = []
+        load = bench.graph_mod.load_edge_list
+
+        def counted(path):
+            reads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(bench.graph_mod, "load_edge_list", counted)
+        strategies = [Strategy("tv", confidence="inv_sqrt"), Strategy("msd"), Strategy("fl")]
+        csvs = []
+        for source in (f"file:{tmp_path}/g.edges:{tmp_path}/g.labels", lg):
+            out = tmp_path / f"{len(csvs)}.csv"
+            emit_csv(run_experiment(ExperimentConfig(source, strategies, budget=6, runs=3,
+                                                     seed=5)), out)
+            csvs.append(out.read_bytes())
+        assert len(reads) == 1
+        assert csvs[0] == csvs[1]
+        # recorded when every run read the file again
+        assert hashlib.sha256(csvs[0]).hexdigest() == (
+            "d360997ef3baacc1a4f3060cb15751b9f1e4661ee45f3d65f569d2862df93f25")
+
     def test_shared_inverse_is_left_unchanged(self, monkeypatch):
         _, inverses = _count_setup_calls(monkeypatch)
         cfg = ExperimentConfig("grid:5x5", [Strategy("tv"), Strategy("klg")], budget=8,
@@ -275,14 +303,14 @@ class TestAccuracy:
         G = GmrfModel.from_laplacian(lap, 2).G
         mu = np.array([1.0 if lg.labels[i] == 1 else -1.0 for i in range(lg.graph.n)])
         model = GmrfModel(np.arange(lg.graph.n), {}, G, np.stack([-mu, mu]))
-        assert accuracy(model, lg.label_vector()) == 1.0
+        assert accuracy(model, lg.labels) == 1.0
 
     def test_zero_mean_predicts_minus_class_everywhere(self):
         lg = small_labeled_graph(seed=9)
         lap = regularized_laplacian(lg.graph, 0.1)
         model = GmrfModel.from_laplacian(lap, 2)  # mu = 0 everywhere
-        expected = sum(1 for c in lg.labels.values() if c == 0) / lg.graph.n
-        assert accuracy(model, lg.label_vector()) == pytest.approx(expected)
+        expected = sum(1 for c in lg.labels if c == 0) / lg.graph.n
+        assert accuracy(model, lg.labels) == pytest.approx(expected)
 
     def test_matches_hand_count(self):
         rng = np.random.default_rng(10)
@@ -303,7 +331,7 @@ class TestAccuracy:
         model = GmrfModel.from_laplacian(lap, 2)
         for node in (0, 1, 5):
             model.observe(node, lg.labels[node])
-        labels = lg.label_vector()
+        labels = lg.labels
         remaining = accuracy(model, labels)
         hand = sum(pred == lg.labels[node] for node, pred in model.predict().items())
         assert remaining == hand / model.num_unlabeled
@@ -324,27 +352,27 @@ class TestAccuracy:
             for c in range(3)
         ])
         unl = [i for i in range(lg.graph.n) if i not in queried]
-        truth = lg.label_vector()[unl]
+        truth = lg.labels[unl]
         soft = fields + 1.0
         cmn_hits = np.count_nonzero(np.argmax(soft / soft.sum(axis=1, keepdims=True), axis=0) == truth)
         argmax_hits = np.count_nonzero(np.argmax(fields, axis=0) == truth)
         assert cmn_hits != argmax_hits  # the state tells the two rules apart
-        assert accuracy(mm, lg.label_vector()) == pytest.approx(cmn_hits / len(unl))
+        assert accuracy(mm, lg.labels) == pytest.approx(cmn_hits / len(unl))
         n = lg.graph.n
-        assert accuracy(mm, lg.label_vector(), eval_on="initial") == pytest.approx(
+        assert accuracy(mm, lg.labels, eval_on="initial") == pytest.approx(
             (cmn_hits + len(queried)) / n)
 
     def test_rejects_bad_eval_mode(self):
         lg = small_labeled_graph(seed=12)
         model = GmrfModel.from_laplacian(regularized_laplacian(lg.graph, 0.1), 2)
         with pytest.raises(ValueError, match="eval_on"):
-            accuracy(model, lg.label_vector(), eval_on="test-split")
+            accuracy(model, lg.labels, eval_on="test-split")
 
     def test_rejects_label_mapping(self):
         lg = small_labeled_graph(seed=12)
         model = GmrfModel.from_laplacian(regularized_laplacian(lg.graph, 0.1), 2)
         with pytest.raises(ValueError, match="labels"):
-            accuracy(model, dict(lg.labels))
+            accuracy(model, dict(enumerate(lg.labels.tolist())))
 
 
 class TestBaselineAccuracy:

@@ -1,5 +1,6 @@
 """Field-model state: initialization, rank-one updates, predictions."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -82,6 +83,24 @@ class TestInit:
     def test_inconsistent_state_rejected(self, unlabeled, labeled, G, means, name):
         with pytest.raises(ValueError, match=f"^{name} "):
             GmrfModel(unlabeled, labeled, G, means)
+
+    @pytest.mark.parametrize("labeled, message", [
+        ({2: 0.5, 4: 1}, r"class id 0.5 of labeled node 2 is not in 0..1"),
+        ({2: 0, 3.7: 1}, r"labeled node 3.7 is not an integer id"),
+        ({2: 0, 4: 9}, r"class id 9 of labeled node 4 is not in 0..1"),
+        ({2: 0, np.float64(3.5): 1}, r"labeled node 3.5 is not an integer id"),
+        ({2: "1.5"}, r"class id 1.5 of labeled node 2 is not in 0..1"),
+        ({2: math.nan}, r"class id nan of labeled node 2 is not in 0..1"),
+    ])
+    def test_labeled_ids_are_not_truncated(self, labeled, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GmrfModel([0, 1], labeled, np.eye(2), np.zeros((2, 2)))
+
+    def test_integral_labeled_ids_accepted(self):
+        model = GmrfModel([0, 1], {2.0: np.int64(1), np.int64(3): 0.0, 4: "1"}, np.eye(2),
+                          np.zeros((2, 2)))
+        assert model.labeled == {2: 1, 3: 0, 4: 1}
+        assert all(type(k) is int and type(c) is int for k, c in model.labeled.items())
 
     def test_asymmetric_G_rejected_naming_the_entries(self):
         # score_tv would read row 0 (l1 = 1.5) and the carried G 1 column 0 (1.1)
@@ -598,7 +617,7 @@ class TestClassDecision:
         preds = mm.predict()
         assert preds[21] == 2
         hits = sum(lg.labels[n] == c for n, c in preds.items())
-        assert accuracy(mm, lg.label_vector()) == hits / len(preds)
+        assert accuracy(mm, lg.labels) == hits / len(preds)
 
     def test_one_observed_class_no_warning_and_unlabeled_classes_tie_low(self):
         rng = np.random.default_rng(18)

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -291,11 +292,11 @@ class TestValidationOracle:
         with pytest.raises(ValueError, match="class id '1.7' of node 1 is not an integer"):
             LabeledGraph(g, {0: 0, 1: "1.7", 2: 0}, 2)
         lg = LabeledGraph(g, {0: 0, 1: 1.0, 2: np.int64(0)}, 2)
-        assert lg.labels == {0: 0, 1: 1, 2: 0}
+        assert lg.labels.tolist() == [0, 1, 0]
         # integer-valued strings name classes, as before
         lg = LabeledGraph(g, {0: "0", 1: np.str_("1"), 2: 0}, 2)
-        assert lg.labels == {0: 0, 1: 1, 2: 0}
-        assert all(type(c) is int for c in lg.labels.values())
+        assert lg.labels.tolist() == [0, 1, 0]
+        assert lg.labels.dtype == np.int64
 
 
 class TestComponentOracle:
@@ -409,16 +410,131 @@ class TestGraphInvariants:
             Graph(n, {(big, 3): 1.0, (0, big): 2.0, (3, big): 1.5})
 
 
+def reference_class_ids(labels, n, num_classes) -> list:
+    """Reference validation: the per-node loop ``LabeledGraph`` ran before it
+    stored an array.
+
+    A sequence is read as ``dict(enumerate(...))``. The loop walks the nodes
+    in node order and names a numpy scalar by its plain value. Returns the
+    class ids in node order or raises the first failed check's error.
+    """
+    if num_classes < 2:
+        raise ValueError("need at least two classes")
+    if not isinstance(labels, Mapping):
+        labels = dict(enumerate(labels))
+    if set(labels) != set(range(n)):
+        raise ValueError("every node needs exactly one label")
+    ids = []
+    for i in range(n):
+        c = labels[i]
+        try:
+            class_id = int(c)
+            integral = class_id == c or class_id == float(c)
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            c = c.item() if isinstance(c, np.generic) else c
+            raise ValueError(f"class id {c!r} of node {i} is not an integer")
+        ids.append(class_id)
+    seen = set(ids)
+    if not seen <= set(range(num_classes)):
+        raise ValueError("labels must lie in 0..num_classes-1")
+    if seen != set(range(num_classes)):
+        raise ValueError("every class must occur at least once")
+    return ids
+
+
+@st.composite
+def label_cases(draw):
+    """Label maps and sequences mixing every accepted form of a class id with
+    fractional ids, ids out of range, missing classes and wrong lengths."""
+    n = draw(st.integers(1, 7))
+    num_classes = draw(st.integers(2, 3))
+    k = st.integers(0, num_classes - 1)
+    good = st.one_of(k, k.map(float), k.map(np.int64), k.map(str), k.map(np.str_))
+    bad = st.sampled_from([1.7, "1.7", math.nan, -1, num_classes, 2**70])
+    size = draw(st.sampled_from([n] * 6 + [n - 1, n + 1]))
+    values = draw(st.lists(good, min_size=size, max_size=size))
+    for _ in range(draw(st.integers(0, 2)) if size else 0):
+        values[draw(st.integers(0, size - 1))] = draw(bad)
+    form = draw(st.sampled_from(["dict", "shuffled dict", "list", "tuple", "array"]))
+    if form == "dict":
+        labels = dict(enumerate(values))
+    elif form == "shuffled dict":
+        labels = dict(draw(st.permutations(list(enumerate(values)))))
+    elif form == "list":
+        labels = values
+    elif form == "tuple":
+        labels = tuple(values)
+    else:
+        labels = np.array(values)
+    return n, num_classes, labels
+
+
 class TestLabeledGraph:
     def test_requires_total_labeling(self):
         g = Graph(3, {(0, 1): 1.0, (1, 2): 1.0})
         with pytest.raises(ValueError, match="exactly one label"):
             LabeledGraph(g, {0: 0, 1: 1}, 2)
+        with pytest.raises(ValueError, match="exactly one label"):
+            LabeledGraph(g, [0, 1, 0, 1], 2)
 
     def test_requires_every_class(self):
         g = Graph(3, {(0, 1): 1.0, (1, 2): 1.0})
         with pytest.raises(ValueError, match="every class"):
             LabeledGraph(g, {0: 0, 1: 0, 2: 0}, 2)
+
+    @given(label_cases())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_per_node_loop(self, case):
+        n, num_classes, labels = case
+        expected = outcome(lambda: reference_class_ids(labels, n, num_classes))
+        got = outcome(lambda: LabeledGraph(Graph(n, {}), labels, num_classes))
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert got.labels.dtype == np.int64
+            assert got.labels.tolist() == expected
+
+    @pytest.mark.parametrize("labels, expected", [
+        ([0, 1.7, "1.7", 1], "class id 1.7 of node 1 is not an integer"),
+        ({3: 1, 2: math.nan, 1: 1.7, 0: 0}, "class id 1.7 of node 1 is not an integer"),
+        (np.array([0.0, 1.0, 2.5, 1.0]), "class id 2.5 of node 2 is not an integer"),
+        ([np.float64(0.5), 0, 1, 0], "class id 0.5 of node 0 is not an integer"),
+        ([0, 1, np.str_("1.7"), 1], "class id '1.7' of node 2 is not an integer"),
+        ([0, 1, 2**70, 1], "labels must lie in 0..num_classes-1"),
+        ([0, 1, "1", 1.0], [0, 1, 1, 1]),
+    ])
+    def test_first_bad_node_in_node_order(self, labels, expected):
+        g = Graph(4, {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0})
+        assert outcome(lambda: reference_class_ids(labels, 4, 2)) == expected
+        assert outcome(lambda: LabeledGraph(g, labels, 2).labels.tolist()) == expected
+
+    @pytest.mark.parametrize("form", [np.array, list, lambda y: dict(enumerate(y))])
+    def test_labels_are_a_read_only_copy(self, form):
+        g = Graph(3, {(0, 1): 1.0, (1, 2): 1.0})
+        given_labels = form([0, 1, 0])
+        lg = LabeledGraph(g, given_labels, 2)
+        given_labels[0] = 1
+        assert lg.labels.tolist() == [0, 1, 0]
+        assert lg.labels.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            lg.labels[0] = 1
+
+    def test_valid_labels_skip_the_per_node_loop(self, monkeypatch, tmp_path):
+        def no_loop(values):
+            raise AssertionError("the per-node loop ran on valid labels")
+
+        monkeypatch.setattr(graph_mod, "_raise_first_fractional", no_loop)
+        lg = grid_graph(10, 10, seed=0)
+        community_graph([8, 8, 8], 0.6, 0.05, seed=1)
+        LabeledGraph(lg.graph, lg.labels.astype(np.uint8), 2)
+        LabeledGraph(lg.graph, lg.labels.astype(float), 2)
+        LabeledGraph(lg.graph, lg.labels.astype(str), 2)
+        LabeledGraph(lg.graph, dict(enumerate(lg.labels.tolist())), 2)
+        save_edge_list(lg.graph, tmp_path / "g.edges")
+        save_labels(lg.labels, tmp_path / "g.labels")
+        from_spec(f"file:{tmp_path}/g.edges:{tmp_path}/g.labels")
 
 
 class TestBuildFromFeatures:
@@ -632,14 +748,14 @@ class TestGridGraph:
     def test_class_one_count_and_determinism(self):
         a = grid_graph(10, 10, seed=7)
         b = grid_graph(10, 10, seed=7)
-        assert a.labels == b.labels
+        assert np.array_equal(a.labels, b.labels)
         assert a.graph.edges == b.graph.edges
-        assert sum(a.labels.values()) >= 18
+        assert a.labels.sum() >= 18
 
     def test_seed_changes_line_flips(self):
         a = grid_graph(10, 10, seed=1)
         b = grid_graph(10, 10, seed=2)
-        assert a.labels != b.labels
+        assert not np.array_equal(a.labels, b.labels)
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError, match="3x3"):
@@ -655,7 +771,7 @@ class TestCommunityGraph:
         assert lg.graph.n == 1000
         assert lg.num_classes == 3
         counts = [0, 0, 0]
-        for c in lg.labels.values():
+        for c in lg.labels:
             counts[c] += 1
         assert counts == [250, 350, 400]
 
@@ -679,7 +795,7 @@ class TestCommunityGraph:
         a = community_graph((10, 12), 0.6, 0.05, seed=9)
         b = community_graph((10, 12), 0.6, 0.05, seed=9)
         assert a.graph.edges == b.graph.edges
-        assert a.labels == b.labels
+        assert np.array_equal(a.labels, b.labels)
 
     def test_retry_budget_exhausted(self):
         # p_out = 0 can never connect the two blocks
@@ -738,10 +854,9 @@ class TestLoaders:
         assert back.edges == g.edges
 
     def test_label_round_trip(self, tmp_path):
-        labels = {0: 1, 1: 0, 2: 1}
         path = tmp_path / "labels.txt"
-        save_labels(labels, path)
-        assert load_labels(path) == labels
+        save_labels(np.array([1, 0, 1]), path)
+        assert load_labels(path) == {0: 1, 1: 0, 2: 1}
 
     def test_feature_csv(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -779,7 +894,17 @@ class TestFromSpec:
         save_labels(src.labels, labels)
         lg = from_spec(f"file:{edges}:{labels}")
         assert lg.graph.edges == src.graph.edges
-        assert lg.labels == src.labels
+        assert np.array_equal(lg.labels, src.labels)
+
+    def test_file_spec_maps_class_values_in_sorted_order(self, tmp_path):
+        edges, labels = tmp_path / "g.edges", tmp_path / "g.labels"
+        save_edge_list(grid_graph(4, 4, seed=0).graph, edges)
+        # records out of node order, one class value beyond int64
+        values = [7, -3, 10**20]
+        labels.write_text("".join(f"{i} {values[i % 3]}\n" for i in reversed(range(16))))
+        lg = from_spec(f"file:{edges}:{labels}")
+        assert lg.num_classes == 3
+        assert lg.labels.tolist() == [[1, 0, 2][i % 3] for i in range(16)]
 
     def test_stray_node_id_rejected_in_small_memory(self, tmp_path):
         # one stray id sets n = 2,000,001; building range(n) would take over

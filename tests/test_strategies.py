@@ -84,6 +84,9 @@ class TestStrategyConfig:
             Strategy("tv", confidence="sqrt")
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             Strategy("tv", confidence="const:1.5")
+        for bad in (None, 0.5, b"none"):
+            with pytest.raises(ValueError, match="^confidence must be a string spec"):
+                Strategy("tv", confidence=bad)
 
     def test_maxmin_only_for_retraining_kinds(self):
         Strategy("fl", maxmin=True)
@@ -110,7 +113,7 @@ class TestStrategyConfig:
                            "maxmin=False, name=None)")
 
     def test_non_finite_or_negative_hybrid_scale_rejected(self):
-        for bad in (float("nan"), float("inf"), -0.5):
+        for bad in (float("nan"), float("inf"), -0.5, "1", None):
             with pytest.raises(ValueError, match="hybrid_scale"):
                 Strategy("tv", hybrid_scale=bad)
 
