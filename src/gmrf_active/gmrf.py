@@ -36,18 +36,23 @@ PIVOT_FLOOR = 1e-12
 # +/-1e-15, and rounding must not pick its class.
 DECISION_ATOL = 1e-12
 
+# Columns per block of spd_inverse's mirror of the lower triangle.
+_MIRROR_BLOCK = 64
+
 
 def spd_inverse(matrix: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix in one working buffer.
 
-    The input must be square and finite; it is never written. One
-    Fortran-order copy is factored in place by LAPACK ``dpotrf`` and inverted
-    in place by ``dpotri``, both reading and writing the lower triangle only,
-    and the lower triangle is then mirrored into the upper one, so the result
-    is exactly symmetric and later rank-one downdates cannot drift off the
-    symmetric manifold. The returned array is the transpose of that buffer, a
-    C-contiguous view holding the same matrix. Peak memory is about one
-    ``n^2`` array above the input.
+    The input must be square, finite and exactly symmetric; it is never
+    written. One straight C-order copy is handed to LAPACK as its transpose,
+    a Fortran-order array that holds the same matrix because the input is
+    symmetric. ``dpotrf`` factors it in place and ``dpotri`` inverts it in
+    place, both reading and writing the lower triangle only, and the lower
+    triangle is then mirrored into the upper one in blocks of
+    ``_MIRROR_BLOCK`` columns, so the result is exactly symmetric and later
+    rank-one downdates cannot drift off the symmetric manifold. The returned
+    array is the C-order copy itself. Peak memory is about one ``n^2`` array
+    above the input.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -57,7 +62,7 @@ def spd_inverse(matrix: np.ndarray) -> np.ndarray:
     # dpotrf reads one triangle, so a NaN or inf in the other would pass
     if not np.isfinite(a).all():
         raise ValueError("matrix holds non-finite entries")
-    work = np.array(a, order="F")
+    work = np.array(a, order="C").T
     # clean=0: the upper triangle is overwritten by the mirror below
     work, info = scipy.linalg.lapack.dpotrf(work, lower=1, clean=0, overwrite_a=1)
     if info == 0:
@@ -65,8 +70,15 @@ def spd_inverse(matrix: np.ndarray) -> np.ndarray:
     if info != 0:
         raise ValueError(f"matrix is not positive definite: {info}-th leading minor "
                          "of the array is not positive definite")
-    for j in range(1, work.shape[0]):
-        work[:j, j] = work[j, :j]
+    # column block [j, j + k): the rectangle above it is the transpose of
+    # the one left of it, and its diagonal tile mirrors its own lower part
+    n = work.shape[0]
+    upper = np.triu(np.ones((_MIRROR_BLOCK, _MIRROR_BLOCK), dtype=bool), 1)
+    for j in range(0, n, _MIRROR_BLOCK):
+        k = min(_MIRROR_BLOCK, n - j)
+        work[:j, j:j + k] = work[j:j + k, :j].T
+        tile = work[j:j + k, j:j + k]
+        np.copyto(tile, tile.T, where=upper[:k, :k])
     return work.T
 
 

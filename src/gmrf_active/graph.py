@@ -155,15 +155,21 @@ def _canonical_edges(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray):
 
     # the edges before the first bad one are valid: sort them by (lo, hi),
     # ties in input order, and find the first that disagrees with the
-    # pair's earlier occurrence
+    # pair's earlier occurrence; edges already in that order skip the sort,
+    # whose stable permutation would be the identity
     lo = np.minimum(a[:first], b[:first]).astype(np.intp, copy=False)
     hi = np.maximum(a[:first], b[:first]).astype(np.intp, copy=False)
-    order = np.lexsort((hi, lo))
-    lo, hi, x = lo[order], hi[order], w[:first][order]
-    repeat = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+    same_lo = lo[1:] == lo[:-1]
+    if (lo[1:] >= lo[:-1]).all() and (hi[1:] >= hi[:-1])[same_lo].all():
+        order, x = None, w[:first].copy()
+    else:
+        order = np.lexsort((hi, lo))
+        lo, hi, x = lo[order], hi[order], w[:first][order]
+        same_lo = lo[1:] == lo[:-1]
+    repeat = same_lo & (hi[1:] == hi[:-1])
     clashes = np.flatnonzero(repeat & (x[1:] != x[:-1])) + 1
     if len(clashes):
-        k = clashes[np.argmin(order[clashes])]
+        k = clashes[0] if order is None else clashes[np.argmin(order[clashes])]
         raise ValueError(
             f"conflicting weights for edge ({lo[k]}, {hi[k]}): "
             f"{float(x[k - 1])!r} vs {float(x[k])!r}"
@@ -206,13 +212,14 @@ def _count_components(n: int, edges) -> int:
             parent = up
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LabeledGraph:
     """A graph with one class id per node, classes ``0..num_classes-1``.
 
     ``labels`` is a read-only int64 array indexed by node id, copied from a
     sequence indexed by node id or a ``{node: class}`` mapping over every
     node. Class ids are integers by :func:`as_integer`; every class occurs.
+    Frozen: no field can be reassigned past these checks.
     """
 
     graph: Graph
@@ -242,9 +249,10 @@ class LabeledGraph:
             labels = ids
         if not ((labels >= 0) & (labels < self.num_classes)).all():
             raise ValueError("labels must lie in 0..num_classes-1")
-        self.labels = labels.astype(np.int64)
-        self.labels.flags.writeable = False
-        if not np.bincount(self.labels, minlength=self.num_classes).all():
+        labels = labels.astype(np.int64)
+        labels.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+        if not np.bincount(labels, minlength=self.num_classes).all():
             raise ValueError("every class must occur at least once")
 
 
@@ -449,11 +457,19 @@ def community_graph(sizes, p_in: float, p_out: float, seed: int) -> LabeledGraph
         raise ValueError(f"require 0 <= p_out < p_in <= 1, got p_in={p_in}, p_out={p_out}")
     n = sum(sizes)
     block = np.repeat(np.arange(len(sizes)), sizes)
-    probs = np.where(block[:, None] == block[None, :], p_in, p_out)
+    starts = np.cumsum([0] + sizes)
+    # thresholds[c, j]: p_in if column j lies in community c, else p_out
+    thresholds = np.where(np.arange(len(sizes))[:, None] == block, p_in, p_out)
+    hit = np.empty((n, n), dtype=bool)
     rng = np.random.default_rng(seed)
     for _ in range(_CONNECT_ATTEMPTS):
-        hit = np.triu(rng.random((n, n)) < probs, k=1)
-        ii, jj = np.nonzero(hit)
+        draw = rng.random((n, n))
+        for c, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
+            np.less(draw[a:b], thresholds[c], out=hit[a:b])
+        # hits above the diagonal in row-major order: sorted by (lo, hi)
+        ii, jj = np.divmod(np.flatnonzero(hit), n)
+        upper = ii < jj
+        ii, jj = ii[upper], jj[upper]
         g = Graph.from_arrays(n, ii, jj, np.ones(len(ii)))
         if g.is_connected():
             return LabeledGraph(g, block, len(sizes))

@@ -653,6 +653,19 @@ def cho_solve_inverse(M):
     return (inv + inv.T) / 2.0
 
 
+def column_loop_inverse(M):
+    """The former spd_inverse: a Fortran-order copy, ``dpotrf`` and ``dpotri``
+    in place, then one mirror copy per column."""
+    work = np.array(M, order="F")
+    work, info = scipy.linalg.lapack.dpotrf(work, lower=1, clean=0, overwrite_a=1)
+    assert info == 0
+    work, info = scipy.linalg.lapack.dpotri(work, lower=1, overwrite_c=1)
+    assert info == 0
+    for j in range(1, work.shape[0]):
+        work[:j, j] = work[j, :j]
+    return work.T
+
+
 def _no_lapack(*args, **kwargs):
     raise AssertionError("LAPACK ran before the input was checked")
 
@@ -674,6 +687,19 @@ class TestSpdHelpers:
         G = spd_inverse(M)
         ref = cho_solve_inverse(M)
         assert np.abs(G - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(G, G.T)
+        assert G.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 129, 300, 400])
+    def test_blocked_mirror_matches_former_column_loop(self, n):
+        # block edges at multiples of gmrf._MIRROR_BLOCK (64), and a dense
+        # inverse, so every entry of the upper triangle is mirrored
+        A = np.random.default_rng(n).normal(size=(n, n))
+        S = A @ A.T
+        M = (S + S.T) / 2.0 + n * np.eye(n)
+        G = spd_inverse(M)
+        expected = column_loop_inverse(M)
+        assert np.array_equal(G, expected)
         assert np.array_equal(G, G.T)
         assert G.flags.c_contiguous
 

@@ -1,5 +1,6 @@
 """Graph construction, generators, Laplacians, and file round-trips."""
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -167,10 +168,11 @@ def union_find_components(n, pairs) -> int:
 def reference_edges(n, edges) -> dict:
     """Reference validation: the per-edge loop the graph module used before.
 
-    Returns the canonical map or raises the first bad edge's error.
+    ``edges`` is a mapping or a list of ``((i, j), w)`` items. Returns the
+    canonical map or raises the first bad edge's error.
     """
     canonical = {}
-    for (i, j), w in edges.items():
+    for (i, j), w in (edges.items() if isinstance(edges, Mapping) else edges):
         i, j, w = int(i), int(j), float(w)
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i}, {j}) outside node range 0..{n - 1}")
@@ -205,6 +207,23 @@ def edge_maps(draw):
                        st.sampled_from([0.0, -0.0, -1.5, math.nan, math.inf, -math.inf]))
     items = draw(st.lists(st.tuples(st.tuples(ids, ids), weight), max_size=10))
     return n, dict(items)
+
+
+@st.composite
+def canonical_order_edges(draw):
+    """Edge lists already sorted by ``(lo, hi)``, which skip the sort: pairs
+    repeated in either orientation, often with conflicting weights, and at
+    times one bad edge inserted after a sorted run."""
+    n = draw(st.integers(2, 8))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    pairs = sorted(draw(st.lists(pair.map(lambda p: (min(p), max(p))), max_size=12)))
+    items = [((j, i) if draw(st.booleans()) else (i, j), draw(st.sampled_from([0.5, 1.0])))
+             for i, j in pairs]
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from([((0, n), 1.0), ((1, 1), 1.0), ((0, 1), -1.0),
+                                    ((0, 1), math.nan), ((1, 0), 0.0)]))
+        items.insert(draw(st.integers(0, len(items))), bad)
+    return n, items
 
 
 @st.composite
@@ -272,6 +291,27 @@ class TestValidationOracle:
         expected = outcome(lambda: reference_edges(n, edges))
         got = outcome(lambda: Graph(n, edges))
         assert (got if isinstance(got, str) else got.edges) == expected
+
+    @given(canonical_order_edges())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_per_edge_loop_on_canonical_order(self, case):
+        n, items = case
+        expected = outcome(lambda: reference_edges(n, items))
+        ends = np.array([pair for pair, _ in items], dtype=np.intp).reshape(-1, 2)
+        w = [x for _, x in items]
+        got = outcome(lambda: Graph.from_arrays(n, ends[:, 0], ends[:, 1], w))
+        assert (got if isinstance(got, str) else got.edges) == expected
+
+    def test_only_unsorted_edges_are_sorted(self, monkeypatch):
+        sorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(graph_mod.np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+        community_graph([8, 8, 8], 0.6, 0.05, seed=1)
+        build_from_features(np.random.default_rng(0).normal(size=(12, 2)), sigma=2.0)
+        Graph(4, {(0, 1): 1.0, (1, 0): 1.0, (0, 2): 1.0, (2, 3): 1.0})
+        assert sorts == []
+        grid_graph(4, 4, seed=0)
+        assert sorts == [1]
 
     def test_fractional_node_id_rejected(self):
         with pytest.raises(ValueError, match=r"non-integral node id in edge \(0.5, 2\)"):
@@ -509,6 +549,17 @@ class TestLabeledGraph:
         g = Graph(4, {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0})
         assert outcome(lambda: reference_class_ids(labels, 4, 2)) == expected
         assert outcome(lambda: LabeledGraph(g, labels, 2).labels.tolist()) == expected
+
+    @pytest.mark.parametrize("field, value", [("labels", [7] * 36), ("num_classes", 9),
+                                              ("graph", None)])
+    def test_fields_cannot_be_reassigned(self, field, value):
+        # a reassigned field would skip every check and fail only at the
+        # first observe, after the inverse is built
+        lg = grid_graph(6, 6, seed=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(lg, field, value)
+        assert lg.labels.shape == (36,) and lg.labels.max() == 1
+        assert lg.num_classes == 2 and lg.graph.n == 36
 
     @pytest.mark.parametrize("form", [np.array, list, lambda y: dict(enumerate(y))])
     def test_labels_are_a_read_only_copy(self, form):
@@ -765,7 +816,67 @@ class TestGridGraph:
         assert grid_graph(6, 5, seed=0).graph.is_connected()
 
 
+def triu_nonzero_draws(sizes, p_in, p_out, seed) -> list:
+    """Reference sampler: the ``(n, n)`` probability matrix, ``np.triu`` and
+    2-d ``np.nonzero`` draw community_graph used before. Returns each
+    attempt's ``(i, j, w)`` edge arrays up to the first connected sample."""
+    n = sum(sizes)
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    probs = np.where(block[:, None] == block[None, :], p_in, p_out)
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(graph_mod._CONNECT_ATTEMPTS):
+        hit = np.triu(rng.random((n, n)) < probs, k=1)
+        ii, jj = np.nonzero(hit)
+        draws.append((ii, jj, np.ones(len(ii))))
+        if Graph.from_arrays(n, ii, jj, draws[-1][2]).is_connected():
+            break
+    return draws
+
+
+def community_draws(sizes, p_in, p_out, seed) -> list:
+    """The ``(i, j, w)`` arrays community_graph hands to ``Graph.from_arrays``."""
+    draws = []
+    from_arrays = Graph.from_arrays
+
+    def recording(n, i, j, w):
+        draws.append((i, j, w))
+        return from_arrays(n, i, j, w)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_mod.Graph, "from_arrays", recording)
+        try:
+            community_graph(sizes, p_in, p_out, seed)
+        except ValueError:
+            pass
+    return draws
+
+
+def draws_match(sizes, p_in, p_out, seed) -> tuple[bool, int]:
+    """Whether community_graph's draws equal the reference's, array for array
+    and dtype included, and the reference's attempt count."""
+    expected = triu_nonzero_draws(sizes, p_in, p_out, seed)
+    got = community_draws(sizes, p_in, p_out, seed)
+    same = len(got) == len(expected) and all(
+        a.dtype == b.dtype and np.array_equal(a, b)
+        for new, old in zip(got, expected) for a, b in zip(new, old))
+    return same, len(expected)
+
+
 class TestCommunityGraph:
+    @given(st.lists(st.integers(2, 40), min_size=2, max_size=4), st.floats(0.05, 1.0),
+           st.floats(0.0, 0.99), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_draw_matches_triu_nonzero_reference(self, sizes, p_in, out_share, seed):
+        # one bool, so a failing example reports no array reprs
+        assert draws_match(sizes, p_in, p_in * out_share, seed)[0]
+
+    @pytest.mark.parametrize("seed", [1, 9])
+    def test_retried_draws_match_triu_nonzero_reference(self, seed):
+        same, attempts = draws_match([3, 4, 5], 0.5, 0.05, seed)
+        assert same
+        assert attempts > 1
+
     def test_sizes_and_classes(self):
         lg = community_graph((250, 350, 400), 0.05, 0.002, seed=0)
         assert lg.graph.n == 1000
