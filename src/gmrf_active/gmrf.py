@@ -43,16 +43,16 @@ _MIRROR_BLOCK = 64
 def spd_inverse(matrix: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix in one working buffer.
 
-    The input must be square, finite and exactly symmetric; it is never
-    written. One straight C-order copy is handed to LAPACK as its transpose,
-    a Fortran-order array that holds the same matrix because the input is
-    symmetric. ``dpotrf`` factors it in place and ``dpotri`` inverts it in
-    place, both reading and writing the lower triangle only, and the lower
-    triangle is then mirrored into the upper one in blocks of
-    ``_MIRROR_BLOCK`` columns, so the result is exactly symmetric and later
-    rank-one downdates cannot drift off the symmetric manifold. The returned
-    array is the C-order copy itself. Peak memory is about one ``n^2`` array
-    above the input.
+    The input must be square, finite and exactly symmetric, or it is
+    rejected before LAPACK runs; it is never written. One straight C-order
+    copy is handed to LAPACK as its transpose, a Fortran-order array that
+    holds the same matrix because the input is symmetric. ``dpotrf`` factors
+    it in place and ``dpotri`` inverts it in place, both reading and writing
+    the lower triangle only, and the lower triangle is then mirrored into
+    the upper one in blocks of ``_MIRROR_BLOCK`` columns, so the result is
+    exactly symmetric and later rank-one downdates cannot drift off the
+    symmetric manifold. The returned array is the C-order copy itself. Peak
+    memory is about one ``n^2`` array above the input.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -62,6 +62,8 @@ def spd_inverse(matrix: np.ndarray) -> np.ndarray:
     # dpotrf reads one triangle, so a NaN or inf in the other would pass
     if not np.isfinite(a).all():
         raise ValueError("matrix holds non-finite entries")
+    # dpotrf reads one triangle, so the other must equal it
+    _require_symmetric(a, "matrix")
     work = np.array(a, order="C").T
     # clean=0: the upper triangle is overwritten by the mirror below
     work, info = scipy.linalg.lapack.dpotrf(work, lower=1, clean=0, overwrite_a=1)
@@ -80,6 +82,14 @@ def spd_inverse(matrix: np.ndarray) -> np.ndarray:
         tile = work[j:j + k, j:j + k]
         np.copyto(tile, tile.T, where=upper[:k, :k])
     return work.T
+
+
+def _require_symmetric(a: np.ndarray, name: str) -> None:
+    """Raise unless ``a`` equals its transpose exactly, naming the first unequal pair."""
+    if not np.array_equal(a, a.T):
+        i, j = np.argwhere(a != a.T)[0]
+        raise ValueError(f"{name} is not exactly symmetric: {name}[{i}, {j}] = "
+                         f"{float(a[i, j])!r} but {name}[{j}, {i}] = {float(a[j, i])!r}")
 
 
 def soft_labels(means):
@@ -197,10 +207,7 @@ class GmrfModel:
         if not np.isfinite(self._state[n:-1]).all():
             raise ValueError("means hold non-finite entries")
         # the scans read row i of G as column i, and G 1 as the column l1 norms
-        if not np.array_equal(G, G.T):
-            i, j = np.argwhere(G != G.T)[0]
-            raise ValueError(f"G is not exactly symmetric: G[{i}, {j}] = {float(G[i, j])!r} "
-                             f"but G[{j}, {i}] = {float(G[j, i])!r}")
+        _require_symmetric(G, "G")
         # row c: the +1/-1 value every field takes when class c is observed
         self._targets = 2.0 * np.eye(c) - 1.0
         # state row / column of each unlabeled node, ascending like unlabeled

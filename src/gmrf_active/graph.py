@@ -23,6 +23,7 @@ from functools import cached_property
 import numpy as np
 
 Edge = tuple[int, int]
+_INT64_MAX = np.iinfo(np.int64).max  # node ids and node counts are held as int64
 
 # Samples community_graph draws before giving up on a connected graph.
 _CONNECT_ATTEMPTS = 50
@@ -48,7 +49,7 @@ class Graph:
 
     def __init__(self, n: int, edges: Mapping[Edge, float]):
         m = len(edges)
-        ends = np.array(list(edges)) if m else np.empty((0, 2), dtype=np.intp)
+        ends = _node_array(list(edges)) if m else np.empty((0, 2), dtype=np.intp)
         if ends.shape != (m, 2):
             raise ValueError("edge keys must be (i, j) node pairs")
         self._set(n, ends[:, 0], ends[:, 1], np.fromiter(edges.values(), float, m))
@@ -62,8 +63,9 @@ class Graph:
 
     def _set(self, n, i, j, w) -> None:
         n = operator.index(n)
-        if n < 1:
-            raise ValueError("graph needs at least one node")
+        if not 1 <= n <= _INT64_MAX:
+            raise ValueError("graph needs at least one node" if n < 1
+                             else f"node count {n} does not fit int64")
         if not (i.ndim == j.ndim == w.ndim == 1 and len(i) == len(j) == len(w)):
             raise ValueError("edge columns must be 1-d arrays of one length")
         self.n = n
@@ -115,6 +117,7 @@ class Graph:
 # Checks on each edge, in the order an edge is checked, and their messages.
 _EDGE_ERRORS = (
     "non-integral node id in edge ({a}, {b})",
+    "node id in edge ({a}, {b}) does not fit int64",
     "edge ({a}, {b}) outside node range 0..{top}",
     "self-loop on node {a} is not allowed",
     "non-finite weight on edge ({a}, {b})",
@@ -123,32 +126,51 @@ _EDGE_ERRORS = (
 )
 
 
+class _EdgeError(ValueError):
+    """A failed edge check at input position ``at``; a weight conflict also
+    gives the position ``earlier`` of the pair's previous weight."""
+
+    def __init__(self, message: str, at: int, earlier: int | None = None):
+        super().__init__(message)
+        self.at, self.earlier = at, earlier
+
+
+def _node_array(ids) -> np.ndarray:
+    """``np.array(ids)``, but ints past int64 stay exact as objects, not floats."""
+    a = np.array(ids)
+    return np.array(ids, dtype=object) if a.dtype.kind == "f" and (abs(a) >= 2.0**63).any() else a
+
+
 def _node_str(v) -> str:
-    v = v.item()
-    return str(int(v)) if isinstance(v, int) or v.is_integer() else repr(v)
+    v = v.item() if isinstance(v, np.generic) else v
+    return str(int(v) if isinstance(v, float) and v.is_integer() else v)
 
 
-def _canonical_edges(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray):
+def _canonical_edges(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, *, zero_ok=False):
     """Validate edges given in input order; return ``lo, hi, w`` sorted by ``(lo, hi)``.
 
-    The first edge in input order that fails a check raises, with the first
-    of its failed checks: integral ids, ids in range, no self-loop, a
-    finite, non-negative, non-zero weight, and the weight of the pair's
-    earlier occurrence, if any.
+    The first edge in input order that fails a check raises
+    :class:`_EdgeError`, with the first of its failed checks: integral ids
+    that fit int64 and lie in range, no self-loop, a finite, non-negative,
+    non-zero weight (zero passes if ``zero_ok``), and the weight of the
+    pair's earlier occurrence, if any.
     """
     a, b = i, j
     if a.dtype.kind in "iu" and b.dtype.kind in "iu":
         integral = np.ones(len(w), dtype=bool)
     else:
-        a, b = a.astype(float), b.astype(float)
-        integral = np.isfinite(a) & np.isfinite(b) & (a == np.floor(a)) & (b == np.floor(b))
+        fa, fb = a.astype(float), b.astype(float)
+        integral = np.isfinite(fa) & np.isfinite(fb) & (fa == np.floor(fa)) & (fb == np.floor(fb))
+        # Python objects are compared as they are, so ints past int64 stay exact
+        a, b = (a if a.dtype == object else fa), (b if b.dtype == object else fb)
     passed = (
         integral,
+        (a <= _INT64_MAX) & (b <= _INT64_MAX),
         (0 <= a) & (a < n) & (0 <= b) & (b < n),
         a != b,
         np.isfinite(w),
         ~(w < 0),
-        w != 0,
+        (w != 0) | zero_ok,
     )
     ok = np.logical_and.reduce(passed)
     first = len(w) if ok.all() else int(np.argmin(ok))
@@ -169,16 +191,15 @@ def _canonical_edges(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray):
     repeat = same_lo & (hi[1:] == hi[:-1])
     clashes = np.flatnonzero(repeat & (x[1:] != x[:-1])) + 1
     if len(clashes):
-        k = clashes[0] if order is None else clashes[np.argmin(order[clashes])]
-        raise ValueError(
-            f"conflicting weights for edge ({lo[k]}, {hi[k]}): "
-            f"{float(x[k - 1])!r} vs {float(x[k])!r}"
-        )
+        order = np.arange(first) if order is None else order
+        k = clashes[np.argmin(order[clashes])]
+        raise _EdgeError(f"conflicting weights for edge ({lo[k]}, {hi[k]}): "
+                         f"{float(x[k - 1])!r} vs {float(x[k])!r}", order[k], order[k - 1])
     if first < len(w):
         failed = next(c for c, mask in enumerate(passed) if not mask[first])
-        raise ValueError(_EDGE_ERRORS[failed].format(
+        raise _EdgeError(_EDGE_ERRORS[failed].format(
             a=_node_str(a[first]), b=_node_str(b[first]), top=n - 1,
-            x=float(w[first])))
+            x=float(w[first])), first)
     if repeat.any():
         keep = np.ones(first, dtype=bool)
         keep[1:] = ~repeat
@@ -260,9 +281,8 @@ def _in_node_order(mapping: Mapping, n: int) -> np.ndarray | None:
     """Values of ``{node: value}`` as an object array indexed by node id, or
     None unless the keys are exactly the nodes ``0..n-1``."""
     nodes = np.array(list(mapping))
-    if nodes.shape != (n,) or nodes.dtype.kind not in "iuf":
-        return None
-    if not np.array_equal(np.sort(nodes), np.arange(n)):
+    if (nodes.shape != (n,) or nodes.dtype.kind not in "iuf"
+            or not np.array_equal(np.sort(nodes), np.arange(n))):
         return None
     values = np.empty(n, dtype=object)
     values[nodes.astype(np.intp)] = np.fromiter(mapping.values(), dtype=object, count=n)
@@ -479,48 +499,42 @@ def community_graph(sizes, p_in: float, p_out: float, seed: int) -> LabeledGraph
     )
 
 
+def _records(path, form: str, kinds) -> list[tuple]:
+    """One tuple per non-blank line of a UTF-8 file: its line number, then the
+    fields that ``form`` names, parsed by ``kinds`` (``int``, ``float``)."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not (parts := raw.split()):
+                continue
+            if len(parts) != len(kinds):
+                raise ValueError(f"{path}:{lineno}: expected {form!r}, got {raw.strip()!r}")
+            try:
+                rows.append((lineno, *[kind(p) for kind, p in zip(kinds, parts)]))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: could not parse {raw.strip()!r}") from None
+    if not rows:
+        raise ValueError(f"{path}: no {form!r} records found")
+    return rows
+
+
 def load_edge_list(path) -> Graph:
     """Read a UTF-8 edge list: one ``i j w`` record per line, 0-based ids.
 
-    Rejects NaN/Inf and negative weights, self-loops, and duplicate records
-    that disagree on the weight. Zero-weight records take part in that
-    check and are dropped afterwards. Errors carry the offending line
-    number.
+    Records are checked as :class:`Graph` checks edges, errors naming their
+    line; zero-weight records join the conflict check, then are dropped.
     """
-    records: dict[Edge, tuple[float, int]] = {}
-    max_id = -1
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'i j w', got {line!r}")
-            try:
-                i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: could not parse {line!r}") from None
-            if not math.isfinite(w):
-                raise ValueError(f"{path}:{lineno}: non-finite weight {parts[2]}")
-            if w < 0:
-                raise ValueError(f"{path}:{lineno}: negative weight {w}")
-            if i == j:
-                raise ValueError(f"{path}:{lineno}: self-loop on node {i}")
-            if i < 0 or j < 0:
-                raise ValueError(f"{path}:{lineno}: node ids must be >= 0")
-            key = (i, j) if i < j else (j, i)
-            if key in records and records[key][0] != w:
-                prev_w, prev_line = records[key]
-                raise ValueError(
-                    f"{path}:{lineno}: conflicting weights for edge {key}: "
-                    f"{prev_w} (line {prev_line}) vs {w}"
-                )
-            max_id = max(max_id, i, j)
-            records[key] = (w, lineno)
-    if max_id < 0:
-        raise ValueError(f"{path}: no edge records found")
-    return Graph(max_id + 1, {key: w for key, (w, _) in records.items() if w != 0.0})
+    lines, i, j, w = zip(*_records(path, "i j w", (int, int, float)))
+    ends = _node_array((i, j))
+    n = max(int(ends.max()) + 1, 1)
+    try:
+        lo, hi, w = _canonical_edges(n, ends[0], ends[1], np.array(w), zero_ok=True)
+    except _EdgeError as exc:
+        earlier = "" if exc.earlier is None else f" (line {lines[exc.earlier]})"
+        raise ValueError(f"{path}:{lines[exc.at]}: "
+                         + str(exc).replace(" vs ", earlier + " vs ")) from None
+    keep = w != 0
+    return Graph.from_arrays(n, lo[keep], hi[keep], w[keep])
 
 
 def save_edge_list(graph: Graph, path) -> None:
@@ -533,23 +547,9 @@ def save_edge_list(graph: Graph, path) -> None:
 def load_labels(path) -> dict[int, int]:
     """Read a label file: one ``i c`` record per line, integer class values."""
     labels: dict[int, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'i c', got {line!r}")
-            try:
-                i, c = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: could not parse {line!r}") from None
-            if i in labels and labels[i] != c:
-                raise ValueError(f"{path}:{lineno}: conflicting labels for node {i}")
-            labels[i] = c
-    if not labels:
-        raise ValueError(f"{path}: no label records found")
+    for lineno, i, c in _records(path, "i c", (int, int)):
+        if labels.setdefault(i, c) != c:
+            raise ValueError(f"{path}:{lineno}: conflicting labels for node {i}")
     return labels
 
 
@@ -645,10 +645,8 @@ def from_spec(spec: str, seed: int = 0) -> LabeledGraph:
         g = load_edge_list(edge_path)
         values = _in_node_order(load_labels(label_path), g.n)
         if values is None:
-            raise ValueError(
-                f"label file {label_path} must cover exactly the {g.n} nodes "
-                f"of {edge_path}"
-            )
+            raise ValueError(f"label file {label_path} must cover exactly the {g.n} nodes "
+                             f"of {edge_path}")
         return LabeledGraph(g, *canonical_labels(values))
     raise ValueError(
         f"unknown graph spec {spec!r}; expected grid:RxC, "

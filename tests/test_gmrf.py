@@ -733,6 +733,17 @@ class TestSpdHelpers:
         with pytest.raises(ValueError, match="non-finite"):
             spd_inverse(M)
 
+    def test_asymmetric_rejected_before_lapack(self, monkeypatch):
+        # dpotrf would read the upper triangle only and invert [[2, .5], [.5, 2]]
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", _no_lapack)
+        with pytest.raises(ValueError, match=r"^matrix is not exactly symmetric: "
+                                             r"matrix\[0, 1\] = 0.5 but matrix\[1, 0\] = -0.7$"):
+            spd_inverse([[2.0, 0.5], [-0.7, 2.0]])
+        M = random_lap(np.random.default_rng(23), 6).matrix
+        M[4, 1] = np.nextafter(M[4, 1], np.inf)
+        with pytest.raises(ValueError, match=r"^matrix is not exactly symmetric: matrix\[1, 4\]"):
+            spd_inverse(M)
+
     def test_empty_matrix_has_empty_inverse(self):
         assert spd_inverse(np.zeros((0, 0))).shape == (0, 0)
 

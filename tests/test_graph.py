@@ -8,7 +8,7 @@ from collections.abc import Mapping
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gmrf_active import (
@@ -448,6 +448,26 @@ class TestGraphInvariants:
         assert g.edges == {(0, big): 2.0, (3, big): 1.0, (4, 5): 1.0}
         with pytest.raises(ValueError, match=f"conflicting weights for edge \\(3, {big}\\)"):
             Graph(n, {(big, 3): 1.0, (0, big): 2.0, (3, big): 1.5})
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Graph(10**20 + 1, {(1, 10**20): 1.0}),
+         "node count 100000000000000000001 does not fit int64"),
+        (lambda: Graph(2**63 + 5, {(0, 2**63 + 3): 1.0}),
+         "node count 9223372036854775813 does not fit int64"),
+        (lambda: Graph(5, {(0, 1): 1.0, (2**63 + 3, 2): 1.0}),
+         "node id in edge (9223372036854775811, 2) does not fit int64"),
+        (lambda: Graph(5, {(0, 1): 1.0, (1, 10**20 + 7): 1.0}),
+         "node id in edge (1, 100000000000000000007) does not fit int64"),
+        (lambda: Graph.from_arrays(5, np.array([2**63 + 3], dtype=np.uint64), [0], [1.0]),
+         "node id in edge (9223372036854775811, 0) does not fit int64"),
+        (lambda: Graph(5, {(0, -2**63 - 3): 1.0}),
+         "edge (0, -9223372036854775811) outside node range 0..4"),
+    ], ids=["count-1e20", "count-2^63", "id-2^63", "id-1e20", "uint64", "negative"])
+    def test_past_int64_named_exactly(self, build, message):
+        # numpy would round these ids to floats; the message names them as given
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
 
 
 def reference_class_ids(labels, n, num_classes) -> list:
@@ -914,6 +934,153 @@ class TestCommunityGraph:
             community_graph((4, 4), 0.9, 0.0, seed=0)
 
 
+def reference_load_edge_list(path) -> Graph:
+    """The former load_edge_list, kept verbatim as the loader oracle."""
+    records: dict[tuple[int, int], tuple[float, int]] = {}
+    max_id = -1
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise ValueError(f"{path}:{lineno}: expected 'i j w', got {line!r}")
+            try:
+                i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: could not parse {line!r}") from None
+            if not math.isfinite(w):
+                raise ValueError(f"{path}:{lineno}: non-finite weight {parts[2]}")
+            if w < 0:
+                raise ValueError(f"{path}:{lineno}: negative weight {w}")
+            if i == j:
+                raise ValueError(f"{path}:{lineno}: self-loop on node {i}")
+            if i < 0 or j < 0:
+                raise ValueError(f"{path}:{lineno}: node ids must be >= 0")
+            key = (i, j) if i < j else (j, i)
+            if key in records and records[key][0] != w:
+                prev_w, prev_line = records[key]
+                raise ValueError(
+                    f"{path}:{lineno}: conflicting weights for edge {key}: "
+                    f"{prev_w} (line {prev_line}) vs {w}"
+                )
+            max_id = max(max_id, i, j)
+            records[key] = (w, lineno)
+    if max_id < 0:
+        raise ValueError(f"{path}: no edge records found")
+    return Graph(max_id + 1, {key: w for key, (w, _) in records.items() if w != 0.0})
+
+
+def reference_load_labels(path) -> dict[int, int]:
+    """The former load_labels, kept verbatim as the loader oracle."""
+    labels: dict[int, int] = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 'i c', got {line!r}")
+            try:
+                i, c = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: could not parse {line!r}") from None
+            if i in labels and labels[i] != c:
+                raise ValueError(f"{path}:{lineno}: conflicting labels for node {i}")
+            labels[i] = c
+    if not labels:
+        raise ValueError(f"{path}: no label records found")
+    return labels
+
+
+BLANK_LINES = st.sampled_from(["", "   ", "\t"])
+
+
+@st.composite
+def record_files(draw, fields):
+    """Text of an edge (``fields`` 3) or label (2) file, and whether every
+    line parses: blank lines, node pairs repeated in both orientations, ids
+    up to n, zero and -0 weights; in faulty files also id -1, self-loops,
+    negative, nan and inf weights and malformed lines."""
+    n = draw(st.integers(1, 5))
+    faulty = draw(st.booleans())
+    ids = st.integers(-1 if faulty else 0, n)
+    if fields == 3:
+        pair = st.tuples(ids, ids).filter(lambda p: faulty or p[0] != p[1])
+        pairs = draw(st.lists(pair, min_size=1, max_size=4))
+        weights = ["0.5", "1.0", "1", "2.5", "0", "-0"]
+        weight = st.sampled_from(weights + (["-1.5", "nan", "inf", "-inf"] if faulty else []))
+        record = st.builds(lambda p, flip, w: f"{p[flip]} {p[1 - flip]}  {w}",
+                           st.sampled_from(pairs), st.integers(0, 1), weight)
+        malformed = st.sampled_from(["0 1", "0 1 1 1", "0 x 1", "0.5 1 1", "0 1 w", "1e3 0 1"])
+    else:
+        record = st.builds(lambda i, c: f" {i}\t{c}", ids, st.sampled_from(["0", "1", "-2", "7"]))
+        malformed = st.sampled_from(["0", "0 1 1", "a 1", "0 1.5", "0 x"])
+    kinds = [record.map(lambda x: (x, True)), BLANK_LINES.map(lambda x: (x, True))]
+    if faulty:
+        kinds.append(malformed.map(lambda x: (x, False)))
+    lines = draw(st.lists(st.one_of(kinds[0], *kinds), max_size=10))
+    return "".join(f"{line}\n" for line, _ in lines), all(ok for _, ok in lines)
+
+
+def load_outcome(load, path):
+    """What ``load`` returns, or the line number its error names (None for a
+    whole-file error)."""
+    try:
+        return load(path)
+    except ValueError as exc:
+        head, _, rest = str(exc).partition(f"{path}:")
+        assert head == "", str(exc)
+        number = rest.split(":", 1)[0]
+        return ("error", int(number) if number.isdigit() else None)
+
+
+class TestLoaderOracle:
+    @given(record_files(3))
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_edge_list_matches_former_loop(self, tmp_path, case):
+        text, parses = case
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        expected = load_outcome(reference_load_edge_list, path)
+        got = load_outcome(load_edge_list, path)
+        if isinstance(expected, Graph):
+            assert got == expected
+            assert got.edges == expected.edges
+        elif parses:
+            assert got == expected
+        else:
+            assert isinstance(got, tuple)
+
+    @given(record_files(2))
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_labels_match_former_loop(self, tmp_path, case):
+        text, parses = case
+        path = tmp_path / "g.labels"
+        path.write_text(text)
+        expected = load_outcome(reference_load_labels, path)
+        got = load_outcome(load_labels, path)
+        if isinstance(expected, dict):
+            assert got == expected
+        elif parses:
+            assert got == expected
+        else:
+            assert isinstance(got, tuple)
+
+    def test_malformed_line_reported_before_semantic_fault(self, tmp_path):
+        # the former loop stopped at the self-loop on line 2
+        path = tmp_path / "g.edges"
+        path.write_text("0 1 1\n1 1 1\n0 x 1\n")
+        with pytest.raises(ValueError, match=r"g.edges:3: could not parse '0 x 1'"):
+            load_edge_list(path)
+        with pytest.raises(ValueError, match=r"g.edges:2: self-loop"):
+            reference_load_edge_list(path)
+
+
 class TestLoaders:
     def test_parse_three_line_file(self, tmp_path):
         path = tmp_path / "edges.txt"
@@ -963,6 +1130,29 @@ class TestLoaders:
         back = load_edge_list(path)
         assert back.n == g.n
         assert back.edges == g.edges
+
+    def test_id_past_int64_names_its_line(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("0 1 1.0\n\n1 2 1.0\n2 100000000000000000000 1.0\n")
+        with pytest.raises(ValueError) as info:
+            load_edge_list(path)
+        assert str(info.value) == (
+            f"{path}:4: node id in edge (2, 100000000000000000000) does not fit int64")
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 1 1\n-1 2 1\n", ":2: edge (-1, 2) outside node range 0..2"),
+        ("0 1 1\n1 1 1\n", ":2: self-loop on node 1 is not allowed"),
+        ("0 1 -2\n", ":1: negative weight -2.0 on edge (0, 1)"),
+        ("0 1 1\n1 2 inf\n", ":2: non-finite weight on edge (1, 2)"),
+        ("0 1 2.0\n\n1 0 0\n", ":3: conflicting weights for edge (0, 1): 2.0 (line 1) vs 0.0"),
+        ("\n \n", ": no 'i j w' records found"),
+    ])
+    def test_edge_messages_match_graph(self, tmp_path, text, message):
+        path = tmp_path / "edges.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_edge_list(path)
+        assert str(info.value) == f"{path}{message}"
 
     def test_label_round_trip(self, tmp_path):
         path = tmp_path / "labels.txt"
@@ -1026,6 +1216,20 @@ class TestFromSpec:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="must cover exactly the 2000001 nodes"):
+                from_spec(f"file:{edges}:{labels}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_stray_label_node_id_rejected_in_small_memory(self, tmp_path):
+        # a label record for node 10**10 must not size anything by that id
+        edges, labels = tmp_path / "g.edges", tmp_path / "g.labels"
+        edges.write_text("0 1 1\n1 2 1\n")
+        labels.write_text("0 0\n1 1\n10000000000 0\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="must cover exactly the 3 nodes"):
                 from_spec(f"file:{edges}:{labels}")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
