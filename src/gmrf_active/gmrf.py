@@ -26,7 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.linalg
 
-from .graph import RegularizedLaplacian, as_integer
+from .graph import RegularizedLaplacian
 
 # Diagonal entries of G below this are treated as degenerate pivots.
 PIVOT_FLOOR = 1e-12
@@ -118,13 +118,15 @@ class GmrfModel:
     ``G.sum(axis=0)``, which for a nonnegative ``G`` equals
     ``np.abs(G).sum(axis=0)`` bit for bit without a ``|U|^2`` temporary.
 
-    ``G``, the means and ``G 1`` live in one ``(n + C + 1, n)`` state
-    array, ``n`` the node count at construction, which the constructor
-    fills with copies of its arguments and :meth:`observe` writes in place
-    for the model's whole life. Row and column ``i`` of its ``G`` block and
-    column ``i`` of the other rows belong to the ``i``-th node of the
-    constructor's ``unlabeled``; once that node is labeled they are exactly
-    0. Observing position ``k`` moves every row ``r`` to ``r - c_r s``, with
+    A model starts with every node unlabeled: ``GmrfModel(G, means)``
+    takes the inverse over all ``n`` nodes and the C means over them, and
+    labels are disclosed one at a time by :meth:`observe`. ``G``, the means
+    and ``G 1`` live in one ``(n + C + 1, n)`` state array, which the
+    constructor fills with copies of its arguments and :meth:`observe`
+    writes in place for the model's whole life. Node id ``i`` is row and
+    column ``i`` of its ``G`` block and column ``i`` of the other rows;
+    once node ``i`` is labeled they are exactly 0. Observing node ``k``
+    moves every row ``r`` to ``r - c_r s``, with
     ``c_r = (r_k - t_r) / sqrt(g_kk)``, ``s = g / sqrt(g_kk)`` the ``G``
     part of ``c``, ``g`` column ``k`` of ``G`` with entry ``k`` set to 0 and
     target ``t_r`` the observed field value ``+/-1`` for the means and 0 for
@@ -143,8 +145,8 @@ class GmrfModel:
     Attributes
     ----------
     unlabeled : ndarray of int
-        Sorted original node ids that are still unlabeled; ``G`` and the
-        means are indexed positionally against this array.
+        Sorted node ids still unlabeled, which are also their state rows;
+        ``G`` and the means are indexed positionally against this array.
     labeled : dict
         node id -> observed class id.
     G : ndarray
@@ -168,34 +170,19 @@ class GmrfModel:
     by one experiment run.
     """
 
-    def __init__(self, unlabeled, labeled, G, means):
-        self.unlabeled = np.asarray(unlabeled, dtype=np.int64)
+    def __init__(self, G, means):
         G = np.asarray(G, dtype=float)
         means = np.asarray(means, dtype=float)
-        ids = self.unlabeled
-        n = ids.size
-        if ids.ndim != 1 or np.any(ids[1:] <= ids[:-1]):
-            raise ValueError("unlabeled must be a 1-D array of strictly increasing node ids")
-        if G.shape != (n, n):
-            raise ValueError(f"G has shape {G.shape}, expected ({n}, {n})")
+        if G.ndim != 2 or G.shape[0] != G.shape[1]:
+            raise ValueError(f"G must be square, got shape {G.shape}")
+        n = G.shape[0]
         if means.ndim != 2 or means.shape[0] < 2:
             raise ValueError("means needs at least two class fields")
         if means.shape[1] != n:
             raise ValueError(f"means has {means.shape[1]} columns, expected {n}")
         c = means.shape[0]
+        self.unlabeled = np.arange(n)
         self.labeled = {}
-        for node, class_id in labeled.items():
-            k, v = as_integer(node), as_integer(class_id)
-            if k is None:
-                raise ValueError(f"labeled node {node} is not an integer id")
-            if v is None or not 0 <= v < c:
-                raise ValueError(f"class id {class_id} of labeled node {k} is not in 0..{c - 1}")
-            self.labeled[k] = v
-        if self.labeled:
-            keys = np.fromiter(self.labeled, dtype=np.int64, count=len(self.labeled))
-            both = keys[np.isin(keys, ids)]
-            if both.size:
-                raise ValueError(f"labeled nodes {sorted(both.tolist())} are also unlabeled")
         self.retrain_calls = 0
         self._state = np.empty((n + c + 1, n))
         self._state[:n] = G
@@ -210,8 +197,6 @@ class GmrfModel:
         _require_symmetric(G, "G")
         # row c: the +1/-1 value every field takes when class c is observed
         self._targets = 2.0 * np.eye(c) - 1.0
-        # state row / column of each unlabeled node, ascending like unlabeled
-        self._idx = np.arange(n)
         self._gather()
 
     @classmethod
@@ -228,13 +213,12 @@ class GmrfModel:
         the same graph, and each model copies it into the state array that
         its :meth:`observe` then writes in place.
         """
-        n = G.shape[0]
-        return cls(np.arange(n), {}, G, np.zeros((num_classes, n)))
+        return cls(G, np.zeros((num_classes, G.shape[0])))
 
     def _gather(self) -> None:
         # stored, not properties, because the scans read mu per node; fresh
         # copies, not views, so an array a caller holds never changes
-        S, idx = self._state, self._idx
+        S, idx = self._state, self.unlabeled
         n = S.shape[1]
         self.means = S[n:-1].take(idx, axis=1)
         self.row_sums = S[-1].take(idx)
@@ -252,7 +236,8 @@ class GmrfModel:
 
         ``G`` is exactly symmetric, so row ``i`` is also column ``i``.
         """
-        return self._state[self._idx[positions]].take(self._idx, axis=-1)
+        idx = self.unlabeled
+        return self._state[idx[positions]].take(idx, axis=-1)
 
     def square_sums(self) -> np.ndarray:
         """Column sums of squares ``||g_j||_2^2`` of ``G`` over ``unlabeled``.
@@ -262,7 +247,7 @@ class GmrfModel:
         from it; no ``|U|^2`` temporary is formed.
         """
         G = self._state[:self._state.shape[1]]
-        return np.einsum("ij,ij->j", G, G).take(self._idx)
+        return np.einsum("ij,ij->j", G, G).take(self.unlabeled)
 
     @property
     def num_classes(self) -> int:
@@ -311,7 +296,7 @@ class GmrfModel:
         gkk = self.pivot(pos)
         S = self._state
         n = S.shape[1]
-        k = int(self._idx[pos])
+        k = int(self.unlabeled[pos])
         c = S[:, k].copy()
         c[k] = 0.0
         c[n:-1] -= self._targets[class_id]
@@ -321,7 +306,6 @@ class GmrfModel:
         scipy.linalg.blas.dger(-1.0, c[:n], c, a=S.T, overwrite_a=1)
         S[k] = 0.0
         S[:, k] = 0.0
-        self._idx = _without(self._idx, pos)
         self.unlabeled = _without(self.unlabeled, pos)
         self.labeled[int(node)] = class_id
         self._gather()

@@ -155,16 +155,9 @@ def _canonical_edges(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, *, zer
     non-zero weight (zero passes if ``zero_ok``), and the weight of the
     pair's earlier occurrence, if any.
     """
-    a, b = i, j
-    if a.dtype.kind in "iu" and b.dtype.kind in "iu":
-        integral = np.ones(len(w), dtype=bool)
-    else:
-        fa, fb = a.astype(float), b.astype(float)
-        integral = np.isfinite(fa) & np.isfinite(fb) & (fa == np.floor(fa)) & (fb == np.floor(fb))
-        # Python objects are compared as they are, so ints past int64 stay exact
-        a, b = (a if a.dtype == object else fa), (b if b.dtype == object else fb)
+    (a, a_integral), (b, b_integral) = _checked_ids(i), _checked_ids(j)
     passed = (
-        integral,
+        a_integral & b_integral,
         (a <= _INT64_MAX) & (b <= _INT64_MAX),
         (0 <= a) & (a < n) & (0 <= b) & (b < n),
         a != b,
@@ -205,6 +198,29 @@ def _canonical_edges(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, *, zer
         keep[1:] = ~repeat
         lo, hi, x = lo[keep], hi[keep], x[keep]
     return lo, hi, x
+
+
+def _checked_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Node ids as the edge checks compare them, and which are integral.
+
+    Integer arrays pass as they are and other arrays are cast to float,
+    except object arrays: their Python ints are compared exactly, since ints
+    past int64 must stay exact and past about 1e308 a float cast overflows.
+    """
+    if ids.dtype.kind in "iu":
+        return ids, np.ones(len(ids), dtype=bool)
+    if ids.dtype == object:
+        return ids, np.frompyfunc(_is_integral, 1, 1)(ids).astype(bool)
+    f = ids.astype(float)
+    return f, np.isfinite(f) & (f == np.floor(f))
+
+
+def _is_integral(x) -> bool:
+    """Whether ``int(x)`` equals ``x``, compared without a float cast."""
+    try:
+        return int(x) == x
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def _count_components(n: int, edges) -> int:
@@ -529,6 +545,8 @@ def load_edge_list(path) -> Graph:
     n = max(int(ends.max()) + 1, 1)
     try:
         lo, hi, w = _canonical_edges(n, ends[0], ends[1], np.array(w), zero_ok=True)
+        if n > _INT64_MAX:  # every id fits, so the largest is 2^63 - 1
+            raise _EdgeError(f"node count {n} does not fit int64", int(ends.max(axis=0).argmax()))
     except _EdgeError as exc:
         earlier = "" if exc.earlier is None else f" (line {lines[exc.earlier]})"
         raise ValueError(f"{path}:{lines[exc.at]}: "

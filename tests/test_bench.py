@@ -302,7 +302,7 @@ class TestAccuracy:
         lap = regularized_laplacian(lg.graph, 0.1)
         G = GmrfModel.from_laplacian(lap, 2).G
         mu = np.array([1.0 if lg.labels[i] == 1 else -1.0 for i in range(lg.graph.n)])
-        model = GmrfModel(np.arange(lg.graph.n), {}, G, np.stack([-mu, mu]))
+        model = GmrfModel(G, np.stack([-mu, mu]))
         assert accuracy(model, lg.labels) == 1.0
 
     def test_zero_mean_predicts_minus_class_everywhere(self):
@@ -319,7 +319,7 @@ class TestAccuracy:
         lap = regularized_laplacian(g, 0.05)
         G = GmrfModel.from_laplacian(lap, 2).G
         mu = rng.uniform(-1, 1, size=20)
-        model = GmrfModel(np.arange(20), {}, G, np.stack([-mu, mu]))
+        model = GmrfModel(G, np.stack([-mu, mu]))
         hand = sum(
             1 for i in range(20) if (1 if model.mu[i] > 0 else 0) == labels[i]
         ) / 20

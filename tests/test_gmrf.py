@@ -1,6 +1,5 @@
 """Field-model state: initialization, rank-one updates, predictions."""
 
-import math
 import tracemalloc
 from fractions import Fraction
 
@@ -70,43 +69,23 @@ class TestInit:
         assert np.abs(model.G - np.linalg.inv(lap.matrix)).max() < 1e-8
         assert np.abs(model.G - model.G.T).max() < 1e-10
 
-    @pytest.mark.parametrize("unlabeled, labeled, G, means, name", [
-        ([0, 1], {}, np.eye(3), np.zeros((2, 2)), "G"),
-        ([1, 0], {}, np.eye(2), np.zeros((2, 2)), "unlabeled"),
-        ([0, 1], {1: 0}, np.eye(2), np.zeros((2, 2)), "labeled"),
-        ([0, 1], {}, np.eye(2), np.zeros((2, 3)), "means"),
-        ([0, 1], {}, np.diag([np.nan, 1.0]), np.zeros((2, 2)), "G"),
-        ([0, 1], {}, np.diag([1.0, np.inf]), np.zeros((2, 2)), "G"),
-        ([0, 1], {}, np.eye(2), np.array([[0.0, np.nan], [0.0, 0.0]]), "means"),
-        ([0, 1], {}, np.eye(2), np.array([[0.0, 0.0], [-np.inf, 0.0]]), "means"),
-    ], ids=["G", "unlabeled", "labeled", "means", "G-nan", "G-inf", "means-nan", "means-inf"])
-    def test_inconsistent_state_rejected(self, unlabeled, labeled, G, means, name):
+    @pytest.mark.parametrize("G, means, name", [
+        (np.eye(3)[:2], np.zeros((2, 2)), "G"),
+        (np.eye(2), np.zeros((2, 3)), "means"),
+        (np.diag([np.nan, 1.0]), np.zeros((2, 2)), "G"),
+        (np.diag([1.0, np.inf]), np.zeros((2, 2)), "G"),
+        (np.eye(2), np.array([[0.0, np.nan], [0.0, 0.0]]), "means"),
+        (np.eye(2), np.array([[0.0, 0.0], [-np.inf, 0.0]]), "means"),
+    ], ids=["G", "means", "G-nan", "G-inf", "means-nan", "means-inf"])
+    def test_inconsistent_state_rejected(self, G, means, name):
         with pytest.raises(ValueError, match=f"^{name} "):
-            GmrfModel(unlabeled, labeled, G, means)
-
-    @pytest.mark.parametrize("labeled, message", [
-        ({2: 0.5, 4: 1}, r"class id 0.5 of labeled node 2 is not in 0..1"),
-        ({2: 0, 3.7: 1}, r"labeled node 3.7 is not an integer id"),
-        ({2: 0, 4: 9}, r"class id 9 of labeled node 4 is not in 0..1"),
-        ({2: 0, np.float64(3.5): 1}, r"labeled node 3.5 is not an integer id"),
-        ({2: "1.5"}, r"class id 1.5 of labeled node 2 is not in 0..1"),
-        ({2: math.nan}, r"class id nan of labeled node 2 is not in 0..1"),
-    ])
-    def test_labeled_ids_are_not_truncated(self, labeled, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            GmrfModel([0, 1], labeled, np.eye(2), np.zeros((2, 2)))
-
-    def test_integral_labeled_ids_accepted(self):
-        model = GmrfModel([0, 1], {2.0: np.int64(1), np.int64(3): 0.0, 4: "1"}, np.eye(2),
-                          np.zeros((2, 2)))
-        assert model.labeled == {2: 1, 3: 0, 4: 1}
-        assert all(type(k) is int and type(c) is int for k, c in model.labeled.items())
+            GmrfModel(G, means)
 
     def test_asymmetric_G_rejected_naming_the_entries(self):
         # score_tv would read row 0 (l1 = 1.5) and the carried G 1 column 0 (1.1)
         with pytest.raises(ValueError, match=r"^G is not exactly symmetric: "
                                              r"G\[0, 1\] = 0.5 but G\[1, 0\] = 0.1$"):
-            GmrfModel([0, 1], {}, [[1.0, 0.5], [0.1, 1.0]], np.zeros((2, 2)))
+            GmrfModel([[1.0, 0.5], [0.1, 1.0]], np.zeros((2, 2)))
         # one ulp off is not symmetric either
         G = spd_inverse(random_lap(np.random.default_rng(24), 9).matrix)
         G[7, 2] = np.nextafter(G[7, 2], np.inf)
@@ -203,7 +182,7 @@ class TestObserve:
             dense = np.linalg.inv(lap.matrix[np.ix_(unl, unl)])
             assert np.abs(model.G - dense).max() < 1e-8
         # the constructor raises on an inconsistent state
-        GmrfModel(model.unlabeled, model.labeled, model.G, model.means)
+        GmrfModel(model.G, model.means)
         assert np.diagonal(model.G).min() > 0
         assert np.abs(model.G - model.G.T).max() < 1e-10
 
@@ -231,7 +210,7 @@ class TestObserve:
                 model.observe(0, bad)
 
     def test_degenerate_pivot_rejected(self):
-        model = GmrfModel([0, 1], {}, np.diag([1e-15, 1.0]), np.zeros((2, 2)))
+        model = GmrfModel(np.diag([1e-15, 1.0]), np.zeros((2, 2)))
         with pytest.raises(ValueError, match="degenerate pivot g_kk=1.000e-15 at node 0"):
             model.observe(0, 1)
 
@@ -317,7 +296,7 @@ class TestCompactingDowndate:
             return minus_outer_once_rounded(np.delete(mu, pos)[None], [c], s)[0]
 
         for model in (GmrfModel.from_inverse(passed, 2),
-                      GmrfModel(np.arange(11), {}, passed, np.zeros((2, 11)))):
+                      GmrfModel(passed, np.zeros((2, 11)))):
             self.check_observe_sequence(
                 model, lambda m: m.mu,
                 lambda rng: 1 if rng.random() < 0.5 else 0, update_ref)
@@ -335,7 +314,7 @@ class TestCompactingDowndate:
             return minus_outer_once_rounded(np.delete(means, pos, axis=1), c, s)
 
         for model in (GmrfModel.from_inverse(passed, 3),
-                      GmrfModel(np.arange(10), {}, passed, np.zeros((3, 10)))):
+                      GmrfModel(passed, np.zeros((3, 10)))):
             self.check_observe_sequence(
                 model, lambda m: m.means, lambda rng: int(rng.integers(3)), update_ref)
             assert np.array_equal(passed, kept)
@@ -384,7 +363,7 @@ class TestCompactingDowndate:
         while model.num_unlabeled:
             model.observe(int(rng.choice(model.unlabeled)), int(rng.integers(num_classes)))
             assert model._state is S
-            gone = np.setdiff1d(np.arange(15), model._idx)
+            gone = np.setdiff1d(np.arange(15), model.unlabeled)
             assert not S[gone].any()
             assert not S[:, gone].any()
             assert not np.signbit(S[gone]).any() and not np.signbit(S[:, gone]).any()
@@ -491,7 +470,7 @@ class TestPosteriorAndPredict:
         model = GmrfModel.from_laplacian(lap, 2)
         assert soft_labels(model.mu)[0] == 0.5
         mu = np.array([1.0, 0.0])
-        model = GmrfModel(model.unlabeled, {}, model.G, np.stack([-mu, mu]))
+        model = GmrfModel(model.G, np.stack([-mu, mu]))
         assert soft_labels(model.mu)[0] == 1.0
 
     def test_posterior_from_two_node_observation(self):
@@ -505,7 +484,7 @@ class TestPosteriorAndPredict:
         G = spd_inverse(lap.matrix)
         for mu, expected in (([0.2, -0.3], {0: 1, 1: 0}), ([0.0, 0.0], {0: 0, 1: 0})):
             mu = np.array(mu)
-            model = GmrfModel([0, 1], {}, G, np.stack([-mu, mu]))
+            model = GmrfModel(G, np.stack([-mu, mu]))
             assert model.predict() == expected
 
     def test_flip_symmetry_of_predictions(self):

@@ -462,7 +462,13 @@ class TestGraphInvariants:
          "node id in edge (9223372036854775811, 0) does not fit int64"),
         (lambda: Graph(5, {(0, -2**63 - 3): 1.0}),
          "edge (0, -9223372036854775811) outside node range 0..4"),
-    ], ids=["count-1e20", "count-2^63", "id-2^63", "id-1e20", "uint64", "negative"])
+        # past about 1e308 a float cast of the id would overflow
+        (lambda: Graph(3, {(0, 10**400): 1.0}),
+         f"node id in edge (0, {10**400}) does not fit int64"),
+        (lambda: Graph(3, {(0, -10**400): 1.0}),
+         f"edge (0, {-10**400}) outside node range 0..2"),
+    ], ids=["count-1e20", "count-2^63", "id-2^63", "id-1e20", "uint64", "negative",
+            "id-1e400", "negative-1e400"])
     def test_past_int64_named_exactly(self, build, message):
         # numpy would round these ids to floats; the message names them as given
         with pytest.raises(ValueError) as info:
@@ -1138,6 +1144,21 @@ class TestLoaders:
             load_edge_list(path)
         assert str(info.value) == (
             f"{path}:4: node id in edge (2, 100000000000000000000) does not fit int64")
+
+    def test_id_past_float_range_names_its_line(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text(f"0 1 1\n1 {10**400} 1\n")
+        with pytest.raises(ValueError) as info:
+            load_edge_list(path)
+        assert str(info.value) == f"{path}:2: node id in edge (1, {10**400}) does not fit int64"
+
+    def test_node_count_past_int64_names_the_largest_id_line(self, tmp_path):
+        # 2^63 - 1 fits int64, but the node count one above it does not
+        path = tmp_path / "edges.txt"
+        path.write_text("0 1 1\n1 9223372036854775807 1\n2 3 1\n")
+        with pytest.raises(ValueError) as info:
+            load_edge_list(path)
+        assert str(info.value) == f"{path}:2: node count 9223372036854775808 does not fit int64"
 
     @pytest.mark.parametrize("text, message", [
         ("0 1 1\n-1 2 1\n", ":2: edge (-1, 2) outside node range 0..2"),

@@ -60,18 +60,19 @@ def retrained_move(lap, model, node, value):
 
 
 def single_unlabeled_model(mu_value=0.3):
-    # 3-node path, two ends observed -> exactly one unlabeled node
+    # 3-node path, two ends observed -> exactly one unlabeled node, which
+    # the rebuilt model names node 0
     lap = regularized_laplacian(Graph(3, {(0, 1): 1.0, (1, 2): 1.0}), 0.1)
     model = GmrfModel.from_laplacian(lap, 2)
     model.observe(0, 1)
     model.observe(2, 0)
     mu = np.array([mu_value])
-    return GmrfModel(model.unlabeled, model.labeled, model.G, np.stack([-mu, mu]))
+    return GmrfModel(model.G, np.stack([-mu, mu]))
 
 
 def model_with_state(mu, G):
     mu = np.asarray(mu, dtype=float)
-    return GmrfModel(np.arange(mu.size), {}, np.asarray(G, dtype=float), np.stack([-mu, mu]))
+    return GmrfModel(np.asarray(G, dtype=float), np.stack([-mu, mu]))
 
 
 class TestStrategyConfig:
@@ -128,7 +129,7 @@ class TestStrategyConfig:
 class TestKlg:
     def test_certain_node_scores_zero(self):
         model = single_unlabeled_model(mu_value=1.0)
-        assert score_klg(model, 1) == 0.0
+        assert score_klg(model, 0) == 0.0
 
     def test_direct_formula(self):
         model = model_with_state([0.0], [[0.5]])
@@ -151,11 +152,11 @@ class TestKlg:
 class TestTv:
     def test_certain_node_scores_zero(self):
         model = single_unlabeled_model(mu_value=-1.0)
-        assert score_tv(model, 1) == 0.0
+        assert score_tv(model, 0) == 0.0
 
     def test_single_unlabeled_reduces_to_uncertainty(self):
         model = single_unlabeled_model(mu_value=0.3)
-        assert score_tv(model, 1) == pytest.approx(2 * (1 - 0.3**2), abs=1e-12)
+        assert score_tv(model, 0) == pytest.approx(2 * (1 - 0.3**2), abs=1e-12)
 
     def test_retraining_l1_identity_per_label(self):
         rng = np.random.default_rng(1)
@@ -183,11 +184,11 @@ class TestTv:
 class TestMsd:
     def test_certain_node_scores_zero(self):
         model = single_unlabeled_model(mu_value=1.0)
-        assert score_msd(model, 1) == 0.0
+        assert score_msd(model, 0) == 0.0
 
     def test_single_unlabeled_reduces_to_uncertainty(self):
         model = single_unlabeled_model(mu_value=0.3)
-        assert score_msd(model, 1) == pytest.approx(1 - 0.3**2, abs=1e-12)
+        assert score_msd(model, 0) == pytest.approx(1 - 0.3**2, abs=1e-12)
 
     def test_proportionality_to_klg(self):
         rng = np.random.default_rng(3)
@@ -319,7 +320,7 @@ class TestUnc:
         assert score_unc(model_with_state([-1.0], [[1.0]]), 0) == -2.0
 
     def test_multiclass_top_two_gap(self):
-        mm = GmrfModel([0], {}, [[1.0]], [[0.9], [0.1], [-0.5]])
+        mm = GmrfModel([[1.0]], [[0.9], [0.1], [-0.5]])
         assert score_unc(mm, 0) == pytest.approx(-0.8)
 
 
@@ -531,7 +532,7 @@ class TestScanConsistency:
 
     @pytest.mark.parametrize("scorer", [score_fl, score_kl, score_klg])
     def test_binary_per_node_scorers_reject_multiclass(self, scorer):
-        mm = GmrfModel([0, 1], {}, np.eye(2), np.zeros((3, 2)))
+        mm = GmrfModel(np.eye(2), np.zeros((3, 2)))
         with pytest.raises(ValueError, match="binary models only.*3 classes"):
             scorer(mm, 0)
 
@@ -764,17 +765,38 @@ SCORED_KINDS += [(3, kind) for kind in ("tv", "msd", "vm", "sigma-opt", "unc")]
 class TestScanGuards:
     @pytest.mark.parametrize("num_classes, kind", SCORED_KINDS)
     def test_empty_model_rejected(self, num_classes, kind):
-        model = GmrfModel(np.zeros(0, dtype=np.int64), {}, np.zeros((0, 0)),
-                          np.zeros((num_classes, 0)))
+        model = GmrfModel(np.zeros((0, 0)), np.zeros((num_classes, 0)))
         with pytest.raises(ValueError, match="no unlabeled nodes to score"):
             utility_scores(Strategy(kind), model, t=2)
 
     @pytest.mark.parametrize("num_classes, kind", SCORED_KINDS)
     def test_degenerate_diagonal_rejected(self, num_classes, kind):
         G = np.diag([1.0, 0.5 * PIVOT_FLOOR])
-        model = GmrfModel([0, 1], {}, G, np.zeros((num_classes, 2)))
+        model = GmrfModel(G, np.zeros((num_classes, 2)))
         with pytest.raises(ValueError, match="degenerate diagonal in G"):
             utility_scores(Strategy(kind), model, t=2)
+
+
+class TestRenaming:
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_fresh_model_over_the_unlabeled_nodes_scores_the_same(self, num_classes):
+        # the rebuilt model names the remaining nodes 0..|U|-1; only the
+        # carried G 1 and what reads it may differ, by rounding
+        rng = np.random.default_rng(50 + num_classes)
+        lap = regularized_laplacian(random_connected_graph(16, rng), 0.005)
+        model = GmrfModel.from_laplacian(lap, num_classes)
+        for node in rng.permutation(16)[:6]:
+            model.observe(int(node), int(rng.integers(num_classes)))
+        fresh = GmrfModel(model.G, model.means)
+        assert np.array_equal(fresh.unlabeled, np.arange(10))
+        for name in ("means", "diagonal", "G"):
+            assert np.array_equal(getattr(fresh, name), getattr(model, name))
+        np.testing.assert_allclose(model.row_sums, fresh.row_sums, rtol=1e-12, atol=0)
+        for kind in (k for c, k in SCORED_KINDS if c == num_classes):
+            for strategy in (Strategy(kind), Strategy(kind, confidence="inv_sqrt")):
+                np.testing.assert_allclose(utility_scores(strategy, model, t=3),
+                                           utility_scores(strategy, fresh, t=3),
+                                           rtol=1e-10, atol=0)
 
 
 class TestRetrainCounters:
