@@ -164,8 +164,8 @@ def run_experiment(cfg: ExperimentConfig,
     A run whose graph equals the previous run's (same ``n`` and edge arrays,
     as for every grid, file and ready-graph source) reuses that run's
     Laplacian and inverse; equal graphs give byte-equal inverses, so the
-    curves are the same as with a fresh inverse per run. Every model copies
-    the shared inverse in :meth:`GmrfModel.from_inverse`.
+    curves are the same as with a fresh inverse per run. The inverse is
+    made read-only, and every model of those runs aliases it.
 
     ``step_hook``, when given, is called as
     ``step_hook(strategy=..., model=..., run=..., t=...)`` after every
@@ -183,6 +183,7 @@ def run_experiment(cfg: ExperimentConfig,
         if lg.graph != graph:
             graph = lg.graph
             inverse = spd_inverse(regularized_laplacian(graph, cfg.delta).matrix)
+            inverse.flags.writeable = False
         truth = lg.labels
         for strat in cfg.strategies:
             model = GmrfModel.from_inverse(inverse, lg.num_classes)

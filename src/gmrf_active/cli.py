@@ -8,8 +8,9 @@ Diagnostics go to stderr; result tables go to stdout and CSVs to files.
 
 The environment variable ``GMRF_ACTIVE_OUTDIR`` sets the default output
 directory when ``--out`` paths are omitted. Every output path is checked
-before any compute: a missing parent directory or a path that is a directory
-exits 1 with a message that names the path.
+before any compute: a missing parent directory, a path that is a directory,
+or one file given as both the edge and the label output exits 1 with a
+message that names the path.
 """
 
 from __future__ import annotations
@@ -110,6 +111,12 @@ def _output_path(path: str) -> str:
     return path
 
 
+def _distinct_outputs(edges: str, labels: str) -> None:
+    """Raise before any compute if the edge and label outputs are one file."""
+    if os.path.realpath(edges) == os.path.realpath(labels):
+        raise ValueError(f"--out-edges and --out-labels are the same file: {labels}")
+
+
 def _add_experiment_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--graph", required=True,
                     help="grid:RxC | community:S1,S2,..:pin=P:pout=Q | file:EDGES:LABELS")
@@ -168,6 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_gen(args) -> int:
     _output_path(args.out_edges)
     _output_path(args.out_labels)
+    _distinct_outputs(args.out_edges, args.out_labels)
     lg = graph_mod.from_spec(args.graph, seed=args.seed)
     graph_mod.save_edge_list(lg.graph, args.out_edges)
     graph_mod.save_labels(lg.labels, args.out_labels)
@@ -184,6 +192,7 @@ def _cmd_build_graph(args) -> int:
     out_edges = _output_path(args.out_edges or _default_out(stem + ".edges"))
     if args.out_labels:
         _output_path(args.out_labels)
+        _distinct_outputs(out_edges, args.out_labels)
     features, labels = graph_mod.load_features(args.features)
     if not args.no_normalize:
         features = graph_mod.normalize_features(features)

@@ -1,17 +1,19 @@
 """Gaussian field models over regularized graph Laplacians.
 
-A :class:`GmrfModel` tracks C >= 2 one-vs-rest label fields in one state
-array: the inverse ``G`` of the regularized Laplacian restricted to the
-unlabeled nodes, which every field shares, the C conditional means given the
-labels observed so far, and the row sums ``G 1`` that the tv and sigma-opt
-scans read as the l1 norms of the columns of ``G``. The array keeps its
-size for the model's life: disclosing a label moves every row by one
-Schur-complement step, one in-place BLAS rank-one update whatever C is, and
-zeroes the labeled node's row and column. Readers get compact arrays over
-the unlabeled nodes, gathered afresh after each step, so
-:meth:`GmrfModel.observe` never writes an array a caller holds; no
-refactorization happens after initialization. A binary problem is
-the case C = 2, whose field ``mu`` is the class-1 row of the means.
+A :class:`GmrfModel` tracks C >= 2 one-vs-rest label fields over one
+inverse ``G`` of the regularized Laplacian restricted to the unlabeled
+nodes, which every field shares. ``G`` is held factored: after t queries it
+is ``G_0[U, U] - V_U^T V_U``, with ``G_0`` the initial inverse, which stays
+read-only and which every model of an experiment aliases, and row s of ``V``
+the step column of query s. Disclosing a label appends one row to ``V`` and
+moves the C conditional means and the row sums ``G 1`` (the l1 norms of the
+columns of ``G`` that the tv and sigma-opt scans read) by one
+Schur-complement step, one in-place BLAS rank-one update on a
+``(C + 1, n)`` array whatever C is; no refactorization happens after
+initialization. Readers get compact arrays over the unlabeled nodes,
+gathered afresh after each step, so :meth:`GmrfModel.observe` never writes
+an array a caller holds. A binary problem is the case C = 2, whose field
+``mu`` is the class-1 row of the means.
 :func:`conditional_mean_direct` re-solves the linear system from scratch and
 serves as the reference implementation the incremental path is tested
 against. :func:`soft_labels` is the one mean -> probability rule,
@@ -21,6 +23,7 @@ labels: the sign rule for C = 2, class-mass normalization for C >= 3.
 
 from __future__ import annotations
 
+import numbers
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,6 +41,16 @@ DECISION_ATOL = 1e-12
 
 # Columns per block of spd_inverse's mirror of the lower triangle.
 _MIRROR_BLOCK = 64
+
+# A model folds its step columns V into a private inverse once V holds
+# _FOLD_SHARE * n rows, but not fewer than _FOLD_MIN_ROWS; see GmrfModel.
+# Observe steps on grids, one BLAS thread, folding at n/32 .. n/2 or never:
+# at n=2025 over n/2 steps n/8 was fastest (0.26 ms a step; n/4 0.37, never
+# 0.56), and it was fastest or within 10% of it with a row block or the
+# column sums of squares read after every step. At n=100 and n=400 no fold
+# was faster than folding at n/8, which costs a step an O(n^2) copy.
+_FOLD_SHARE = 0.125
+_FOLD_MIN_ROWS = 128
 
 
 def spd_inverse(matrix: np.ndarray) -> np.ndarray:
@@ -84,12 +97,31 @@ def spd_inverse(matrix: np.ndarray) -> np.ndarray:
     return work.T
 
 
+def _minus_gram(B: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """``B - V^T V`` in a fresh array, exactly symmetric if ``B`` is.
+
+    numpy computes a product of a matrix with its own transpose by one BLAS
+    ``syrk`` and copies the triangle it wrote into the other, so ``V^T V``
+    is exactly symmetric, and so is the difference.
+    """
+    gram = V.T @ V
+    return np.subtract(B, gram, out=gram)
+
+
 def _require_symmetric(a: np.ndarray, name: str) -> None:
     """Raise unless ``a`` equals its transpose exactly, naming the first unequal pair."""
     if not np.array_equal(a, a.T):
         i, j = np.argwhere(a != a.T)[0]
         raise ValueError(f"{name} is not exactly symmetric: {name}[{i}, {j}] = "
                          f"{float(a[i, j])!r} but {name}[{j}, {i}] = {float(a[j, i])!r}")
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` itself if it is read-only, else a read-only copy of it."""
+    if a.flags.writeable:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
 
 
 def soft_labels(means):
@@ -120,22 +152,27 @@ class GmrfModel:
 
     A model starts with every node unlabeled: ``GmrfModel(G, means)``
     takes the inverse over all ``n`` nodes and the C means over them, and
-    labels are disclosed one at a time by :meth:`observe`. ``G``, the means
-    and ``G 1`` live in one ``(n + C + 1, n)`` state array, which the
-    constructor fills with copies of its arguments and :meth:`observe`
-    writes in place for the model's whole life. Node id ``i`` is row and
-    column ``i`` of its ``G`` block and column ``i`` of the other rows;
-    once node ``i`` is labeled they are exactly 0. Observing node ``k``
-    moves every row ``r`` to ``r - c_r s``, with
-    ``c_r = (r_k - t_r) / sqrt(g_kk)``, ``s = g / sqrt(g_kk)`` the ``G``
-    part of ``c``, ``g`` column ``k`` of ``G`` with entry ``k`` set to 0 and
-    target ``t_r`` the observed field value ``+/-1`` for the means and 0 for
-    ``G`` and ``G 1``. On ``G`` that subtracts ``s_i s_j``, the same product
-    for ``(i, j)`` and ``(j, i)``, and each entry is rounded once, so ``G``
-    stays exactly symmetric (the constructor requires a symmetric start) and
-    readers take the contiguous row ``k`` for column ``k``. Negated targets
-    negate ``c`` exactly, so the two fields of a binary model stay exact
-    negations.
+    labels are disclosed one at a time by :meth:`observe`. Node id ``i`` is
+    row and column ``i`` of every array below for the model's whole life.
+
+    ``G`` is held factored as ``G_0[U, U] - V_U^T V_U``. ``G_0`` is the
+    constructor's ``G``, which the model only reads: a read-only array is
+    aliased, so every model of an experiment shares one inverse, and a
+    writeable one is copied once and frozen. Observing node ``k`` fetches
+    its row ``g = G_0[k] - V[:, k] @ V`` in ``O(t n)`` after ``t`` queries,
+    with entries at labeled nodes set to 0, and appends the step column
+    ``s = g / sqrt(g_kk)`` to ``V``. The means, ``G 1`` and the diagonal
+    live in one ``(C + 2, n)`` array. Each of the first C + 1 rows ``r``
+    moves to ``r - c_r s`` with ``c_r = (r_k - t_r) / sqrt(g_kk)`` and
+    target ``t_r`` the observed field value ``+/-1`` for the means and 0
+    for ``G 1``, by one BLAS ``dger`` that rounds each entry once. Negated
+    targets negate ``c`` exactly, so the two fields of a binary model stay
+    exact negations. The diagonal moves by ``d -= s * s``, and, once
+    :meth:`square_sums` has been read, the column sums of squares are
+    carried too. When ``V`` is full (``n / 8`` rows, at
+    least 128), it is folded into a private ``G_0``, ``G_0 - V^T V``, and
+    starts empty again. ``G`` itself is built at most once per state, when
+    :meth:`rows` or ``G`` is first read, and exactly symmetric.
 
     Readers see the unlabeled nodes only. ``means``, ``mu``, ``row_sums``
     and ``diagonal`` are read-only compact arrays that :meth:`observe`
@@ -145,8 +182,8 @@ class GmrfModel:
     Attributes
     ----------
     unlabeled : ndarray of int
-        Sorted node ids still unlabeled, which are also their state rows;
-        ``G`` and the means are indexed positionally against this array.
+        Sorted node ids still unlabeled; ``G`` and the means are indexed
+        positionally against this array.
     labeled : dict
         node id -> observed class id.
     G : ndarray
@@ -158,7 +195,8 @@ class GmrfModel:
     row_sums : ndarray
         ``G 1`` over ``unlabeled``, carried through every :meth:`observe`.
     diagonal : ndarray
-        ``diag(G)`` over ``unlabeled``: the pivots.
+        ``diag(G)`` over ``unlabeled``: the pivots, carried through every
+        :meth:`observe`.
     mu : ndarray or None
         For C = 2 the read-only view ``means[1]``; None for C > 2.
     retrain_calls : int
@@ -184,70 +222,88 @@ class GmrfModel:
         self.unlabeled = np.arange(n)
         self.labeled = {}
         self.retrain_calls = 0
-        self._state = np.empty((n + c + 1, n))
-        self._state[:n] = G
-        self._state[n:-1] = means
-        self._state[:n].sum(axis=0, out=self._state[-1])
+        # rows: the C means, G 1 and diag(G)
+        self._fields = np.empty((c + 2, n))
+        self._fields[:c] = means
+        G.sum(axis=0, out=self._fields[c])
         # a non-finite G entry makes its column sum non-finite; NaN passes pivot floors
-        if not np.isfinite(self._state[-1]).all():
+        if not np.isfinite(self._fields[c]).all():
             raise ValueError("G holds non-finite entries")
-        if not np.isfinite(self._state[n:-1]).all():
+        if not np.isfinite(self._fields[:c]).all():
             raise ValueError("means hold non-finite entries")
         # the scans read row i of G as column i, and G 1 as the column l1 norms
         _require_symmetric(G, "G")
-        # row c: the +1/-1 value every field takes when class c is observed
-        self._targets = 2.0 * np.eye(c) - 1.0
+        self._fields[-1] = np.diagonal(G)
+        self._base = _frozen(G)
+        self._squares = None  # column sums of squares, from the first square_sums()
+        self._V = np.empty((min(n, max(_FOLD_MIN_ROWS, int(_FOLD_SHARE * n))), n))
+        self._t = 0
+        self._unlabeled_mask = np.ones(n)  # 1.0 for an unlabeled node, 0.0 for a labeled one
+        self._G = None  # G over the unlabeled nodes, built when first read
+        # row c: the value every field takes when class c is observed, then
+        # the target 0 of G 1
+        self._targets = np.zeros((c, c + 1))
+        self._targets[:, :-1] = 2.0 * np.eye(c) - 1.0
         self._gather()
 
     @classmethod
     def from_laplacian(cls, lap: RegularizedLaplacian, num_classes: int) -> "GmrfModel":
         """Fresh model with all nodes unlabeled and zero means."""
-        return cls.from_inverse(spd_inverse(lap.matrix), num_classes)
+        G = spd_inverse(lap.matrix)
+        G.flags.writeable = False  # no one else holds it, so the model aliases it
+        return cls.from_inverse(G, num_classes)
 
     @classmethod
     def from_inverse(cls, G: np.ndarray, num_classes: int) -> "GmrfModel":
-        """Fresh model from a precomputed full inverse (copied, not aliased).
+        """Fresh model over a precomputed full inverse, with zero means.
 
-        The copy is what keeps a shared inverse safe: ``run_experiment``
-        hands one inverse to every strategy of a run, and to later runs on
-        the same graph, and each model copies it into the state array that
-        its :meth:`observe` then writes in place.
+        A read-only ``G`` is aliased and a writeable one copied once: the
+        model never writes it either way. ``run_experiment`` freezes the one
+        inverse it hands to every strategy of a run, and to later runs on
+        the same graph, so all of them share it.
         """
         return cls(G, np.zeros((num_classes, G.shape[0])))
 
     def _gather(self) -> None:
-        # stored, not properties, because the scans read mu per node; fresh
-        # copies, not views, so an array a caller holds never changes
-        S, idx = self._state, self.unlabeled
-        n = S.shape[1]
-        self.means = S[n:-1].take(idx, axis=1)
-        self.row_sums = S[-1].take(idx)
-        self.diagonal = np.diagonal(S).take(idx)
-        for a in (self.means, self.row_sums, self.diagonal):
-            a.flags.writeable = False
+        # stored, not properties, because the scans read mu per node; views
+        # of one fresh copy, so an array a caller holds never changes
+        fields = self._fields.take(self.unlabeled, axis=1)
+        fields.flags.writeable = False
+        self.means, self.row_sums, self.diagonal = fields[:-2], fields[-2], fields[-1]
         self.mu = self.means[1] if self.num_classes == 2 else None
+
+    def _block(self) -> np.ndarray:
+        """``G`` over the unlabeled nodes, built once per state; never written."""
+        if self._G is None:
+            idx = self.unlabeled
+            self._G = _minus_gram(self._base.take(idx, axis=0).take(idx, axis=1),
+                                  self._V[:self._t].take(idx, axis=1))
+        return self._G
 
     @property
     def G(self) -> np.ndarray:
-        return self.rows(slice(None))
+        return self._block().copy()
 
     def rows(self, positions) -> np.ndarray:
-        """Fresh compact copy of ``G[positions]``; one position costs ``O(|U|)``.
+        """Fresh compact copy of ``G[positions]``, sliced from one ``G`` per state.
 
-        ``G`` is exactly symmetric, so row ``i`` is also column ``i``.
+        ``G`` is exactly symmetric, so row ``i`` is also column ``i``. The
+        first read after :meth:`observe` builds ``G`` in ``O(|U|^2 t)``; a row
+        is then the same bits in every block.
         """
-        idx = self.unlabeled
-        return self._state[idx[positions]].take(idx, axis=-1)
+        return self._block().take(positions, axis=0)
 
     def square_sums(self) -> np.ndarray:
         """Column sums of squares ``||g_j||_2^2`` of ``G`` over ``unlabeled``.
 
-        One ``einsum`` runs over the whole ``G`` block of the state, whose
-        labeled rows add exact zeros, and the unlabeled columns are gathered
-        from it; no ``|U|^2`` temporary is formed.
+        The first call sums them over ``G``; from then on :meth:`observe`
+        carries them.
         """
-        G = self._state[:self._state.shape[1]]
-        return np.einsum("ij,ij->j", G, G).take(self.unlabeled)
+        if self._squares is None:
+            G = self._block()
+            self._squares = np.zeros(self._fields.shape[1])
+            self._squares[self.unlabeled] = np.einsum("ij,ij->j", G, G)
+        return self._squares.take(self.unlabeled)
 
     @property
     def num_classes(self) -> int:
@@ -280,36 +336,56 @@ class GmrfModel:
     def observe(self, node: int, class_id: int) -> "GmrfModel":
         """Absorb an observed class and shrink the model to ``U \\ {node}``.
 
-        Every row of the state takes the one Schur step of the class
-        docstring, with ``t_r = +1`` for the observed class's field and
-        ``-1`` for the other fields. One BLAS ``dger`` call subtracts
-        ``c s^T`` from the state in place, rounding each entry once; the
-        labeled rows and columns, where ``c`` and ``s`` are 0, gain exact
-        zeros. Row and column ``k`` are then set to 0. Nothing is copied
-        but the step column and the compact arrays of the readers. Cost
-        ``O(n^2)`` for the step, independent of the class count.
+        One Schur step, as the class docstring sets out: fetch row ``k`` of
+        ``G``, append ``s`` to ``V``, move the means and ``G 1`` by one
+        ``dger`` with ``t_r = +1`` for the observed class's field and ``-1``
+        for the other fields, and carry the diagonal. ``s`` keeps entry
+        ``k``, so ``G - s s^T`` has a zero row and column ``k``, and the
+        carried column sums of squares move to
+        ``q - 2 s (G s) + s^2 ||s||^2``, one gemv on ``G_0``. Cost
+        ``O(t n)``, plus ``O(n^2)`` when the sums of squares are carried or
+        ``V`` is folded; independent of the class count.
         """
         if class_id not in range(self.num_classes):
             raise ValueError(f"class id {class_id} outside 0..{self.num_classes - 1}")
         class_id = int(class_id)
         pos = self.position(node)
         gkk = self.pivot(pos)
-        S = self._state
-        n = S.shape[1]
         k = int(self.unlabeled[pos])
-        c = S[:, k].copy()
-        c[k] = 0.0
-        c[n:-1] -= self._targets[class_id]
-        c /= np.sqrt(gkk)
-        # S -= outer(c, s) with s = c[:n]; S.T is F-contiguous, so BLAS
-        # writes S itself, rounding each entry once
-        scipy.linalg.blas.dger(-1.0, c[:n], c, a=S.T, overwrite_a=1)
-        S[k] = 0.0
-        S[:, k] = 0.0
+        if self._t == self._V.shape[0]:
+            self._fold()
+        base, V, t = self._base, self._V[:self._t], self._t
+        s = self._V[t]
+        np.subtract(base[k], V[:, k] @ V, out=s)
+        s *= self._unlabeled_mask
+        root = np.sqrt(gkk)
+        s /= root
+        moved = self._fields[:-1]
+        c = moved[:, k] - self._targets[class_id]
+        c /= root
+        # moved -= outer(c, s); moved.T is F-contiguous, so BLAS writes the
+        # rows themselves, rounding each entry once
+        scipy.linalg.blas.dger(-1.0, s, c, a=moved.T, overwrite_a=1)
+        square = s * s
+        if self._squares is not None:
+            Gs = base @ s
+            Gs -= (V @ s) @ V
+            Gs *= s
+            scipy.linalg.blas.daxpy(Gs, self._squares, a=-2.0)
+            scipy.linalg.blas.daxpy(square, self._squares, a=square.sum())
+        self._fields[-1] -= square
+        self._t = t + 1
+        self._unlabeled_mask[k] = 0.0
         self.unlabeled = _without(self.unlabeled, pos)
         self.labeled[int(node)] = class_id
+        self._G = None
         self._gather()
         return self
+
+    def _fold(self) -> None:
+        """Fold ``V`` into a private ``G_0 - V^T V`` and empty it."""
+        self._base = _frozen(_minus_gram(self._base, self._V[:self._t]))
+        self._t = 0
 
     def predict(self) -> dict[int, int]:
         """Hard class per unlabeled node by :func:`class_decision`."""
@@ -325,10 +401,16 @@ def conditional_mean_direct(lap: RegularizedLaplacian, labeled: dict) -> np.ndar
     reference the incremental :meth:`GmrfModel.observe` path is checked
     against. The fresh block ``M_UU`` is factored in place through its
     Fortran-ordered transpose, which holds the same matrix because ``M`` is
-    exactly symmetric, so the solve holds one ``|U|^2`` array.
+    exactly symmetric, so the solve holds one ``|U|^2`` array. A labeled id
+    that is not an integer in ``0..n-1`` is rejected before the solve.
     """
     if not labeled:
         raise ValueError("at least one labeled node is required")
+    for node in labeled:
+        if isinstance(node, bool) or not isinstance(node, numbers.Integral):
+            raise ValueError(f"labeled node id {node!r} is not an integer")
+        if not 0 <= node < lap.n:
+            raise ValueError(f"labeled node id {node} outside 0..{lap.n - 1}")
     labeled = {int(k): float(v) for k, v in labeled.items()}
     lab_ids = sorted(labeled)
     unl_ids = [i for i in range(lap.n) if i not in labeled]

@@ -1,5 +1,7 @@
 """Command-line interface: parsing, exit codes, end-to-end flows."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -229,3 +231,28 @@ def test_every_output_path_of_a_command_is_checked_first(tmp_path, monkeypatch, 
     assert main(argv) == 1
     assert paths[flag] in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["gen", "build-graph"])
+@pytest.mark.parametrize("spelling", ["same", "relative", "symlink"])
+def test_one_file_for_edges_and_labels_fails_before_any_compute(tmp_path, monkeypatch, capsys,
+                                                                command, spelling):
+    # gen used to report 24 edges and leave only the 16 label lines in the file
+    monkeypatch.setattr(graph_mod, "load_features", _no_compute)
+    monkeypatch.setattr(graph_mod, "from_spec", _no_compute)
+    monkeypatch.chdir(tmp_path)
+    edges = str(tmp_path / "x")
+    labels = {"same": edges, "relative": "x", "symlink": str(tmp_path / "link")}[spelling]
+    if spelling == "symlink":
+        (tmp_path / "x").write_text("")
+        os.symlink(tmp_path / "x", tmp_path / "link")
+    if command == "gen":
+        argv = ["gen", "--graph", "grid:4x4"]
+    else:
+        argv = ["build-graph", "--features", str(tmp_path / "f.csv")]
+    assert main(argv + ["--out-edges", edges, "--out-labels", labels]) == 1
+    err = capsys.readouterr().err
+    assert "--out-edges and --out-labels are the same file" in err
+    assert labels in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["link", "x"] if spelling == "symlink" else [])

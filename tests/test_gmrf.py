@@ -21,6 +21,7 @@ from gmrf_active import (
     run_experiment,
     spd_inverse,
 )
+from gmrf_active import bench, gmrf
 from gmrf_active.bench import accuracy
 from gmrf_active.checks import random_connected_graph
 from gmrf_active.gmrf import DECISION_ATOL, class_decision, soft_labels
@@ -158,6 +159,29 @@ class TestConditionalMeanDirect:
         with pytest.raises(ValueError, match="unlabeled set is empty"):
             conditional_mean_direct(two_node_lap(), {0: 1.0, 1: -1.0})
 
+    @pytest.mark.parametrize("bad", [-1, 16])
+    def test_id_outside_the_graph_rejected_naming_it(self, monkeypatch, bad):
+        # -1 read node 15 as labeled and unlabeled at once; 16 raised a bare IndexError
+        monkeypatch.setattr(scipy.linalg, "cho_factor", _no_lapack)
+        lap = regularized_laplacian(grid_graph(4, 4, seed=0).graph, 0.005)
+        with pytest.raises(ValueError, match=rf"^labeled node id {bad} outside 0\.\.15$"):
+            conditional_mean_direct(lap, {bad: 1.0})
+
+    @pytest.mark.parametrize("bad", [1.7, 1.0, "1", True])
+    def test_non_integer_id_rejected_naming_it(self, monkeypatch, bad):
+        # 1.7 was solved as node 1
+        monkeypatch.setattr(scipy.linalg, "cho_factor", _no_lapack)
+        lap = regularized_laplacian(grid_graph(4, 4, seed=0).graph, 0.005)
+        with pytest.raises(ValueError, match=rf"^labeled node id {bad!r} is not an integer$"):
+            conditional_mean_direct(lap, {bad: 1.0})
+
+    def test_integer_ids_of_any_integer_type_accepted(self):
+        lap = regularized_laplacian(grid_graph(4, 4, seed=0).graph, 0.005)
+        expected = conditional_mean_direct(lap, {3: 1.0, 9: -1.0})
+        for ids in ((np.int64(3), np.int32(9)), (np.uint8(3), 9)):
+            labeled = dict(zip(ids, (1.0, -1.0)))
+            assert np.array_equal(conditional_mean_direct(lap, labeled), expected)
+
 
 class TestObserve:
     def test_matches_direct_solve_full_sequence(self):
@@ -243,12 +267,14 @@ class TestObserve:
 
 
 class TestCompactingDowndate:
-    """``observe`` against the delete formula, bit for bit.
+    """``observe`` against the delete formula.
 
     The reference deletes entry ``k`` and moves every row ``r`` of ``G`` and
     of the means to ``r_{-k} - c_r s``, with ``c_r = (r_k - t) / sqrt(g_kk)``
     and ``s`` column ``k`` of ``G`` without entry ``k`` over ``sqrt(g_kk)``,
-    each entry rounded once.
+    each entry rounded once. The model holds ``G`` factored and sums the
+    steps in another order, so ``G`` and the means follow the reference to
+    within rounding, down to ``|U| = 0``.
     """
 
     @staticmethod
@@ -278,8 +304,9 @@ class TestCompactingDowndate:
             model.observe(int(ids[pos]), label)
             ids = np.delete(ids, pos)
             assert np.array_equal(held, held_copy)
-            assert np.array_equal(model.G, G_ref)
-            assert np.array_equal(state(model), ref)
+            scale = np.abs(G_ref).max(initial=0.0)
+            np.testing.assert_allclose(model.G, G_ref, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(state(model), ref, rtol=0, atol=1e-12)
             assert np.array_equal(model.unlabeled, ids)
         assert model.G.shape == (0, 0)
         with pytest.raises(ValueError, match="no unlabeled nodes"):
@@ -321,7 +348,7 @@ class TestCompactingDowndate:
 
     def test_peak_memory_is_the_fresh_state(self):
         # observe writes the state in place: it allocates only the step
-        # column and the readers' compact vectors, O(|U|)
+        # column and the readers' compact vectors, O(|U|); G is not built
         model = GmrfModel.from_laplacian(
             regularized_laplacian(grid_graph(20, 20, seed=3).graph, 0.005), 2)
         model.observe(0, 1)  # loads what it needs outside the measurement
@@ -337,7 +364,7 @@ class TestCompactingDowndate:
 
     def test_rank_one_update_lands_in_the_state(self, monkeypatch):
         # f2py copies an array of the wrong layout silently; the update must
-        # write the model's own state
+        # write the model's own means and G 1, and only them
         written = []
         dger = scipy.linalg.blas.dger
 
@@ -351,23 +378,33 @@ class TestCompactingDowndate:
                                              num_classes)
             for node in (4, 0, 11):
                 model.observe(node, 1)
-                assert np.shares_memory(written[-1], model._state)
+                assert np.shares_memory(written[-1], model._fields)
+                assert written[-1].shape == (12, num_classes + 1)
         assert len(written) == 6
 
     @pytest.mark.parametrize("num_classes", [2, 3])
-    def test_labeled_rows_and_columns_stay_exactly_zero(self, num_classes):
-        # later steps add exact zeros to them, down to |U| = 0
+    def test_labeled_rows_and_columns_stay_exactly_zero(self, num_classes, monkeypatch):
+        # a step column is exactly 0 at every node labeled before its step,
+        # down to |U| = 0 and across folds of V into a private inverse
+        monkeypatch.setattr(gmrf, "_FOLD_MIN_ROWS", 4)
         rng = np.random.default_rng(30 + num_classes)
-        model = GmrfModel.from_laplacian(random_lap(rng, 15), num_classes)
-        S = model._state
+        G0 = spd_inverse(random_lap(rng, 15).matrix)
+        model = GmrfModel.from_inverse(G0, num_classes)
+        shared = model._base
+        order = []
+        folds = 0
         while model.num_unlabeled:
-            model.observe(int(rng.choice(model.unlabeled)), int(rng.integers(num_classes)))
-            assert model._state is S
-            gone = np.setdiff1d(np.arange(15), model.unlabeled)
-            assert not S[gone].any()
-            assert not S[:, gone].any()
-            assert not np.signbit(S[gone]).any() and not np.signbit(S[:, gone]).any()
-        assert S.shape == (15 + num_classes + 1, 15)
+            before = model._t
+            order.append(int(rng.choice(model.unlabeled)))
+            model.observe(order[-1], int(rng.integers(num_classes)))
+            folds += model._t < before
+            t = model._t
+            for row, step in zip(model._V[:t], range(len(order) - t, len(order))):
+                assert not row[order[:step]].any()
+        assert model._V.shape == (4, 15)
+        assert folds == 3
+        assert model._base is not shared
+        assert not shared.flags.writeable and np.array_equal(shared, G0)
 
     @pytest.mark.parametrize("num_classes", [2, 3])
     def test_held_arrays_never_change(self, num_classes):
@@ -402,10 +439,13 @@ class TestCompactingDowndate:
         for pos in range(11):
             row = model.rows(pos)
             assert np.array_equal(row, G[pos])
-            assert not np.shares_memory(row, model._state)
+            assert not np.shares_memory(row, model._G)
+            assert not np.shares_memory(row, model._base)
         block = model.rows(np.array([4, 0, 10]))
         assert np.array_equal(block, G[[4, 0, 10]])
-        assert np.array_equal(model.diagonal, np.diagonal(G))
+        assert not np.shares_memory(G, model._G)
+        # the carried diagonal against the one of the built G
+        np.testing.assert_allclose(model.diagonal, np.diagonal(G), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("num_classes", [2, 3])
     def test_G_exactly_symmetric_after_every_step(self, num_classes):
@@ -462,6 +502,77 @@ class TestCarriedRowSums:
         run_experiment(cfg, step_hook=check)
         assert len(drift) == 2 * (n - 1)
         assert max(drift) <= 1e-10
+
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    @pytest.mark.parametrize("fold_rows", [4, None], ids=["fold-4", "fold-default"])
+    def test_carried_vectors_follow_the_built_G_past_the_fold(self, monkeypatch,
+                                                               num_classes, fold_rows):
+        # the diagonal, G 1 and the column sums of squares are carried, not
+        # summed over G; V folds every n / 8 = 18 rows, or at 128
+        if fold_rows:
+            monkeypatch.setattr(gmrf, "_FOLD_MIN_ROWS", fold_rows)
+        lap = regularized_laplacian(grid_graph(12, 12, seed=4).graph, 0.005)
+        model = GmrfModel.from_laplacian(lap, num_classes)
+        rng = np.random.default_rng(60 + num_classes)
+        folds = 0
+        worst = 0.0
+        for step in range(140):
+            if step == 1:
+                model.square_sums()  # carried from here on
+            before = model._t
+            model.observe(int(rng.choice(model.unlabeled)), int(rng.integers(num_classes)))
+            folds += model._t < before
+            G = model.G
+            assert np.array_equal(G, G.T)
+            for carried, built in ((model.diagonal, np.diagonal(G)),
+                                   (model.row_sums, G.sum(axis=0)),
+                                   (model.square_sums(), (G * G).sum(axis=0))):
+                worst = max(worst, float(np.max(np.abs(carried - built) / np.abs(built))))
+        assert folds == 139 // model._V.shape[0]
+        assert model._V.shape[0] == (18 if fold_rows else 128)
+        assert worst <= 1e-10
+
+    def test_shared_inverse_is_never_written_and_read_only(self, monkeypatch):
+        # every model of the experiment aliases the one inverse, V folds
+        # every 4 rows, and vm and msd carry their column sums of squares
+        monkeypatch.setattr(gmrf, "_FOLD_MIN_ROWS", 4)
+        inverses = []
+        inverse = bench.spd_inverse
+
+        def kept(matrix):
+            inverses.append(inverse(matrix))
+            return inverses[-1]
+
+        monkeypatch.setattr(bench, "spd_inverse", kept)
+        strategies = [Strategy(kind) for kind in ("tv", "vm", "msd", "fl", "random")]
+        cfg = ExperimentConfig("grid:6x6", strategies, budget=30, runs=2, seed=3)
+        run_experiment(cfg)
+        [shared] = inverses
+        fresh = spd_inverse(regularized_laplacian(grid_graph(6, 6, seed=3).graph,
+                                                  cfg.delta).matrix)
+        assert shared.tobytes() == fresh.tobytes()
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0, 0] = 0.0
+
+    def test_writing_the_callers_G_leaves_the_model_unchanged(self):
+        G = spd_inverse(random_lap(np.random.default_rng(61), 10).matrix)
+        model = GmrfModel.from_inverse(G, 2)
+        model.observe(4, 1)
+        before = model.G, model.means.copy(), model.row_sums.copy(), model.diagonal.copy()
+        G[...] = 7.0
+        model.observe(7, 0)
+        fresh = GmrfModel.from_inverse(spd_inverse(random_lap(np.random.default_rng(61),
+                                                              10).matrix), 2)
+        fresh.observe(4, 1)
+        for a, b in zip(before, (fresh.G, fresh.means, fresh.row_sums, fresh.diagonal)):
+            assert np.array_equal(a, b)
+        fresh.observe(7, 0)
+        assert np.array_equal(model.means, fresh.means)
+        assert np.array_equal(model.G, fresh.G)
+        # a read-only G is aliased, not copied
+        G.flags.writeable = False
+        assert GmrfModel.from_inverse(G, 2)._base is G
 
 
 class TestPosteriorAndPredict:
