@@ -10,10 +10,13 @@ moves the C conditional means and the row sums ``G 1`` (the l1 norms of the
 columns of ``G`` that the tv and sigma-opt scans read) by one
 Schur-complement step, one in-place BLAS rank-one update on a
 ``(C + 1, n)`` array whatever C is; no refactorization happens after
-initialization. Readers get compact arrays over the unlabeled nodes,
-gathered afresh after each step, so :meth:`GmrfModel.observe` never writes
-an array a caller holds. A binary problem is the case C = 2, whose field
-``mu`` is the class-1 row of the means.
+initialization. A model whose rows of ``G`` are read (the fl and kl scans)
+builds ``G`` over the unlabeled nodes once, on the first read, and from then
+on each step downdates it in ``O(|U|^2)``. Readers get compact arrays over
+the unlabeled nodes, gathered afresh after each step, so
+:meth:`GmrfModel.observe` never writes an array a caller holds. A binary
+problem is the case C = 2, whose field ``mu`` is the class-1 row of the
+means.
 :func:`conditional_mean_direct` re-solves the linear system from scratch and
 serves as the reference implementation the incremental path is tested
 against. :func:`soft_labels` is the one mean -> probability rule,
@@ -23,7 +26,7 @@ labels: the sign rule for C = 2, class-mass normalization for C >= 3.
 
 from __future__ import annotations
 
-import numbers
+import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -108,6 +111,34 @@ def _minus_gram(B: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.subtract(B, gram, out=gram)
 
 
+def _deleted_downdate(G: np.ndarray, pos: int, s: np.ndarray) -> np.ndarray:
+    """``G`` without row and column ``pos``, minus ``s s^T``, in a fresh array.
+
+    The delete is four quadrant copies, and the downdate is one BLAS
+    ``dger`` on the copy. A product ``s_i s_j`` equals ``s_j s_i`` bit for
+    bit, so the result is exactly symmetric if ``G`` is.
+    """
+    m = G.shape[0] - 1
+    out = np.empty((m, m))
+    out[:pos, :pos] = G[:pos, :pos]
+    out[:pos, pos:] = G[:pos, pos + 1:]
+    out[pos:, :pos] = G[pos + 1:, :pos]
+    out[pos:, pos:] = G[pos + 1:, pos + 1:]
+    if m:  # BLAS rejects a leading dimension of 0
+        scipy.linalg.blas.dger(-1.0, s, s, a=out.T, overwrite_a=1)
+    return out
+
+
+def _as_id(value, what: str) -> int:
+    """``value`` as an int; a bool or a number that is not an integer is rejected."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} id {value!r} is not an integer")
+
+
 def _require_symmetric(a: np.ndarray, name: str) -> None:
     """Raise unless ``a`` equals its transpose exactly, naming the first unequal pair."""
     if not np.array_equal(a, a.T):
@@ -171,8 +202,15 @@ class GmrfModel:
     :meth:`square_sums` has been read, the column sums of squares are
     carried too. When ``V`` is full (``n / 8`` rows, at
     least 128), it is folded into a private ``G_0``, ``G_0 - V^T V``, and
-    starts empty again. ``G`` itself is built at most once per state, when
-    :meth:`rows` or ``G`` is first read, and exactly symmetric.
+    starts empty again.
+
+    ``G`` itself, exactly symmetric, is built on a model's first
+    :meth:`rows` read and kept. From then on :meth:`observe` carries it:
+    the previous block without row and column ``k``, minus ``s_U s_U^T``,
+    with ``s_U`` the step column at the remaining unlabeled nodes, in a
+    fresh array. ``G`` and :meth:`square_sums` read the carried block when
+    there is one; otherwise they build one and do not keep it, so a model
+    that never reads rows (every scorer but fl and kl) never carries it.
 
     Readers see the unlabeled nodes only. ``means``, ``mu``, ``row_sums``
     and ``diagonal`` are read-only compact arrays that :meth:`observe`
@@ -188,7 +226,8 @@ class GmrfModel:
         node id -> observed class id.
     G : ndarray
         Inverse of the regularized Laplacian restricted to ``unlabeled``,
-        exactly symmetric; each read is an ``O(|U|^2)`` copy.
+        exactly symmetric; each read is an ``O(|U|^2)`` copy of the carried
+        block, or an ``O(|U|^2 t)`` build.
     means : ndarray
         Conditional means of the C fields over ``unlabeled``, shape
         ``(C, |U|)``.
@@ -273,31 +312,36 @@ class GmrfModel:
         self.mu = self.means[1] if self.num_classes == 2 else None
 
     def _block(self) -> np.ndarray:
-        """``G`` over the unlabeled nodes, built once per state; never written."""
-        if self._G is None:
-            idx = self.unlabeled
-            self._G = _minus_gram(self._base.take(idx, axis=0).take(idx, axis=1),
-                                  self._V[:self._t].take(idx, axis=1))
-        return self._G
+        """``G`` over the unlabeled nodes, never written: the carried block,
+        else one built in ``O(|U|^2 t)`` and not kept."""
+        if self._G is not None:
+            return self._G
+        idx = self.unlabeled
+        return _minus_gram(self._base.take(idx, axis=0).take(idx, axis=1),
+                           self._V[:self._t].take(idx, axis=1))
 
     @property
     def G(self) -> np.ndarray:
-        return self._block().copy()
+        block = self._block()
+        return block.copy() if block is self._G else block
 
     def rows(self, positions) -> np.ndarray:
-        """Fresh compact copy of ``G[positions]``, sliced from one ``G`` per state.
+        """Fresh compact copy of ``G[positions]``, sliced from the carried ``G``.
 
         ``G`` is exactly symmetric, so row ``i`` is also column ``i``. The
-        first read after :meth:`observe` builds ``G`` in ``O(|U|^2 t)``; a row
-        is then the same bits in every block.
+        model's first read builds ``G`` in ``O(|U|^2 t)`` and keeps it, and
+        from then on :meth:`observe` carries it, so a row is the same bits in
+        every block of a scan.
         """
-        return self._block().take(positions, axis=0)
+        if self._G is None:
+            self._G = self._block()
+        return self._G.take(positions, axis=0)
 
     def square_sums(self) -> np.ndarray:
         """Column sums of squares ``||g_j||_2^2`` of ``G`` over ``unlabeled``.
 
-        The first call sums them over ``G``; from then on :meth:`observe`
-        carries them.
+        The first call sums them over ``G``, which it does not keep; from
+        then on :meth:`observe` carries them.
         """
         if self._squares is None:
             G = self._block()
@@ -342,13 +386,17 @@ class GmrfModel:
         for the other fields, and carry the diagonal. ``s`` keeps entry
         ``k``, so ``G - s s^T`` has a zero row and column ``k``, and the
         carried column sums of squares move to
-        ``q - 2 s (G s) + s^2 ||s||^2``, one gemv on ``G_0``. Cost
-        ``O(t n)``, plus ``O(n^2)`` when the sums of squares are carried or
-        ``V`` is folded; independent of the class count.
+        ``q - 2 s (G s) + s^2 ||s||^2``, one gemv on ``G_0``. A carried
+        ``G`` is downdated to ``G_{-k} - s_U s_U^T``. Cost ``O(t n)``, plus
+        ``O(n^2)`` when the sums of squares are carried or ``V`` is folded
+        and ``O(|U|^2)`` when ``G`` is carried; independent of the class
+        count. A node or class id that is a bool or not an integer is
+        rejected before any state changes.
         """
+        node = _as_id(node, "node")
+        class_id = _as_id(class_id, "class")
         if class_id not in range(self.num_classes):
             raise ValueError(f"class id {class_id} outside 0..{self.num_classes - 1}")
-        class_id = int(class_id)
         pos = self.position(node)
         gkk = self.pivot(pos)
         k = int(self.unlabeled[pos])
@@ -377,8 +425,9 @@ class GmrfModel:
         self._t = t + 1
         self._unlabeled_mask[k] = 0.0
         self.unlabeled = _without(self.unlabeled, pos)
-        self.labeled[int(node)] = class_id
-        self._G = None
+        self.labeled[node] = class_id
+        if self._G is not None:
+            self._G = _deleted_downdate(self._G, pos, s.take(self.unlabeled))
         self._gather()
         return self
 
@@ -407,9 +456,7 @@ def conditional_mean_direct(lap: RegularizedLaplacian, labeled: dict) -> np.ndar
     if not labeled:
         raise ValueError("at least one labeled node is required")
     for node in labeled:
-        if isinstance(node, bool) or not isinstance(node, numbers.Integral):
-            raise ValueError(f"labeled node id {node!r} is not an integer")
-        if not 0 <= node < lap.n:
+        if not 0 <= _as_id(node, "labeled node") < lap.n:
             raise ValueError(f"labeled node id {node} outside 0..{lap.n - 1}")
     labeled = {int(k): float(v) for k, v in labeled.items()}
     lab_ids = sorted(labeled)

@@ -11,8 +11,10 @@ its row sums ``G 1`` and the conditional mean ``mu``:
   ``||g_i||_2^2 / g_ii`` and ``||g_i||_1^2 / g_ii``.
 - ``fl`` / ``kl``: retraining-based expected prediction flips and summed
   Bernoulli divergences. They are the only scorers that evaluate
-  hypothetical means: two per candidate, formed for a block of candidates at
-  a time from rows of ``G``, with everything else built once per scan.
+  hypothetical means: two per candidate, formed for both label values of a
+  block of candidates at once from rows of ``G``, with everything else built
+  once per scan. They are also the only scorers that read rows of ``G``,
+  which the model carries from their first scan on.
 - ``unc``: negative top-two soft-label margin.
 
 The four closed-form kinds vm, sigma-opt, tv and msd share one scan in
@@ -52,9 +54,10 @@ _LOG_FLOOR = 1e-12
 TIE_RTOL = 1e-11
 
 # Bytes of one block of hypothetical means in the fl / kl scan; the block
-# holds as many candidate rows of G as fit. In a sweep from 32 KB to 4 MB at
-# |U| = 98, 398 and 2023 (one BLAS thread, 2-core Xeon), 128-512 KB were
-# fastest: smaller blocks pay per-block overhead, larger ones fall out of cache.
+# holds both label values of as many candidate rows of G as fit. In a sweep
+# from 32 KB to 4 MB at |U| = 98, 398 and 2023 (one BLAS thread, 2-core
+# Xeon), 128-512 KB were fastest: smaller blocks pay per-block overhead,
+# larger ones fall out of cache.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -205,17 +208,19 @@ def _expected_change(model: GmrfModel, kind: str, alpha: float, maxmin: bool,
     pivot is checked before any scoring: the first degenerate one in
     ``positions`` order raises.
 
-    The candidates are scored in blocks of rows of ``G`` of about
-    ``_BLOCK_BYTES``, each gathered once and read for both label values. For
-    a block ``pb`` of positions, pivots ``g = diag(G)`` and label value
-    ``v``, row ``r`` of
-    ``((v - mu[pb]) / g[pb])[:, None] * G[pb] + mu`` is the hypothetical mean
-    ``mu + ((v - mu_k) / g_kk) G[k]`` of candidate ``pb[r]``, element for
-    element the same arithmetic as one candidate at a time. Each candidate
-    still costs two hypothetical means, ``O(|U|)`` each, all counted in
-    ``model.retrain_calls``; a block never holds more than a few
-    ``_BLOCK_BYTES`` of temporaries, so a scan materializes no ``|U|^2``
-    array.
+    The candidates are scored in blocks of rows of ``G``, each gathered
+    once and scored for both label values in one pass over a
+    ``(2, rows, |U|)`` array of about ``_BLOCK_BYTES``. For a block ``pb``
+    of positions, pivots ``g = diag(G)`` and label values ``v = (+1, -1)``,
+    entry ``[i, r]`` of
+    ``G[pb] * ((v[:, None] - mu[pb]) / g[pb])[:, :, None] + mu`` is the
+    hypothetical mean ``mu + ((v_i - mu_k) / g_kk) G[k]`` of candidate
+    ``pb[r]``, element for element the same arithmetic as one candidate and
+    one label at a time, and the flips or divergences are summed along the
+    last axis. Each candidate still costs two hypothetical means,
+    ``O(|U|)`` each, all counted in ``model.retrain_calls``; a block never
+    holds more than a few ``_BLOCK_BYTES`` of temporaries, so a scan
+    materializes no ``|U|^2`` array.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"confidence weight must lie in [0, 1], got {alpha}")
@@ -230,30 +235,28 @@ def _expected_change(model: GmrfModel, kind: str, alpha: float, maxmin: bool,
         above = mu > DECISION_ATOL
     else:
         logs = _floored_log(p), _floored_log(1.0 - p)
-    height = max(1, _BLOCK_BYTES // (mu.itemsize * max(mu.size, 1)))
+    values = np.array([[1.0], [-1.0]])
+    height = max(1, _BLOCK_BYTES // (values.size * mu.itemsize * max(mu.size, 1)))
     totals = np.empty((2, positions.size))
     for start in range(0, positions.size, height):
         block = slice(start, start + height)
         pb = positions[block]
-        own = (np.arange(pb.size), pb)
-        rows = model.rows(pb)
-        means = np.empty_like(rows)
-        for total, value in zip(totals, (1.0, -1.0)):
-            np.multiply(rows, ((value - mu[pb]) / pivots[block])[:, None], out=means)
-            means += mu
-            if kind == "fl":
-                flips = means > DECISION_ATOL
-                np.not_equal(flips, above, out=flips)
-                flips[own] = False
-                total[block] = np.count_nonzero(flips, axis=1)
-            else:
-                # soft_labels(means), in place on the block
-                means += 1.0
-                means /= 2.0
-                np.clip(means, 0.0, 1.0, out=means)
-                per_node = _kl_from_logs(means, *logs)
-                per_node[own] = 0
-                total[block] = per_node.sum(axis=1)
+        own = (slice(None), np.arange(pb.size), pb)
+        means = model.rows(pb) * ((values - mu[pb]) / pivots[block])[:, :, None]
+        means += mu
+        if kind == "fl":
+            flips = means > DECISION_ATOL
+            np.not_equal(flips, above, out=flips)
+            flips[own] = False
+            totals[:, block] = np.count_nonzero(flips, axis=2)
+        else:
+            # soft_labels(means), in place on the block
+            means += 1.0
+            means /= 2.0
+            np.clip(means, 0.0, 1.0, out=means)
+            per_node = _kl_from_logs(means, *logs)
+            per_node[own] = 0
+            totals[:, block] = per_node.sum(axis=2)
     plus, minus = totals
     if maxmin:
         scores = np.minimum(plus, minus)

@@ -233,6 +233,31 @@ class TestObserve:
             with pytest.raises(ValueError, match="class id"):
                 model.observe(0, bad)
 
+    @pytest.mark.parametrize("node, class_id, message", [
+        (True, 1, "node id True is not an integer"),
+        (np.float64(3.0), 0, "node id np.float64(3.0) is not an integer"),
+        (2, 1.0, "class id 1.0 is not an integer"),
+        (2, False, "class id False is not an integer"),
+    ])
+    def test_non_integer_id_rejected_before_any_change(self, node, class_id, message):
+        model = GmrfModel.from_laplacian(random_lap(np.random.default_rng(6), 5), 2)
+        model.rows(0)
+        before = (model.means.copy(), model.G, model.unlabeled.copy(), model._t)
+        with pytest.raises(ValueError) as raised:
+            model.observe(node, class_id)
+        assert str(raised.value) == message
+        assert model.labeled == {}
+        after = (model.means, model.G, model.unlabeled, model._t)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    def test_numpy_integer_ids_accepted(self):
+        model = GmrfModel.from_laplacian(random_lap(np.random.default_rng(6), 5), 3)
+        model.observe(np.int64(3), np.uint8(2))
+        model.observe(np.int32(1), np.int64(0))
+        assert model.labeled == {3: 2, 1: 0}
+        assert all(type(key) is int and type(value) is int
+                   for key, value in model.labeled.items())
+
     def test_degenerate_pivot_rejected(self):
         model = GmrfModel(np.diag([1e-15, 1.0]), np.zeros((2, 2)))
         with pytest.raises(ValueError, match="degenerate pivot g_kk=1.000e-15 at node 0"):
@@ -456,6 +481,71 @@ class TestCompactingDowndate:
             node = int(rng.choice(model.unlabeled))
             model.observe(node, int(rng.integers(num_classes)))
             assert np.array_equal(model.G, model.G.T)
+
+
+class TestCarriedG:
+    """A model's first ``rows()`` read builds ``G``, and from then on
+    ``observe`` carries it by deleting the observed row and column and
+    subtracting ``s_U s_U^T``; the other readers build ``G`` without keeping it."""
+
+    @staticmethod
+    def built_G(model):
+        idx = model.unlabeled
+        return gmrf._minus_gram(model._base[np.ix_(idx, idx)], model._V[:model._t][:, idx])
+
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_carried_G_follows_the_built_G_down_to_no_unlabeled(self, monkeypatch,
+                                                                 num_classes):
+        # V folds every 4 rows, so the carry runs across three folds
+        monkeypatch.setattr(gmrf, "_FOLD_MIN_ROWS", 4)
+        rng = np.random.default_rng(70 + num_classes)
+        model = GmrfModel.from_laplacian(random_lap(rng, 15), num_classes)
+        model.observe(int(rng.choice(model.unlabeled)), int(rng.integers(num_classes)))
+        held = [model.rows(np.arange(model.num_unlabeled)), model.G]
+        held = [(a, a.copy()) for a in held]
+        while model.num_unlabeled:
+            model.observe(int(rng.choice(model.unlabeled)), int(rng.integers(num_classes)))
+            G = model.G
+            assert G.shape == (model.num_unlabeled,) * 2
+            assert np.array_equal(G, G.T)
+            built = self.built_G(model)
+            np.testing.assert_allclose(G, built, rtol=0,
+                                       atol=1e-12 * np.abs(built).max(initial=0.0))
+            for a, kept in held:
+                assert np.array_equal(a, kept)
+            rows = model.rows([0, -1]) if model.num_unlabeled else G
+            held += [(a, a.copy()) for a in (G, rows)]
+        assert model._G.shape == (0, 0)
+
+    def test_G_and_square_sums_do_not_start_the_carry(self):
+        model = GmrfModel.from_laplacian(random_lap(np.random.default_rng(72), 12), 2)
+        model.observe(3, 1)
+        G, squares = model.G, model.square_sums()
+        assert model._G is None
+        np.testing.assert_allclose(squares, (G * G).sum(axis=0), rtol=1e-12, atol=0)
+        model.observe(7, 0)
+        assert model._G is None
+        model.rows(0)
+        assert model._G is not None
+        model.observe(0, 1)
+        assert model._G.shape == (model.num_unlabeled,) * 2
+
+    def test_vm_observe_allocates_vectors_not_a_block(self):
+        # vm and msd read G once, for the column sums of squares; their later
+        # observe steps must not downdate a |U|^2 block
+        model = GmrfModel.from_laplacian(
+            regularized_laplacian(grid_graph(20, 20, seed=3).graph, 0.005), 2)
+        model.observe(0, 1)
+        select(Strategy("vm"), model, 2, np.random.default_rng(0))
+        model.observe(399, 0)  # loads what it needs outside the measurement
+        tracemalloc.start()
+        try:
+            model.observe(210, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a carried block would take 8 |U|^2 = 1.26 MB
+        assert peak <= 16 * 8 * model._fields.shape[1]
 
 
 class TestCarriedRowSums:

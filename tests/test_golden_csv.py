@@ -48,7 +48,12 @@ The ``multi-block`` digest runs fl and kl on a 20x20 grid, where one scan
 spans five row blocks of ``G`` with a ragged last one (``|U|`` = 399 at
 t = 2 and about 82 rows per block), while the 8x8 digests fit in one block.
 It was recorded with the per-candidate fl/kl loop, before the block scan
-replaced it.
+replaced it. Since a block holds both label values of its rows, a block is
+41 rows high there, so a scan spans ten blocks; the digest did not move.
+
+``test_csv_digest_with_G_readers`` reruns the fl/kl digests with a hook that
+reads ``rows()`` and ``G`` after every observe, so every model carries ``G``
+from its first state on; the digests must not move.
 """
 
 import hashlib
@@ -162,4 +167,18 @@ def test_csv_digest(name, tmp_path):
     cfg, digest = GOLDEN[name]
     path = tmp_path / f"{name}.csv"
     emit_csv(run_experiment(cfg), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["binary", "binary-schedules", "multi-block"])
+def test_csv_digest_with_G_readers(name, tmp_path):
+    # reading rows after every observe starts the carried G of every model in
+    # the state the t = 2 scan would build it in, so no digest moves
+    def read_G(*, model, **_):
+        model.rows(0)
+        assert model.G.shape == (model.num_unlabeled,) * 2
+
+    cfg, digest = GOLDEN[name]
+    path = tmp_path / f"{name}.csv"
+    emit_csv(run_experiment(cfg, step_hook=read_G), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

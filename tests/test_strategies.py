@@ -650,6 +650,32 @@ class TestBlockScan:
         expected = _per_candidate_loop(model, kind, strategy.alpha(4), maxmin, positions)
         assert np.array_equal(scan, expected)
 
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    @pytest.mark.parametrize("kind", ["fl", "kl"])
+    @pytest.mark.parametrize("maxmin", [False, True])
+    def test_bit_identical_for_two_label_blocks_of_any_height(self, monkeypatch, rows, kind,
+                                                              maxmin):
+        # a block holds both label values of its rows; the model has carried
+        # G through one observe since its first row read
+        model = _observed_grid(10, ((0, 1), (99, 0)))
+        model.rows(0)
+        model.observe(45, 1)
+        monkeypatch.setattr(strategies, "_BLOCK_BYTES", rows * 2 * 8 * model.num_unlabeled)
+        heights = []
+        read_rows = model.rows
+
+        def recording_rows(positions):
+            heights.append(len(positions))
+            return read_rows(positions)
+
+        monkeypatch.setattr(model, "rows", recording_rows)
+        strategy = Strategy(kind, confidence="inv_sqrt", maxmin=maxmin)
+        scan = utility_scores(strategy, model, t=4)
+        positions = range(model.num_unlabeled)
+        expected = _per_candidate_loop(model, kind, strategy.alpha(4), maxmin, positions)
+        assert np.array_equal(scan, expected)
+        assert heights[0] == rows and sum(heights) == model.num_unlabeled
+
     @pytest.mark.parametrize("scorer, kind", [(score_fl, "fl"), (score_kl, "kl")])
     def test_per_node_scorer_is_a_one_row_block(self, multi_block, scorer, kind):
         for node in multi_block.unlabeled[::37]:
