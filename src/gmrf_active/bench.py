@@ -3,11 +3,11 @@
 A run draws the graph (generator sources are re-sampled per run with seed
 ``base_seed + r``; file sources stay fixed), then lets every strategy play
 the same budget of queries. A run whose graph equals the previous run's
-reuses that run's Laplacian and inverse: a grid redraws only its labels, and
-file and ready-graph sources never change, so they pay for the inverse once
-per experiment. A file source is read once, before the first run. The label
-oracle is the graph's label array ``LabeledGraph.labels``: a query on node
-``i`` reads entry ``i``.
+reuses that run's Laplacian, inverse and start model: a grid redraws only its
+labels, and file and ready-graph sources never change, so they pay for the
+inverse, and for checking it, once per experiment. A file source is read
+once, before the first run. The label oracle is the graph's label array
+``LabeledGraph.labels``: a query on node ``i`` reads entry ``i``.
 All strategies in one config share the per-run seed, so their first random
 query coincides and curve differences are strategy-driven. Accuracy after
 each query is the fraction of correctly predicted nodes, evaluated on the
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -27,7 +26,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import graph as graph_mod
-from .gmrf import GmrfModel, class_decision, spd_inverse
+from .gmrf import GmrfModel, _as_id, class_decision, spd_inverse
 from .graph import LabeledGraph, regularized_laplacian
 from .strategies import BINARY_ONLY_KINDS, Strategy, select
 
@@ -93,15 +92,15 @@ class ExperimentConfig:
                 raise ValueError(f"strategy label {label!r} must not contain , \" CR or LF")
         for name in ("budget", "runs", "seed"):
             value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
+            try:  # observe's rule for node ids: a bool or a float is no integer
+                setattr(self, name, _as_id(value, name))
+            except ValueError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
-        if not (isinstance(self.delta, numbers.Real)
+        if not (isinstance(self.delta, numbers.Real) and not isinstance(self.delta, bool)
                 and math.isfinite(self.delta) and self.delta > 0):
             raise ValueError(f"delta must be finite and positive, got {self.delta}")
         if self.seed < 0:
@@ -165,7 +164,9 @@ def run_experiment(cfg: ExperimentConfig,
     as for every grid, file and ready-graph source) reuses that run's
     Laplacian and inverse; equal graphs give byte-equal inverses, so the
     curves are the same as with a fresh inverse per run. The inverse is
-    made read-only, and every model of those runs aliases it.
+    made read-only, and one model over it is built, which checks and sums it
+    once; every strategy of those runs starts from a copy of that model, in
+    ``O(C n)``, and aliases the inverse.
 
     ``step_hook``, when given, is called as
     ``step_hook(strategy=..., model=..., run=..., t=...)`` after every
@@ -175,7 +176,7 @@ def run_experiment(cfg: ExperimentConfig,
     source = cfg.graph
     if isinstance(source, str) and source.startswith("file:"):
         source = graph_mod.from_spec(source)  # file sources ignore the seed
-    graph = inverse = None
+    graph = None
     for r in range(cfg.runs):
         run_seed = cfg.seed + r
         lg = source if isinstance(source, LabeledGraph) else graph_mod.from_spec(source, run_seed)
@@ -184,9 +185,11 @@ def run_experiment(cfg: ExperimentConfig,
             graph = lg.graph
             inverse = spd_inverse(regularized_laplacian(graph, cfg.delta).matrix)
             inverse.flags.writeable = False
+            # a source's class count is fixed, so it holds for later equal graphs
+            prior = GmrfModel.from_inverse(inverse, lg.num_classes)
         truth = lg.labels
         for strat in cfg.strategies:
-            model = GmrfModel.from_inverse(inverse, lg.num_classes)
+            model = prior.copy()
             rng = np.random.default_rng(run_seed)
             for t in range(1, cfg.budget + 1):
                 node = select(strat, model, t, rng)

@@ -228,7 +228,7 @@ def check_bounds_and_symmetry(seed: int = 5) -> CheckResult:
         g = random_connected_graph(n, rng)
         lap = regularized_laplacian(g, DELTA)
         pos_model = GmrfModel.from_laplacian(lap, 2)
-        neg_model = GmrfModel.from_laplacian(lap, 2)
+        neg_model = pos_model.copy()
         for node in rng.permutation(n)[: n // 2 + 1]:
             class_id = 1 if rng.random() < 0.5 else 0
             pos_model.observe(int(node), class_id)

@@ -42,7 +42,9 @@ PIVOT_FLOOR = 1e-12
 # +/-1e-15, and rounding must not pick its class.
 DECISION_ATOL = 1e-12
 
-# Columns per block of spd_inverse's mirror of the lower triangle.
+# Columns per block of spd_inverse's mirror of the lower triangle, and rows
+# per panel of _require_symmetric. At n=3969 (one BLAS thread) 64-row
+# panels halved the check, 68 ms against 141 ms for one whole-array compare.
 _MIRROR_BLOCK = 64
 
 # A model folds its step columns V into a private inverse once V holds
@@ -140,11 +142,20 @@ def _as_id(value, what: str) -> int:
 
 
 def _require_symmetric(a: np.ndarray, name: str) -> None:
-    """Raise unless ``a`` equals its transpose exactly, naming the first unequal pair."""
-    if not np.array_equal(a, a.T):
-        i, j = np.argwhere(a != a.T)[0]
-        raise ValueError(f"{name} is not exactly symmetric: {name}[{i}, {j}] = "
-                         f"{float(a[i, j])!r} but {name}[{j}, {i}] = {float(a[j, i])!r}")
+    """Raise unless ``a`` equals its transpose exactly, naming the first unequal pair.
+
+    Each panel of ``_MIRROR_BLOCK`` rows is compared, from its diagonal tile
+    on, with the transposed column panel below it, so every pair is read
+    once and the temporaries stay panel-sized. Only a failed check compares
+    the whole array, to name the first pair in row-major order.
+    """
+    n = a.shape[0]
+    for i in range(0, n, _MIRROR_BLOCK):
+        k = min(_MIRROR_BLOCK, n - i)
+        if not (a[i:i + k, i:] == a[i:, i:i + k].T).all():
+            i, j = np.argwhere(a != a.T)[0]
+            raise ValueError(f"{name} is not exactly symmetric: {name}[{i}, {j}] = "
+                             f"{float(a[i, j])!r} but {name}[{j}, {i}] = {float(a[j, i])!r}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -212,6 +223,10 @@ class GmrfModel:
     there is one; otherwise they build one and do not keep it, so a model
     that never reads rows (every scorer but fl and kl) never carries it.
 
+    :meth:`copy` starts an independent model from this one's state in
+    ``O(C n + t n)``, aliasing the same ``G_0`` and checking nothing again,
+    so an inverse shared by many models is validated and summed once.
+
     Readers see the unlabeled nodes only. ``means``, ``mu``, ``row_sums``
     and ``diagonal`` are read-only compact arrays that :meth:`observe`
     gathers afresh, so an array a caller holds never changes; ``G`` and
@@ -244,7 +259,8 @@ class GmrfModel:
         retraining.
 
     Only :meth:`observe` changes the fields and ``G``, and each model is owned
-    by one experiment run.
+    by one experiment run; a copy shares no state that :meth:`observe`
+    writes.
     """
 
     def __init__(self, G, means):
@@ -297,11 +313,42 @@ class GmrfModel:
         """Fresh model over a precomputed full inverse, with zero means.
 
         A read-only ``G`` is aliased and a writeable one copied once: the
-        model never writes it either way. ``run_experiment`` freezes the one
-        inverse it hands to every strategy of a run, and to later runs on
-        the same graph, so all of them share it.
+        model never writes it either way. ``run_experiment`` freezes each
+        inverse it builds, makes one model over it and starts every strategy
+        of that run, and of later runs on the same graph, from a
+        :meth:`copy` of that model, so all of them share it.
         """
         return cls(G, np.zeros((num_classes, G.shape[0])))
+
+    def copy(self) -> "GmrfModel":
+        """Independent model in the same state, still aliasing the read-only ``G_0``.
+
+        Costs ``O(C n + t n)``, plus ``O(|U|^2)`` for a carried ``G``: it
+        copies the ``(C + 2, n)`` fields, the labels, the unlabeled mask, the
+        ``t`` used rows of ``V`` (into a buffer of the same size, unwritten
+        past them) and the carried ``G`` and column sums of squares, and
+        checks nothing again. ``run_experiment`` validates each shared
+        inverse once, by the constructor, and starts every strategy of every
+        run on it from a copy of that model.
+        """
+        # set in the constructor's order, so that the copy keeps CPython's
+        # compact instance layout (reading or updating __dict__ would drop it,
+        # and every attribute read of a step would get slower)
+        new = object.__new__(type(self))
+        new.unlabeled = self.unlabeled
+        new.labeled = dict(self.labeled)
+        new.retrain_calls = self.retrain_calls
+        new._fields = self._fields.copy()
+        new._base = self._base
+        new._squares = None if self._squares is None else self._squares.copy()
+        new._V = np.empty_like(self._V)
+        new._V[:self._t] = self._V[:self._t]
+        new._t = self._t
+        new._unlabeled_mask = self._unlabeled_mask.copy()
+        new._G = None if self._G is None else self._G.copy()
+        new._targets = self._targets
+        new._gather()
+        return new
 
     def _gather(self) -> None:
         # stored, not properties, because the scans read mu per node; views

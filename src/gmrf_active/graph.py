@@ -18,7 +18,8 @@ import math
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -31,6 +32,9 @@ _CONNECT_ATTEMPTS = 50
 # Bytes of one row block of build_from_features' rbf difference array.
 _BLOCK_BYTES = 1 << 20
 
+# Grid shapes whose lattice grid_graph keeps, most recently used first.
+_LATTICES = 8
+
 
 class Graph:
     """Undirected weighted graph over nodes ``0..n-1``.
@@ -42,9 +46,11 @@ class Graph:
     a mapping ``{(i, j): w}`` in either orientation and
     :meth:`from_arrays` takes the three columns; both validate them in one
     vectorized pass and name the first bad edge in input order. ``edges``
-    is the canonical map ``{(lo, hi): w}``, built when first read.
-    Instances are immutable after construction and are safe to share across
-    concurrent experiment runs.
+    is the canonical map ``{(lo, hi): w}``, a read-only mapping built when
+    first read. Instances are immutable after construction: no attribute
+    can be set or deleted and no array or mapping they hold can be written,
+    so one instance is safe to share across experiment runs, as
+    :func:`grid_graph` shares one lattice per grid shape.
     """
 
     def __init__(self, n: int, edges: Mapping[Edge, float]):
@@ -68,15 +74,21 @@ class Graph:
                              else f"node count {n} does not fit int64")
         if not (i.ndim == j.ndim == w.ndim == 1 and len(i) == len(j) == len(w)):
             raise ValueError("edge columns must be 1-d arrays of one length")
-        self.n = n
-        self.lo, self.hi, self.w = _canonical_edges(n, i, j, w)
-        for a in (self.lo, self.hi, self.w):
+        lo, hi, w = _canonical_edges(n, i, j, w)
+        for a in (lo, hi, w):
             a.setflags(write=False)
+        vars(self).update(n=n, lo=lo, hi=hi, w=w)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Graph is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Graph is immutable; cannot delete {name!r}")
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return (self.n == other.n and np.array_equal(self.lo, other.lo)
+        return self is other or (self.n == other.n and np.array_equal(self.lo, other.lo)
                 and np.array_equal(self.hi, other.hi)
                 and np.array_equal(self.w, other.w))
 
@@ -84,8 +96,9 @@ class Graph:
         return f"Graph(n={self.n}, num_edges={self.num_edges})"
 
     @cached_property
-    def edges(self) -> dict[Edge, float]:
-        return dict(zip(zip(self.lo.tolist(), self.hi.tolist()), self.w.tolist()))
+    def edges(self) -> Mapping[Edge, float]:
+        return MappingProxyType(
+            dict(zip(zip(self.lo.tolist(), self.hi.tolist()), self.w.tolist())))
 
     @property
     def num_edges(self) -> int:
@@ -446,6 +459,15 @@ def build_from_features(features, method: str = "rbf", *, sigma: float = 1.0,
     return g
 
 
+@lru_cache(maxsize=_LATTICES)
+def _lattice(rows: int, cols: int) -> Graph:
+    """The ``rows x cols`` 4-neighbor lattice with unit weights."""
+    node = np.arange(rows * cols).reshape(rows, cols)
+    lo = np.concatenate([node[:, :-1].ravel(), node[:-1, :].ravel()])
+    hi = np.concatenate([node[:, 1:].ravel(), node[1:, :].ravel()])
+    return Graph.from_arrays(rows * cols, lo, hi, np.ones(len(lo)))
+
+
 def grid_graph(rows: int, cols: int, seed: int) -> LabeledGraph:
     """Two-block lattice benchmark.
 
@@ -453,15 +475,14 @@ def grid_graph(rows: int, cols: int, seed: int) -> LabeledGraph:
     at the upper-left and lower-right, plus random extras: every node on the
     center row (``rows // 2``) and center column (``cols // 2``) flips to
     class 1 independently with probability 0.5. Everything else is class 0.
-    Deterministic given ``seed``.
+    Deterministic given ``seed``. The lattice is built and validated once
+    per grid shape (the last ``_LATTICES`` shapes are kept), and every
+    labeled grid of that shape shares the one immutable :class:`Graph`;
+    only the labels are drawn per call.
     """
     if rows < 4 or cols < 4:
         raise ValueError("grid must be at least 4x4 to hold both 3x3 class blocks")
-
-    node = np.arange(rows * cols).reshape(rows, cols)
-    lo = np.concatenate([node[:, :-1].ravel(), node[:-1, :].ravel()])
-    hi = np.concatenate([node[:, 1:].ravel(), node[1:, :].ravel()])
-    graph = Graph.from_arrays(rows * cols, lo, hi, np.ones(len(lo)))
+    graph = _lattice(rows, cols)
 
     y = np.zeros((rows, cols), dtype=np.int64)
     y[:3, :3] = 1

@@ -28,8 +28,8 @@ A :class:`Strategy` bundles a scorer with its confidence schedule ``a_t``
 hybrid schedule ``pi_t`` that diverts single queries to uniform random
 exploration. Scoring changes no field of a model; fl and kl scans only count
 their hypothetical means in the model's ``retrain_calls``.
-:func:`select` takes the best score, with scores within ``TIE_RTOL`` of it
-counted as ties.
+:func:`select` takes the best score, with scores within ``TIE_RTOL`` of it,
+relative, or ``TIE_ATOL`` per unlabeled node, absolute, counted as ties.
 """
 
 from __future__ import annotations
@@ -52,6 +52,16 @@ _LOG_FLOOR = 1e-12
 # in exact arithmetic (grid symmetry) were measured to differ by rounding of
 # at most about 2e-13 relative; no genuine top-two gap below 1e-10 was seen.
 TIE_RTOL = 1e-11
+
+# Absolute gap, per unlabeled node, below which select treats two scores as
+# tied whatever the best score is, so that scores at rounding level tie and
+# the lowest id wins. A score sums at most |U| per-node terms. Late in a long
+# budget every kl score is rounding noise: on grid:10x10 with T=99 the best
+# one falls from 1.0e-3 at t=64 to 7.5e-16 at t=65, and over kl runs on
+# grids of 36 to 144 nodes and a 30-node community the noisy best scores
+# stayed below 0.2 eps per unlabeled node. The smallest best score of a
+# pinned golden kl scan is 0.15, where TIE_RTOL decides.
+TIE_ATOL = float(np.finfo(float).eps)
 
 # Bytes of one block of hypothetical means in the fl / kl scan; the block
 # holds both label values of as many candidate rows of G as fit. In a sweep
@@ -85,6 +95,7 @@ class Strategy:
             raise ValueError(f"unknown strategy kind {self.kind!r}; choose from {KINDS}")
         object.__setattr__(self, "_confidence", _parse_confidence(self.confidence))
         if not (isinstance(self.hybrid_scale, numbers.Real)
+                and not isinstance(self.hybrid_scale, bool)
                 and math.isfinite(self.hybrid_scale) and self.hybrid_scale >= 0):
             raise ValueError(f"hybrid_scale must be finite and >= 0, got {self.hybrid_scale}")
         if self.maxmin and self.kind not in RETRAINING_KINDS:
@@ -417,8 +428,10 @@ def select(strategy: Strategy, model, t: int, rng: np.random.Generator) -> int:
     strategy at every iteration. Otherwise, with probability ``pi_t`` the
     hybrid rule queries uniformly over the unlabeled nodes; else the node
     with the highest adjusted utility wins. Scores within ``TIE_RTOL`` (1e-11)
-    relative of the best tie with it, and of tied nodes the lowest id wins:
-    rounding alone never decides a tie.
+    relative of the best, or within ``TIE_ATOL`` (machine epsilon) per
+    unlabeled node of it, tie with it, and of tied nodes the lowest id wins:
+    rounding alone never decides a tie, even when every score is at
+    rounding level.
     """
     ids = model.unlabeled
     if ids.size == 0:
@@ -429,6 +442,7 @@ def select(strategy: Strategy, model, t: int, rng: np.random.Generator) -> int:
     if pi_t > 0.0 and rng.random() < pi_t:
         return _uniform_draw(ids, rng)
     scores = utility_scores(strategy, model, t)
-    best = scores.max()
-    return int(ids[(scores >= best - TIE_RTOL * abs(best)).argmax()])
+    best = float(scores.max())
+    tol = max(TIE_RTOL * abs(best), TIE_ATOL * ids.size)
+    return int(ids[(scores >= best - tol).argmax()])
 

@@ -26,7 +26,7 @@ from gmrf_active import (
     save_labels,
     spd_inverse,
 )
-from gmrf_active import bench
+from gmrf_active import bench, gmrf
 from gmrf_active.bench import EVAL_MODES
 from gmrf_active.checks import random_connected_graph
 
@@ -64,6 +64,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("name, value", [
         ("delta", float("nan")), ("delta", float("inf")), ("seed", -1),
         ("seed", 1.5), ("budget", 2.5), ("runs", 2.5), ("delta", "x"), ("delta", None),
+        ("budget", True), ("runs", True), ("seed", False), ("delta", True),
+        ("seed", np.float64(2.0)),
     ])
     def test_rejects_bad_delta_or_seed_before_any_compute(self, monkeypatch, name, value):
         def no_compute(*args, **kwargs):
@@ -80,6 +82,7 @@ class TestConfigValidation:
         cfg = ExperimentConfig("grid:4x4", [Strategy("tv")], budget=np.int64(3),
                                runs=np.int32(2), seed=np.uint8(5))
         assert (cfg.budget, cfg.runs, cfg.seed) == (3, 2, 5)
+        assert all(type(v) is int for v in (cfg.budget, cfg.runs, cfg.seed))
 
     def test_budget_must_stay_below_node_count(self):
         cfg = ExperimentConfig(small_labeled_graph(), [Strategy("random")], budget=12, runs=1)
@@ -181,8 +184,12 @@ class TestRunExperiment:
                                budget=3, runs=2, seed=1, delta=0.2)
         run_experiment(cfg)
         assert calls == [22, 22]
-        # a grid redraws only its labels, so its Laplacian is built once
+        # a grid redraws only its labels over one lattice per shape, so its
+        # components are counted once per process, not once per experiment
         calls.clear()
+        bench.graph_mod._lattice.cache_clear()
+        run_experiment(ExperimentConfig("grid:5x5", [Strategy("tv")], budget=3, runs=3))
+        assert calls == [25]
         run_experiment(ExperimentConfig("grid:5x5", [Strategy("tv")], budget=3, runs=3))
         assert calls == [25]
 
@@ -242,6 +249,31 @@ class TestInverseReuse:
                                runs=runs, seed=1)
         run_experiment(cfg)
         assert calls == {"regularized_laplacian": builds, "spd_inverse": builds}
+
+    @pytest.mark.parametrize("source, runs, models", [
+        ("grid:5x5", 3, 1),
+        ("community:6,6:pin=0.9:pout=0.1", 2, 2),
+    ])
+    def test_one_validated_model_per_distinct_inverse(self, monkeypatch, source, runs, models):
+        # each inverse is checked and summed once, by one constructor call;
+        # every strategy of every run on it starts from a copy
+        checks = []
+        require = gmrf._require_symmetric
+        monkeypatch.setattr(gmrf, "_require_symmetric",
+                            lambda a, name: checks.append(name) or require(a, name))
+        built = []
+        init = GmrfModel.__init__
+        monkeypatch.setattr(GmrfModel, "__init__",
+                            lambda self, *args: built.append(self) or init(self, *args))
+        copies = []
+        copy = GmrfModel.copy
+        monkeypatch.setattr(GmrfModel, "copy", lambda self: copies.append(self) or copy(self))
+        cfg = ExperimentConfig(source, [Strategy("tv"), Strategy("msd"), Strategy("random")],
+                               budget=3, runs=runs, seed=1)
+        run_experiment(cfg)
+        assert len(built) == models
+        assert checks == ["matrix", "G"] * models  # each Laplacian, then its inverse
+        assert len(copies) == 3 * runs and set(map(id, copies)) == set(map(id, built))
 
     @pytest.mark.parametrize("source", ["grid:5x5", "community:6,6:pin=0.9:pout=0.1"])
     @pytest.mark.parametrize("eval_on", EVAL_MODES)

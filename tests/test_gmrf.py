@@ -1,5 +1,6 @@
 """Field-model state: initialization, rank-one updates, predictions."""
 
+import copy
 import tracemalloc
 from fractions import Fraction
 
@@ -665,6 +666,93 @@ class TestCarriedRowSums:
         assert GmrfModel.from_inverse(G, 2)._base is G
 
 
+class TestCopy:
+    """``copy()`` is an independent model in the same state over the same ``G_0``."""
+
+    @staticmethod
+    def source(carry, num_classes):
+        """A model whose first steps carried what ``carry`` names; "fold" is
+        a 12x12 grid past its fold at 128 rows of V, carrying G and the
+        column sums of squares, and the others a 30-node graph."""
+        rng = np.random.default_rng(80 + num_classes)
+        if carry == "fold":
+            lap = regularized_laplacian(grid_graph(12, 12, seed=4).graph, 0.005)
+        else:
+            lap = random_lap(rng, 30)
+        model = GmrfModel.from_laplacian(lap, num_classes)
+        steps = 130 if carry == "fold" else 3
+        for step in range(steps):
+            model.observe(int(rng.choice(model.unlabeled)), int(rng.integers(num_classes)))
+            if step == 0 and carry in ("G", "fold"):
+                model.rows([0])
+            if step == 0 and carry in ("squares", "fold"):
+                model.square_sums()
+        assert (carry == "fold") == (model._t < steps)
+        return model, rng
+
+    @staticmethod
+    def state(model) -> list:
+        """Every array the model's later steps read or write, without reading
+        anything that would start a carry."""
+        return [model.unlabeled, model.means, model.row_sums, model.diagonal, model.G,
+                model._fields, model._unlabeled_mask, model._V[:model._t],
+                model._G, model._squares, model.labeled, model._t]
+
+    @classmethod
+    def assert_same(cls, a, b):
+        for x, y in zip(cls.state(a), cls.state(b), strict=True):
+            if isinstance(x, np.ndarray):
+                assert x.tobytes() == y.tobytes() and x.shape == y.shape
+            else:
+                assert x == y
+
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    @pytest.mark.parametrize("carry", ["none", "G", "squares", "fold"])
+    def test_copy_follows_its_source_bit_for_bit(self, carry, num_classes):
+        model, rng = self.source(carry, num_classes)
+        twin = model.copy()
+        assert list(vars(twin)) == list(vars(model))  # every attribute, in one order
+        assert twin._base is model._base and not twin._base.flags.writeable
+        for name in ("_fields", "_unlabeled_mask", "_V", "_G", "_squares"):
+            a, b = getattr(model, name), getattr(twin, name)
+            assert (a is None) == (b is None)
+            assert a is None or not np.shares_memory(a, b)
+        assert twin._V.shape == model._V.shape
+        self.assert_same(model, twin)
+        while model.num_unlabeled > 1:
+            node, class_id = int(rng.choice(model.unlabeled)), int(rng.integers(num_classes))
+            model.observe(node, class_id)
+            twin.observe(node, class_id)
+            self.assert_same(model, twin)
+        assert model.square_sums().tobytes() == twin.square_sums().tobytes()
+
+    @pytest.mark.parametrize("carry", ["none", "G", "squares", "fold"])
+    def test_observing_a_copy_leaves_the_source_untouched(self, carry):
+        model, rng = self.source(carry, 3)
+        kept = [a.copy() if isinstance(a, np.ndarray) else copy.copy(a)
+                for a in self.state(model)]
+        twin = model.copy()
+        for node in rng.permutation(twin.unlabeled)[:12]:
+            twin.observe(int(node), int(rng.integers(3)))
+        twin.square_sums()
+        twin.rows([0])
+        for a, b in zip(self.state(model), kept, strict=True):
+            if isinstance(a, np.ndarray):
+                assert a.tobytes() == b.tobytes()
+            else:
+                assert a == b
+
+    def test_copy_checks_nothing_again(self, monkeypatch):
+        model = GmrfModel.from_laplacian(random_lap(np.random.default_rng(83), 12), 2)
+
+        def no_check(*args):
+            raise AssertionError("G checked again")
+
+        monkeypatch.setattr(gmrf, "_require_symmetric", no_check)
+        twin = model.copy()
+        twin.observe(3, 1)
+
+
 class TestPosteriorAndPredict:
     def test_posterior_values(self):
         lap = two_node_lap()
@@ -923,6 +1011,24 @@ class TestSpdHelpers:
         M[4, 1] = np.nextafter(M[4, 1], np.inf)
         with pytest.raises(ValueError, match=r"^matrix is not exactly symmetric: matrix\[1, 4\]"):
             spd_inverse(M)
+
+    @pytest.mark.parametrize("where", [(5, 40), (70, 100), (128, 129), (3, 129), (128, 128)],
+                             ids=["first-panel", "middle-panel", "last-partial-panel",
+                                  "last-column", "diagonal"])
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    def test_blocked_check_agrees_with_the_whole_transpose(self, where, side):
+        # panels of 64 rows at n=130: [0, 64), [64, 128) and [128, 130)
+        A = np.random.default_rng(130).normal(size=(130, 130))
+        S = A + A.T
+        i, j = where if side == "upper" else where[::-1]
+        S[i, j] = np.nextafter(S[i, j], np.inf)
+        if np.array_equal(S, S.T):
+            gmrf._require_symmetric(S, "S")
+        else:
+            first = min((i, j), (j, i))  # the first unequal pair in row order
+            with pytest.raises(ValueError, match=rf"^S is not exactly symmetric: "
+                                                 rf"S\[{first[0]}, {first[1]}\]"):
+                gmrf._require_symmetric(S, "S")
 
     def test_empty_matrix_has_empty_inverse(self):
         assert spd_inverse(np.zeros((0, 0))).shape == (0, 0)

@@ -310,7 +310,11 @@ class TestValidationOracle:
         build_from_features(np.random.default_rng(0).normal(size=(12, 2)), sigma=2.0)
         Graph(4, {(0, 1): 1.0, (1, 0): 1.0, (0, 2): 1.0, (2, 3): 1.0})
         assert sorts == []
+        # grid edges sort once per grid shape, when its lattice is built
+        graph_mod._lattice.cache_clear()
         grid_graph(4, 4, seed=0)
+        assert sorts == [1]
+        grid_graph(4, 4, seed=1)
         assert sorts == [1]
 
     def test_fractional_node_id_rejected(self):
@@ -840,6 +844,32 @@ class TestGridGraph:
 
     def test_connected(self):
         assert grid_graph(6, 5, seed=0).graph.is_connected()
+
+    def test_one_immutable_lattice_per_shape(self):
+        a, b = grid_graph(7, 6, seed=1), grid_graph(7, 6, seed=2)
+        assert a.graph is b.graph
+        assert grid_graph(6, 7, seed=1).graph is not a.graph
+        g = a.graph
+        with pytest.raises(TypeError):
+            g.edges[(0, 1)] = 5.0
+        with pytest.raises(AttributeError, match="immutable"):
+            g.n = 3
+        with pytest.raises(AttributeError, match="immutable"):
+            g.lo = np.zeros(0, dtype=np.intp)
+        with pytest.raises(AttributeError, match="immutable"):
+            del g.w
+        with pytest.raises(ValueError, match="read-only"):
+            g.w[0] = 2.0
+        assert g.edges[(0, 1)] == 1.0 and g.n == 42 and g.num_edges == 71
+
+    def test_equal_graph_test_is_free_for_the_same_object(self, monkeypatch):
+        g = grid_graph(5, 5, seed=0).graph
+
+        def no_compare(*args):
+            raise AssertionError("edge arrays compared")
+
+        monkeypatch.setattr(graph_mod.np, "array_equal", no_compare)
+        assert g == g and not g != g
 
 
 def triu_nonzero_draws(sizes, p_in, p_out, seed) -> list:
