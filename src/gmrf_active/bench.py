@@ -17,17 +17,15 @@ flag.
 
 from __future__ import annotations
 
-import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from . import graph as graph_mod
-from .gmrf import GmrfModel, _as_id, class_decision, spd_inverse
-from .graph import LabeledGraph, regularized_laplacian
+from .gmrf import GmrfModel, class_decision, spd_inverse
+from .graph import LabeledGraph, _as_int, _as_real, regularized_laplacian
 from .strategies import BINARY_ONLY_KINDS, Strategy, select
 
 EVAL_MODES = ("remaining", "initial")
@@ -44,7 +42,7 @@ class AccuracyCurve:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2:
             raise ValueError("values must be a (runs, budget) array")
-        if self.values.size and (self.values.min() < 0 or self.values.max() > 1):
+        if not ((self.values >= 0) & (self.values <= 1)).all():  # NaN fails both
             raise ValueError("accuracy values must lie in [0, 1]")
 
     @property
@@ -64,17 +62,18 @@ class AccuracyCurve:
         return self.values.std(axis=0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment needs; see :func:`run_experiment`.
 
     ``graph`` is either a source spec string (``grid:RxC``,
     ``community:..``, ``file:EDGES:LABELS``) or a ready ``LabeledGraph``
-    reused across runs.
+    reused across runs. ``strategies`` is stored as a tuple. Frozen: no
+    field can be reassigned past these checks.
     """
 
     graph: str | LabeledGraph
-    strategies: list[Strategy]
+    strategies: Iterable[Strategy]
     budget: int
     runs: int = 50
     seed: int = 0
@@ -82,27 +81,26 @@ class ExperimentConfig:
     eval_on: str = "remaining"
 
     def __post_init__(self):
-        if not self.strategies:
+        strategies = tuple(self.strategies)
+        for i, strat in enumerate(strategies):
+            if not isinstance(strat, Strategy):
+                raise ValueError(f"strategies[{i}] must be a Strategy, got {strat!r}")
+        if not strategies:
             raise ValueError("need at least one strategy")
-        labels = [s.label for s in self.strategies]
+        object.__setattr__(self, "strategies", strategies)
+        labels = [s.label for s in strategies]
         if len(set(labels)) != len(labels):
             raise ValueError(f"strategy labels must be unique, got {labels}")
         for label in labels:
             if any(ch in label for ch in ',"\r\n'):  # emit_csv writes unquoted fields
                 raise ValueError(f"strategy label {label!r} must not contain , \" CR or LF")
         for name in ("budget", "runs", "seed"):
-            value = getattr(self, name)
-            try:  # observe's rule for node ids: a bool or a float is no integer
-                setattr(self, name, _as_id(value, name))
-            except ValueError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
-        if not (isinstance(self.delta, numbers.Real) and not isinstance(self.delta, bool)
-                and math.isfinite(self.delta) and self.delta > 0):
-            raise ValueError(f"delta must be finite and positive, got {self.delta}")
+        object.__setattr__(self, "delta", _as_real(self.delta, "delta", 0, strict=True))
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.eval_on not in EVAL_MODES:

@@ -16,33 +16,28 @@ message that names the path.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
 from . import checks
 from . import graph as graph_mod
 from .bench import ExperimentConfig, emit_csv, emit_summary, run_experiment
+from .graph import _as_real
 from .strategies import KINDS, RETRAINING_KINDS, Strategy
 
 OUTDIR_ENV = "GMRF_ACTIVE_OUTDIR"
 
 
-def _finite_float(text: str) -> float:
+def _finite_float(text: str, low: float | None = None, *, strict: bool = False) -> float:
+    """``text`` as a float by the library's real-number rule; a usage error otherwise."""
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
-    return value
+        return _as_real(float(text), "value", low, strict=strict)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+    return _finite_float(text, 0, strict=True)
 
 
 def _positive_int(text: str) -> int:
@@ -74,15 +69,7 @@ def _confidence(text: str) -> str:
 
 
 def _hybrid(text: str) -> float:
-    if text == "none":
-        return 0.0
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a hybrid scale or 'none'") from None
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"hybrid scale must be finite and >= 0, got {value}")
-    return value
+    return 0.0 if text == "none" else _finite_float(text, 0)
 
 
 def _strategy_list(text: str) -> list[str]:

@@ -26,13 +26,12 @@ labels: the sign rule for C = 2, class-mass normalization for C >= 3.
 
 from __future__ import annotations
 
-import operator
 from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
 
-from .graph import RegularizedLaplacian
+from .graph import RegularizedLaplacian, _as_int
 
 # Diagonal entries of G below this are treated as degenerate pivots.
 PIVOT_FLOOR = 1e-12
@@ -129,16 +128,6 @@ def _deleted_downdate(G: np.ndarray, pos: int, s: np.ndarray) -> np.ndarray:
     if m:  # BLAS rejects a leading dimension of 0
         scipy.linalg.blas.dger(-1.0, s, s, a=out.T, overwrite_a=1)
     return out
-
-
-def _as_id(value, what: str) -> int:
-    """``value`` as an int; a bool or a number that is not an integer is rejected."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} id {value!r} is not an integer")
 
 
 def _require_symmetric(a: np.ndarray, name: str) -> None:
@@ -440,8 +429,8 @@ class GmrfModel:
         count. A node or class id that is a bool or not an integer is
         rejected before any state changes.
         """
-        node = _as_id(node, "node")
-        class_id = _as_id(class_id, "class")
+        node = _as_int(node, "node id")
+        class_id = _as_int(class_id, "class id")
         if class_id not in range(self.num_classes):
             raise ValueError(f"class id {class_id} outside 0..{self.num_classes - 1}")
         pos = self.position(node)
@@ -503,7 +492,7 @@ def conditional_mean_direct(lap: RegularizedLaplacian, labeled: dict) -> np.ndar
     if not labeled:
         raise ValueError("at least one labeled node is required")
     for node in labeled:
-        if not 0 <= _as_id(node, "labeled node") < lap.n:
+        if not 0 <= _as_int(node, "labeled node id") < lap.n:
             raise ValueError(f"labeled node id {node} outside 0..{lap.n - 1}")
     labeled = {int(k): float(v) for k, v in labeled.items()}
     lab_ids = sorted(labeled)

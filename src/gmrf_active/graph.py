@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -68,7 +69,7 @@ class Graph:
         return g
 
     def _set(self, n, i, j, w) -> None:
-        n = operator.index(n)
+        n = _as_int(n, "node count")
         if not 1 <= n <= _INT64_MAX:
             raise ValueError("graph needs at least one node" if n < 1
                              else f"node count {n} does not fit int64")
@@ -278,8 +279,9 @@ class LabeledGraph:
 
     def __post_init__(self):
         n, labels = self.graph.n, self.labels
+        object.__setattr__(self, "num_classes", _as_int(self.num_classes, "num_classes"))
         if self.num_classes < 2:
-            raise ValueError("need at least two classes")
+            raise ValueError(f"need at least two classes, got num_classes={self.num_classes!r}")
         if isinstance(labels, Mapping):
             labels = _in_node_order(labels, n)
         elif not isinstance(labels, np.ndarray):
@@ -328,6 +330,32 @@ def as_integer(x) -> int | None:
         return None
 
 
+def _as_int(value, what: str) -> int:
+    """The integer rule of every integer scalar input, ``what`` naming it:
+    ``value`` as an int; a bool or a number that is not an integer is rejected."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} {value!r} is not an integer")
+
+
+def _as_real(value, what: str, low: float | None = None, *, strict: bool = False) -> float:
+    """The real-number rule of every real scalar input, ``what`` naming it:
+    ``value`` as a finite float of at least ``low``, or above it if
+    ``strict``; a bool, a string or a non-finite number is rejected."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int or fraction past the float range
+            x = math.inf
+        if math.isfinite(x) and (low is None or x > low or (x == low and not strict)):
+            return x
+    bound = "" if low is None else f" and {'>' if strict else '>='} {low}"
+    raise ValueError(f"{what} must be finite{bound}, got {value!r}")
+
+
 def _raise_first_fractional(labels: np.ndarray) -> None:
     """Raise for the first node whose class id is not an integer; if every id
     is one, a cast failed on an id too large for the class range."""
@@ -343,11 +371,14 @@ class RegularizedLaplacian:
     """Dense ``D - W + delta*I`` of a connected graph, ``delta > 0``.
 
     Symmetric positive definite; every row sums to ``delta`` because the
-    plain Laplacian has zero row sums.
+    plain Laplacian has zero row sums. ``n`` is read off the matrix.
     """
 
-    n: int
     matrix: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[0]
 
 
 def regularized_laplacian(graph: Graph, delta: float) -> RegularizedLaplacian:
@@ -359,10 +390,9 @@ def regularized_laplacian(graph: Graph, delta: float) -> RegularizedLaplacian:
         Must be connected; disconnected input is rejected with the
         component count in the message.
     delta : float
-        Finite positive self-loop weight added to every node.
+        Self-loop weight added to every node, a real number above 0.
     """
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError(f"delta must be finite and positive, got {delta}")
+    delta = _as_real(delta, "delta", 0, strict=True)
     if not graph.is_connected():
         raise ValueError(
             f"graph is disconnected ({graph.component_count()} components); "
@@ -374,7 +404,7 @@ def regularized_laplacian(graph: Graph, delta: float) -> RegularizedLaplacian:
     row_sums = L.sum(axis=1)
     np.subtract(0.0, L, out=L)
     L.flat[::graph.n + 1] = row_sums + delta
-    return RegularizedLaplacian(graph.n, L)
+    return RegularizedLaplacian(L)
 
 
 def normalize_features(features) -> np.ndarray:
@@ -417,8 +447,8 @@ def build_from_features(features, method: str = "rbf", *, sigma: float = 1.0,
         Symmetric, zero-diagonal. Raises if the thresholded graph is
         disconnected, reporting the component count.
     """
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold}")
+    threshold = _as_real(threshold, "threshold")
+    sigma = _as_real(sigma, "sigma", 0, strict=True)
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
         raise ValueError("features must be a 2-d array")
@@ -428,8 +458,6 @@ def build_from_features(features, method: str = "rbf", *, sigma: float = 1.0,
     if not np.isfinite(X).all():
         raise ValueError("non-finite feature entries")
     if method == "rbf":
-        if not (math.isfinite(sigma) and sigma > 0):
-            raise ValueError(f"sigma must be finite and positive, got {sigma}")
         # row blocks of the (n, n, d) difference array, each pair summed
         # over its d-vector as in one whole-array pass
         W = np.empty((n, n))
@@ -480,6 +508,7 @@ def grid_graph(rows: int, cols: int, seed: int) -> LabeledGraph:
     labeled grid of that shape shares the one immutable :class:`Graph`;
     only the labels are drawn per call.
     """
+    rows, cols = _as_int(rows, "rows"), _as_int(cols, "cols")
     if rows < 4 or cols < 4:
         raise ValueError("grid must be at least 4x4 to hold both 3x3 class blocks")
     graph = _lattice(rows, cols)
@@ -505,11 +534,12 @@ def community_graph(sizes, p_in: float, p_out: float, seed: int) -> LabeledGraph
     index. Sampling repeats (consuming the same seeded stream) until the
     graph is connected, up to ``_CONNECT_ATTEMPTS`` attempts.
     """
-    sizes = [int(s) for s in sizes]
+    sizes = [_as_int(s, "community size") for s in sizes]
+    p_in, p_out = _as_real(p_in, "p_in"), _as_real(p_out, "p_out")
     if len(sizes) < 2:
-        raise ValueError("need at least two communities")
+        raise ValueError(f"need at least two communities, got sizes {sizes}")
     if any(s < 2 for s in sizes):
-        raise ValueError("each community needs at least 2 nodes")
+        raise ValueError(f"each community needs at least 2 nodes, got sizes {sizes}")
     if not 0.0 <= p_out < p_in <= 1.0:
         raise ValueError(f"require 0 <= p_out < p_in <= 1, got p_in={p_in}, p_out={p_out}")
     n = sum(sizes)

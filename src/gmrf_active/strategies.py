@@ -35,12 +35,12 @@ relative, or ``TIE_ATOL`` per unlabeled node, absolute, counted as ties.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .gmrf import DECISION_ATOL, PIVOT_FLOOR, GmrfModel, soft_labels
+from .graph import _as_real
 
 KINDS = ("random", "unc", "vm", "sigma-opt", "fl", "klg", "kl", "tv", "msd")
 RETRAINING_KINDS = ("fl", "kl")
@@ -78,7 +78,7 @@ class Strategy:
     ``confidence`` is ``inv_sqrt`` (``a_t = 1/sqrt(t)``), ``const:<a>`` with
     ``a`` in [0, 1], or ``none``, which is ``const:0``. ``hybrid_scale`` sets
     ``pi_t = min(1, scale / sqrt(t))``, the per-iteration probability of a
-    uniform exploration query; 0 disables it. ``maxmin`` replaces the
+    uniform exploration query; 0 disables it. ``maxmin``, a bool, replaces the
     expectation over candidate labels by the worst case and applies only to
     the retraining-based scorers (fl, kl).
     """
@@ -94,10 +94,9 @@ class Strategy:
         if self.kind not in KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}; choose from {KINDS}")
         object.__setattr__(self, "_confidence", _parse_confidence(self.confidence))
-        if not (isinstance(self.hybrid_scale, numbers.Real)
-                and not isinstance(self.hybrid_scale, bool)
-                and math.isfinite(self.hybrid_scale) and self.hybrid_scale >= 0):
-            raise ValueError(f"hybrid_scale must be finite and >= 0, got {self.hybrid_scale}")
+        object.__setattr__(self, "hybrid_scale", _as_real(self.hybrid_scale, "hybrid_scale", 0))
+        if not isinstance(self.maxmin, bool):
+            raise ValueError(f"maxmin must be a bool, got {self.maxmin!r}")
         if self.maxmin and self.kind not in RETRAINING_KINDS:
             raise ValueError("maxmin applies only to the retraining-based scorers (fl, kl)")
 

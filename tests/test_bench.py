@@ -1,6 +1,7 @@
 """Monte-Carlo harness: determinism, accuracy metrics, CSV output."""
 
 import csv
+import dataclasses
 import hashlib
 import re
 
@@ -65,7 +66,7 @@ class TestConfigValidation:
         ("delta", float("nan")), ("delta", float("inf")), ("seed", -1),
         ("seed", 1.5), ("budget", 2.5), ("runs", 2.5), ("delta", "x"), ("delta", None),
         ("budget", True), ("runs", True), ("seed", False), ("delta", True),
-        ("seed", np.float64(2.0)),
+        ("seed", np.float64(2.0)), ("delta", "0.1"), ("delta", 10**400),
     ])
     def test_rejects_bad_delta_or_seed_before_any_compute(self, monkeypatch, name, value):
         def no_compute(*args, **kwargs):
@@ -77,6 +78,44 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=name):
             run_experiment(ExperimentConfig("grid:4x4", [Strategy("tv")],
                                             **{"budget": 3, name: value}))
+
+    def test_rejects_empty_strategy_list(self):
+        with pytest.raises(ValueError, match="^need at least one strategy$"):
+            ExperimentConfig("grid:4x4", [], budget=3)
+
+    @pytest.mark.parametrize("entries, message", [
+        ([Strategy("tv"), "vm"], "strategies[1] must be a Strategy, got 'vm'"),
+        (["tv"], "strategies[0] must be a Strategy, got 'tv'"),
+        ("tv", "strategies[0] must be a Strategy, got 't'"),
+    ])
+    def test_rejects_entry_that_is_not_a_strategy_naming_its_position(self, entries, message):
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig("grid:4x4", entries, budget=2)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("name, value", [("budget", True), ("runs", 0), ("delta", -1.0),
+                                             ("strategies", []), ("eval_on", "x"),
+                                             ("graph", "grid:2x2")])
+    def test_fields_cannot_be_reassigned(self, name, value):
+        cfg = ExperimentConfig("grid:4x4", [Strategy("tv")], budget=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+        assert cfg == ExperimentConfig("grid:4x4", [Strategy("tv")], budget=3)
+
+    def test_strategies_stored_as_a_tuple_and_a_generator_runs_every_strategy(self):
+        cfg = ExperimentConfig("grid:4x4", (Strategy(k) for k in ("tv", "vm", "random")),
+                               budget=2, runs=2)
+        assert cfg.strategies == (Strategy("tv"), Strategy("vm"), Strategy("random"))
+        from_list = run_experiment(ExperimentConfig(
+            "grid:4x4", [Strategy("tv"), Strategy("vm"), Strategy("random")], budget=2, runs=2))
+        results = run_experiment(cfg)
+        assert list(results) == ["tv", "vm", "random"]
+        for label, curve in results.items():
+            assert np.array_equal(curve.values, from_list[label].values)
+
+    def test_delta_kept_as_float(self):
+        cfg = ExperimentConfig("grid:4x4", [Strategy("tv")], budget=3, delta=np.float32(0.5))
+        assert cfg.delta == 0.5 and type(cfg.delta) is float
 
     def test_numpy_integers_accepted(self):
         cfg = ExperimentConfig("grid:4x4", [Strategy("tv")], budget=np.int64(3),
@@ -406,6 +445,14 @@ class TestAccuracy:
         with pytest.raises(ValueError, match="labels"):
             accuracy(model, dict(enumerate(lg.labels.tolist())))
 
+    def test_rejects_a_model_with_no_unlabeled_node(self):
+        lg = small_labeled_graph(seed=12, n=4)
+        model = GmrfModel.from_laplacian(regularized_laplacian(lg.graph, 0.1), 2)
+        for node in range(4):
+            model.observe(node, lg.labels[node])
+        with pytest.raises(ValueError, match="^no unlabeled nodes left to evaluate$"):
+            accuracy(model, lg.labels)
+
 
 class TestBaselineAccuracy:
     def test_majority_fraction(self):
@@ -457,6 +504,18 @@ class TestEmit:
     def test_curve_validation(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             AccuracyCurve("x", np.array([[1.5]]))
+        # NaN fails both the < 0 and the > 1 test
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=r"^accuracy values must lie in \[0, 1\]$"):
+                AccuracyCurve("x", [[0.5, bad]])
+
+    def test_curve_must_be_two_dimensional(self):
+        with pytest.raises(ValueError, match=r"^values must be a \(runs, budget\) array$"):
+            AccuracyCurve("x", [0.5, 0.5])
+
+    def test_empty_results_have_no_summary(self):
+        with pytest.raises(ValueError, match="^no results to summarize$"):
+            emit_summary({})
 
 
 class TestOracle:

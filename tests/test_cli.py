@@ -67,6 +67,24 @@ def test_unknown_strategy_is_usage_error():
                  "--T", "3"]) == 2
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--delta", "0", "argument --delta: value must be finite and > 0, got 0.0"),
+    ("--delta", "abc", "argument --delta: could not convert string to float: 'abc'"),
+    ("--hybrid", "-0.5", "argument --hybrid: value must be finite and >= 0, got -0.5"),
+    ("--hybrid", "x", "argument --hybrid: could not convert string to float: 'x'"),
+    ("--T", "2.5", "argument --T: '2.5' is not an integer"),
+    ("--T", "0", "argument --T: must be positive, got 0"),
+    ("--seed", "x", "argument --seed: 'x' is not an integer"),
+    ("--confidence", "const:x", "argument --confidence: bad confidence spec 'const:x'"),
+    ("--strategies", ",", "argument --strategies: empty strategy list"),
+])
+def test_usage_error_names_flag_and_value(capsys, flag, value, message):
+    code = main(["compare", "--graph", "grid:5x5", "--strategies", "tv", "--T", "3",
+                 flag, value])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_duplicate_strategies_is_usage_error():
     assert main(["compare", "--graph", "grid:5x5", "--strategies", "tv,tv",
                  "--T", "3"]) == 2

@@ -77,7 +77,8 @@ class TestInit:
         (np.diag([1.0, np.inf]), np.zeros((2, 2)), "G"),
         (np.eye(2), np.array([[0.0, np.nan], [0.0, 0.0]]), "means"),
         (np.eye(2), np.array([[0.0, 0.0], [-np.inf, 0.0]]), "means"),
-    ], ids=["G", "means", "G-nan", "G-inf", "means-nan", "means-inf"])
+        (np.eye(2), np.zeros((1, 2)), "means"),
+    ], ids=["G", "means", "G-nan", "G-inf", "means-nan", "means-inf", "means-one-field"])
     def test_inconsistent_state_rejected(self, G, means, name):
         with pytest.raises(ValueError, match=f"^{name} "):
             GmrfModel(G, means)

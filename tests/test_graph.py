@@ -5,6 +5,7 @@ import hashlib
 import math
 import tracemalloc
 from collections.abc import Mapping
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from gmrf_active import (
     Graph,
     LabeledGraph,
+    RegularizedLaplacian,
     build_from_features,
     community_graph,
     from_spec,
@@ -1229,6 +1231,19 @@ class TestLoaders:
         with pytest.raises(ValueError, match="not an integer"):
             load_features(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("0.5,1\n7\n", ":2: need at least one feature and a label"),
+        ("0.5,1\n0.5,x,1\n", ":2: could not parse ['0.5', 'x', '1']"),
+        ("0.5,0.1,1\n0.5,1\n", ":2: inconsistent column count"),
+        ("\n , \n", ": no data rows found"),
+    ], ids=["one-column", "unparsable", "ragged", "empty"])
+    def test_feature_csv_messages_name_the_line(self, tmp_path, text, message):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_features(path)
+        assert str(info.value) == f"{path}{message}"
+
 
 class TestFromSpec:
     def test_grid_spec(self):
@@ -1295,3 +1310,125 @@ class TestFromSpec:
         spec = "community:10,10:pin=0.5:pout=abc"
         with pytest.raises(ValueError, match=r"'abc' for community option pout in '" + spec):
             from_spec(spec)
+
+
+# a connected path and a feature matrix, built before any test patches the builders
+PATH3 = Graph(3, {(0, 1): 1.0, (1, 2): 1.0})
+FEATURES = np.array([[0.0, 0.1], [0.2, 0.0], [1.0, 1.0], [0.9, 1.1]])
+
+
+def _no_compute(*args, **kwargs):
+    raise AssertionError("a graph or Laplacian was built before the input was checked")
+
+
+class TestScalarRules:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
+    def test_integer_rule_keeps_integers_as_int(self, value):
+        got = graph_mod._as_int(value, "rows")
+        assert got == 3 and type(got) is int
+
+    @pytest.mark.parametrize("value", [True, np.bool_(True), 3.0, np.float64(3.0), 2.5, "3",
+                                       None, Fraction(3, 1)])
+    def test_integer_rule_rejects_the_rest_naming_field_and_value(self, value):
+        with pytest.raises(ValueError) as info:
+            graph_mod._as_int(value, "rows")
+        assert str(info.value) == f"rows {value!r} is not an integer"
+
+    @pytest.mark.parametrize("value", [0.5, np.float64(0.5), np.float32(0.5), Fraction(1, 2), 1,
+                                       np.int64(1)])
+    def test_real_rule_keeps_finite_reals_as_float(self, value):
+        got = graph_mod._as_real(value, "delta")
+        assert got == value and type(got) is float
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.5", None, 1j, math.nan,
+                                       math.inf, -math.inf, np.float64(math.nan), 10**400,
+                                       Fraction(10**400, 3)])
+    def test_real_rule_rejects_the_rest_naming_field_and_value(self, value):
+        with pytest.raises(ValueError) as info:
+            graph_mod._as_real(value, "delta")
+        assert str(info.value) == f"delta must be finite, got {value!r}"
+
+    def test_real_rule_lower_bound_is_closed_unless_strict(self):
+        assert graph_mod._as_real(0, "hybrid_scale", 0) == 0.0
+        with pytest.raises(ValueError) as info:
+            graph_mod._as_real(-1e-300, "hybrid_scale", 0)
+        assert str(info.value) == "hybrid_scale must be finite and >= 0, got -1e-300"
+        assert graph_mod._as_real(5e-324, "delta", 0, strict=True) == 5e-324
+        with pytest.raises(ValueError) as info:
+            graph_mod._as_real(0.0, "delta", 0, strict=True)
+        assert str(info.value) == "delta must be finite and > 0, got 0.0"
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Graph(True, {}), "node count True is not an integer"),
+        (lambda: Graph.from_arrays(3.0, [0], [1], [1.0]), "node count 3.0 is not an integer"),
+        (lambda: grid_graph(4.5, 4, 0), "rows 4.5 is not an integer"),
+        (lambda: grid_graph(4, np.float64(5.0), 0), "cols np.float64(5.0) is not an integer"),
+        (lambda: community_graph([10.7, 10], 0.8, 0.1, 0),
+         "community size 10.7 is not an integer"),
+        (lambda: community_graph(["10", 10], 0.8, 0.1, 0),
+         "community size '10' is not an integer"),
+        (lambda: community_graph([10, 10], True, 0.1, 0), "p_in must be finite, got True"),
+        (lambda: community_graph([10, 10], 0.8, "0.1", 0), "p_out must be finite, got '0.1'"),
+        (lambda: LabeledGraph(PATH3, [0, 1, 0], np.float64(2.0)),
+         "num_classes np.float64(2.0) is not an integer"),
+        (lambda: regularized_laplacian(PATH3, True), "delta must be finite and > 0, got True"),
+        (lambda: regularized_laplacian(PATH3, "0.1"), "delta must be finite and > 0, got '0.1'"),
+        (lambda: build_from_features(FEATURES, sigma=True),
+         "sigma must be finite and > 0, got True"),
+        (lambda: build_from_features(FEATURES, "pearson", threshold="0"),
+         "threshold must be finite, got '0'"),
+    ], ids=["graph-n-bool", "from-arrays-n-float", "grid-rows", "grid-cols", "community-size",
+            "community-size-str", "p-in-bool", "p-out-str", "num-classes", "delta-bool",
+            "delta-str", "sigma-bool", "threshold-str"])
+    def test_sites_reject_before_any_graph_or_laplacian(self, monkeypatch, build, message):
+        # every graph is checked by _canonical_edges, every grid shares a
+        # _lattice, and every Laplacian starts from the weight matrix
+        monkeypatch.setattr(graph_mod, "_canonical_edges", _no_compute)
+        monkeypatch.setattr(graph_mod, "_lattice", _no_compute)
+        monkeypatch.setattr(graph_mod.Graph, "weight_matrix", _no_compute)
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_laplacian_n_is_read_off_its_matrix(self):
+        lap = regularized_laplacian(PATH3, 0.1)
+        assert lap.n == 3 and type(lap.n) is int
+        assert RegularizedLaplacian(np.eye(5)).n == 5
+        # n is no longer a separate field that could disagree with the matrix
+        with pytest.raises(TypeError):
+            RegularizedLaplacian(5, np.eye(3))
+        with pytest.raises(AttributeError):
+            lap.n = 4
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Graph(3, {(0, 1, 2): 1.0}), "edge keys must be (i, j) node pairs"),
+        (lambda: Graph.from_arrays(3, [0, 1], [1], [1.0, 1.0]),
+         "edge columns must be 1-d arrays of one length"),
+        (lambda: LabeledGraph(PATH3, [0, 0, 0], 1), "need at least two classes, got num_classes=1"),
+        (lambda: normalize_features(np.zeros((0, 2))), "features must be a non-empty 2-d array"),
+        (lambda: normalize_features([[1.0, math.nan]]), "non-finite feature entries"),
+        (lambda: build_from_features(np.zeros(3)), "features must be a 2-d array"),
+        (lambda: build_from_features(np.zeros((1, 2))),
+         "need at least two rows and one feature column"),
+        (lambda: community_graph([10], 0.5, 0.1, 0),
+         "need at least two communities, got sizes [10]"),
+        (lambda: community_graph([10, 1], 0.5, 0.1, 0),
+         "each community needs at least 2 nodes, got sizes [10, 1]"),
+        (lambda: graph_mod.canonical_labels([3, 3, 3]), "need at least two distinct classes"),
+        (lambda: from_spec("grid:4by4"), "bad grid spec 'grid:4by4'; expected grid:RxC"),
+        (lambda: from_spec("community:5,a:pin=0.5:pout=0.1"),
+         "bad community sizes in 'community:5,a:pin=0.5:pout=0.1'"),
+        (lambda: from_spec("community:5,5:pin=0.5:q=0.1"),
+         "unknown community option 'q=0.1' in 'community:5,5:pin=0.5:q=0.1'"),
+        (lambda: from_spec("community:5,5:pin=0.5"),
+         "community spec 'community:5,5:pin=0.5' needs pin= and pout="),
+        (lambda: from_spec("file:g.edges"), "file spec must name both files: file:EDGES:LABELS"),
+    ], ids=["edge-key", "edge-columns", "one-class", "no-features", "nan-feature",
+            "1-d-features", "one-row", "one-community", "tiny-community", "one-label-value",
+            "grid-spec", "community-sizes", "community-option", "community-pout", "file-spec"])
+    def test_message_names_the_input(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message

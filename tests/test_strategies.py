@@ -95,6 +95,22 @@ class TestStrategyConfig:
         with pytest.raises(ValueError, match="maxmin"):
             Strategy("tv", maxmin=True)
 
+    @pytest.mark.parametrize("value", ["no", 1, 0, None, np.bool_(True)])
+    def test_maxmin_must_be_a_bool(self, value):
+        # "no" is truthy and used to score as maxmin=True
+        with pytest.raises(ValueError) as info:
+            Strategy("fl", maxmin=value)
+        assert str(info.value) == f"maxmin must be a bool, got {value!r}"
+
+    def test_unparsable_confidence_constant_named(self):
+        with pytest.raises(ValueError, match="^bad confidence spec 'const:abc'$"):
+            Strategy("tv", confidence="const:abc")
+
+    def test_hybrid_scale_kept_as_float(self):
+        s = Strategy("tv", hybrid_scale=np.int64(2))
+        assert s.hybrid_scale == 2.0 and type(s.hybrid_scale) is float
+        assert s == Strategy("tv", hybrid_scale=2.0)
+
     def test_alpha_schedule(self):
         assert Strategy("tv").alpha(5) == 0.0
         assert Strategy("tv", confidence="inv_sqrt").alpha(4) == 0.5
@@ -464,6 +480,12 @@ class TestScanConsistency:
             scan = utility_scores(Strategy(kind), mm, t=4)
             for idx, node in enumerate(mm.unlabeled):
                 assert scan[idx] == pytest.approx(fn(mm, int(node)), abs=1e-12)
+
+    def test_random_kind_has_no_scores(self):
+        model = GmrfModel.from_laplacian(
+            regularized_laplacian(random_connected_graph(6, np.random.default_rng(0)), 0.1), 2)
+        with pytest.raises(ValueError, match="^the random strategy is not score-driven$"):
+            utility_scores(Strategy("random"), model, t=2)
 
     def test_binary_only_kinds_rejected_on_multiclass(self):
         rng = np.random.default_rng(19)
