@@ -25,7 +25,7 @@ import numpy as np
 
 from . import graph as graph_mod
 from .gmrf import GmrfModel, class_decision, spd_inverse
-from .graph import LabeledGraph, _as_int, _as_real, regularized_laplacian
+from .graph import LabeledGraph, _as_int, _as_real, _as_seed, regularized_laplacian
 from .strategies import BINARY_ONLY_KINDS, Strategy, select
 
 EVAL_MODES = ("remaining", "initial")
@@ -94,15 +94,14 @@ class ExperimentConfig:
         for label in labels:
             if any(ch in label for ch in ',"\r\n'):  # emit_csv writes unquoted fields
                 raise ValueError(f"strategy label {label!r} must not contain , \" CR or LF")
-        for name in ("budget", "runs", "seed"):
+        for name in ("budget", "runs"):
             object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
         object.__setattr__(self, "delta", _as_real(self.delta, "delta", 0, strict=True))
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", _as_seed(self.seed))
         if self.eval_on not in EVAL_MODES:
             raise ValueError(f"eval_on must be one of {EVAL_MODES}")
 

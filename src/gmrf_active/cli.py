@@ -6,6 +6,10 @@ Subcommands: ``gen`` (write synthetic graph files), ``build-graph``
 validation suites). Exit codes: 0 success, 1 runtime error, 2 usage error.
 Diagnostics go to stderr; result tables go to stdout and CSVs to files.
 
+The experiment flags default to the fields of :class:`ExperimentConfig` and
+:class:`Strategy` they fill, and ``--eval-on`` chooses from ``EVAL_MODES``;
+only ``--confidence inv_sqrt`` is the command line's own default.
+
 The environment variable ``GMRF_ACTIVE_OUTDIR`` sets the default output
 directory when ``--out`` paths are omitted. Every output path is checked
 before any compute: a missing parent directory, a path that is a directory,
@@ -21,7 +25,7 @@ import sys
 
 from . import checks
 from . import graph as graph_mod
-from .bench import ExperimentConfig, emit_csv, emit_summary, run_experiment
+from .bench import EVAL_MODES, ExperimentConfig, emit_csv, emit_summary, run_experiment
 from .graph import _as_real
 from .strategies import KINDS, RETRAINING_KINDS, Strategy
 
@@ -40,24 +44,20 @@ def _positive_float(text: str) -> float:
     return _finite_float(text, 0, strict=True)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+def _int_flag(low: int):
+    """Parser of an integer flag of at least ``low``; a usage error otherwise."""
+    bound = "positive" if low == 1 else f">= {low}"
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
 
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    return parse
 
 
 def _confidence(text: str) -> str:
@@ -98,25 +98,31 @@ def _output_path(path: str) -> str:
     return path
 
 
-def _distinct_outputs(edges: str, labels: str) -> None:
-    """Raise before any compute if the edge and label outputs are one file."""
-    if os.path.realpath(edges) == os.path.realpath(labels):
-        raise ValueError(f"--out-edges and --out-labels are the same file: {labels}")
+def _graph_outputs(edges: str, labels: str | None) -> None:
+    """Check the edge output and any label output, and that they are two
+    files; raises before any compute."""
+    _output_path(edges)
+    if labels:
+        _output_path(labels)
+        if os.path.realpath(edges) == os.path.realpath(labels):
+            raise ValueError(f"--out-edges and --out-labels are the same file: {labels}")
 
 
 def _add_experiment_args(sp: argparse.ArgumentParser) -> None:
+    # a dataclass keeps each field's default as its class attribute
     sp.add_argument("--graph", required=True,
                     help="grid:RxC | community:S1,S2,..:pin=P:pout=Q | file:EDGES:LABELS")
-    sp.add_argument("--T", required=True, type=_positive_int, help="query budget")
-    sp.add_argument("--runs", type=_positive_int, default=50)
-    sp.add_argument("--seed", type=_seed, default=0)
-    sp.add_argument("--delta", type=_positive_float, default=0.005)
+    sp.add_argument("--T", required=True, type=_int_flag(1), help="query budget")
+    sp.add_argument("--runs", type=_int_flag(1), default=ExperimentConfig.runs)
+    sp.add_argument("--seed", type=_int_flag(0), default=ExperimentConfig.seed)
+    sp.add_argument("--delta", type=_positive_float, default=ExperimentConfig.delta)
     sp.add_argument("--confidence", type=_confidence, default="inv_sqrt",
                     help="inv_sqrt | const:<a> | none")
-    sp.add_argument("--hybrid", type=_hybrid, default=0.0, metavar="SCALE",
+    sp.add_argument("--hybrid", type=_hybrid, default=Strategy.hybrid_scale, metavar="SCALE",
                     help="uniform-exploration scale (pi_t = min(1, SCALE/sqrt(t))) or 'none'")
-    sp.add_argument("--eval-on", choices=("remaining", "initial"), default="remaining")
+    sp.add_argument("--eval-on", choices=EVAL_MODES, default=ExperimentConfig.eval_on)
     sp.add_argument("--out", default=None, help="output CSV path")
+    sp.set_defaults(func=_cmd_experiment)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,9 +134,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a synthetic labeled graph and write it to files")
     gen.add_argument("--graph", required=True, help="grid:RxC | community:S1,S2,..:pin=P:pout=Q")
-    gen.add_argument("--seed", type=_seed, default=0)
+    gen.add_argument("--seed", type=_int_flag(0), default=0)
     gen.add_argument("--out-edges", required=True)
     gen.add_argument("--out-labels", required=True)
+    gen.set_defaults(func=_cmd_gen)
 
     build = sub.add_parser("build-graph", help="build a similarity graph from a feature CSV")
     build.add_argument("--features", required=True, help="CSV, last column = integer class label")
@@ -141,6 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="skip scaling feature columns to [-1, 1]")
     build.add_argument("--out-edges", default=None)
     build.add_argument("--out-labels", default=None)
+    build.set_defaults(func=_cmd_build_graph)
 
     run = sub.add_parser("run", help="run one strategy and write its accuracy curve")
     run.add_argument("--strategy", required=True, choices=KINDS)
@@ -154,15 +162,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_experiment_args(cmp_)
 
     chk = sub.add_parser("check", help="run the numerical validation suites")
-    chk.add_argument("--seed", type=_seed, default=0)
+    chk.add_argument("--seed", type=_int_flag(0), default=0)
+    chk.set_defaults(func=_cmd_check)
 
     return parser
 
 
 def _cmd_gen(args) -> int:
-    _output_path(args.out_edges)
-    _output_path(args.out_labels)
-    _distinct_outputs(args.out_edges, args.out_labels)
+    _graph_outputs(args.out_edges, args.out_labels)
     lg = graph_mod.from_spec(args.graph, seed=args.seed)
     graph_mod.save_edge_list(lg.graph, args.out_edges)
     graph_mod.save_labels(lg.labels, args.out_labels)
@@ -176,10 +183,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_build_graph(args) -> int:
     stem = os.path.splitext(os.path.basename(args.features))[0]
-    out_edges = _output_path(args.out_edges or _default_out(stem + ".edges"))
-    if args.out_labels:
-        _output_path(args.out_labels)
-        _distinct_outputs(out_edges, args.out_labels)
+    out_edges = args.out_edges or _default_out(stem + ".edges")
+    _graph_outputs(out_edges, args.out_labels)
     features, labels = graph_mod.load_features(args.features)
     if not args.no_normalize:
         features = graph_mod.normalize_features(features)
@@ -195,38 +200,19 @@ def _cmd_build_graph(args) -> int:
     return 0
 
 
-def _make_strategies(args, names: list[str]) -> list[Strategy]:
-    maxmin = getattr(args, "maxmin", False)
-    return [
-        Strategy(name, confidence=args.confidence, hybrid_scale=args.hybrid, maxmin=maxmin)
-        for name in names
-    ]
-
-
-def _cmd_experiment(args, names: list[str]) -> int:
+def _cmd_experiment(args) -> int:
     out = _output_path(args.out or _default_out("results.csv"))
-    cfg = ExperimentConfig(
-        graph=args.graph,
-        strategies=_make_strategies(args, names),
-        budget=args.T,
-        runs=args.runs,
-        seed=args.seed,
-        delta=args.delta,
-        eval_on=args.eval_on,
-    )
+    names = [args.strategy] if args.command == "run" else args.strategies
+    strategies = [Strategy(name, confidence=args.confidence, hybrid_scale=args.hybrid,
+                           maxmin=getattr(args, "maxmin", False)) for name in names]
+    cfg = ExperimentConfig(graph=args.graph, strategies=strategies, budget=args.T,
+                           runs=args.runs, seed=args.seed, delta=args.delta,
+                           eval_on=args.eval_on)
     results = run_experiment(cfg)
     emit_csv(results, out)
     print(emit_summary(results))
     print(f"wrote {out}", file=sys.stderr)
     return 0
-
-
-def _cmd_run(args) -> int:
-    return _cmd_experiment(args, [args.strategy])
-
-
-def _cmd_compare(args) -> int:
-    return _cmd_experiment(args, args.strategies)
 
 
 def _cmd_check(args) -> int:
@@ -239,15 +225,6 @@ def _cmd_check(args) -> int:
     return 0 if failures == 0 else 1
 
 
-_DISPATCH = {
-    "gen": _cmd_gen,
-    "build-graph": _cmd_build_graph,
-    "run": _cmd_run,
-    "compare": _cmd_compare,
-    "check": _cmd_check,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -258,7 +235,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the usage text
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.command](args)
+        return args.func(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

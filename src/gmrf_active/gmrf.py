@@ -293,6 +293,7 @@ class GmrfModel:
     @classmethod
     def from_laplacian(cls, lap: RegularizedLaplacian, num_classes: int) -> "GmrfModel":
         """Fresh model with all nodes unlabeled and zero means."""
+        num_classes = _as_int(num_classes, "num_classes")
         G = spd_inverse(lap.matrix)
         G.flags.writeable = False  # no one else holds it, so the model aliases it
         return cls.from_inverse(G, num_classes)
@@ -307,7 +308,7 @@ class GmrfModel:
         of that run, and of later runs on the same graph, from a
         :meth:`copy` of that model, so all of them share it.
         """
-        return cls(G, np.zeros((num_classes, G.shape[0])))
+        return cls(G, np.zeros((_as_int(num_classes, "num_classes"), G.shape[0])))
 
     def copy(self) -> "GmrfModel":
         """Independent model in the same state, still aliasing the read-only ``G_0``.
@@ -469,7 +470,8 @@ class GmrfModel:
 
     def _fold(self) -> None:
         """Fold ``V`` into a private ``G_0 - V^T V`` and empty it."""
-        self._base = _frozen(_minus_gram(self._base, self._V[:self._t]))
+        self._base = _minus_gram(self._base, self._V[:self._t])
+        self._base.flags.writeable = False  # fresh, so frozen in place, not copied
         self._t = 0
 
     def predict(self) -> dict[int, int]:

@@ -341,6 +341,14 @@ def _as_int(value, what: str) -> int:
     raise ValueError(f"{what} {value!r} is not an integer")
 
 
+def _as_seed(value) -> int:
+    """A random seed by the integer rule, which must also be at least 0."""
+    seed = _as_int(value, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _as_real(value, what: str, low: float | None = None, *, strict: bool = False) -> float:
     """The real-number rule of every real scalar input, ``what`` naming it:
     ``value`` as a finite float of at least ``low``, or above it if
@@ -503,12 +511,12 @@ def grid_graph(rows: int, cols: int, seed: int) -> LabeledGraph:
     at the upper-left and lower-right, plus random extras: every node on the
     center row (``rows // 2``) and center column (``cols // 2``) flips to
     class 1 independently with probability 0.5. Everything else is class 0.
-    Deterministic given ``seed``. The lattice is built and validated once
-    per grid shape (the last ``_LATTICES`` shapes are kept), and every
-    labeled grid of that shape shares the one immutable :class:`Graph`;
-    only the labels are drawn per call.
+    Deterministic given ``seed``, an integer >= 0. The lattice is built and
+    validated once per grid shape (the last ``_LATTICES`` shapes are kept),
+    and every labeled grid of that shape shares the one immutable
+    :class:`Graph`; only the labels are drawn per call.
     """
-    rows, cols = _as_int(rows, "rows"), _as_int(cols, "cols")
+    rows, cols, seed = _as_int(rows, "rows"), _as_int(cols, "cols"), _as_seed(seed)
     if rows < 4 or cols < 4:
         raise ValueError("grid must be at least 4x4 to hold both 3x3 class blocks")
     graph = _lattice(rows, cols)
@@ -531,11 +539,11 @@ def community_graph(sizes, p_in: float, p_out: float, seed: int) -> LabeledGraph
 
     Each within-block pair is connected with probability ``p_in`` and each
     cross-block pair with ``p_out < p_in``; the node label is its block
-    index. Sampling repeats (consuming the same seeded stream) until the
-    graph is connected, up to ``_CONNECT_ATTEMPTS`` attempts.
+    index. Sampling repeats (consuming the stream of ``seed``, an integer
+    >= 0) until the graph is connected, up to ``_CONNECT_ATTEMPTS`` attempts.
     """
     sizes = [_as_int(s, "community size") for s in sizes]
-    p_in, p_out = _as_real(p_in, "p_in"), _as_real(p_out, "p_out")
+    p_in, p_out, seed = _as_real(p_in, "p_in"), _as_real(p_out, "p_out"), _as_seed(seed)
     if len(sizes) < 2:
         raise ValueError(f"need at least two communities, got sizes {sizes}")
     if any(s < 2 for s in sizes):
@@ -674,9 +682,9 @@ def canonical_labels(raw) -> tuple[np.ndarray, int]:
 def from_spec(spec: str, seed: int = 0) -> LabeledGraph:
     """Build a labeled graph from a compact source description.
 
-    Grammar: ``grid:RxC``, ``community:S1,S2,..:pin=P:pout=Q``, or
-    ``file:EDGES:LABELS``. Generator sources are regenerated from ``seed``;
-    file sources ignore it.
+    Grammar: ``grid:RxC``, ``community:S1,S2,..:pin=P:pout=Q`` (each option
+    once), or ``file:EDGES:LABELS``. Generator sources are regenerated from
+    ``seed``; file sources ignore it.
     """
     kind, _, rest = spec.partition(":")
     if kind == "grid":
@@ -697,6 +705,8 @@ def from_spec(spec: str, seed: int = 0) -> LabeledGraph:
             key, _, val = part.partition("=")
             if key not in ("pin", "pout"):
                 raise ValueError(f"unknown community option {part!r} in {spec!r}")
+            if key in probs:
+                raise ValueError(f"community option {key} given twice in {spec!r}")
             try:
                 probs[key] = float(val)
             except ValueError:

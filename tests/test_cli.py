@@ -1,18 +1,24 @@
 """Command-line interface: parsing, exit codes, end-to-end flows."""
 
+import argparse
+import dataclasses
+import inspect
 import os
 
 import numpy as np
 import pytest
 
 from gmrf_active import (
+    ExperimentConfig,
+    Strategy,
     build_from_features,
     load_edge_list,
     load_labels,
     normalize_features,
 )
-from gmrf_active import cli
+from gmrf_active import checks, cli
 from gmrf_active import graph as graph_mod
+from gmrf_active.bench import EVAL_MODES
 from gmrf_active.cli import main
 
 
@@ -274,3 +280,41 @@ def test_one_file_for_edges_and_labels_fails_before_any_compute(tmp_path, monkey
     assert labels in err
     assert sorted(p.name for p in tmp_path.iterdir()) == (
         ["link", "x"] if spelling == "symlink" else [])
+
+
+def _subparser(command):
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--strategy", "tv", "--graph", "grid:5x5", "--T", "3"],
+    ["compare", "--graph", "grid:5x5", "--strategies", "tv", "--T", "3"],
+])
+def test_experiment_defaults_are_the_library_defaults(argv):
+    # a literal copied into the CLI would drift once the library default changes
+    config = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    strategy = {f.name: f.default for f in dataclasses.fields(Strategy)}
+    args = _subparser(argv[0]).parse_args(argv[1:])
+    for field in ("runs", "seed", "delta", "eval_on"):
+        assert getattr(args, field) == config[field], field
+    assert args.hybrid == strategy["hybrid_scale"]
+    assert getattr(args, "maxmin", strategy["maxmin"]) == strategy["maxmin"]
+    eval_on = next(a for a in _subparser(argv[0])._actions if a.dest == "eval_on")
+    assert tuple(eval_on.choices) == EVAL_MODES
+
+
+@pytest.mark.parametrize("argv, function, flags", [
+    (["gen", "--graph", "grid:5x5", "--out-edges", "e", "--out-labels", "l"],
+     graph_mod.from_spec, ["seed"]),
+    (["build-graph", "--features", "f.csv"], graph_mod.build_from_features,
+     ["method", "sigma", "threshold"]),
+    (["check"], checks.run_all, ["seed"]),
+])
+def test_other_defaults_are_the_library_defaults(argv, function, flags):
+    # each of these flags fills the parameter of the same name
+    params = inspect.signature(function).parameters
+    args = _subparser(argv[0]).parse_args(argv[1:])
+    for flag in flags:
+        assert getattr(args, flag) == params[flag].default, flag

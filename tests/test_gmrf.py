@@ -94,6 +94,18 @@ class TestInit:
         with pytest.raises(ValueError, match=r"^G is not exactly symmetric: G\[2, 7\]"):
             GmrfModel.from_inverse(G, 3)
 
+    @pytest.mark.parametrize("num_classes", [2.0, True, np.float64(3.0), "2"])
+    def test_fractional_or_bool_class_count_rejected_naming_it(self, num_classes, monkeypatch):
+        # the count used to reach np.zeros, whose TypeError named nothing
+        with pytest.raises(ValueError) as info:
+            GmrfModel.from_inverse(np.eye(3), num_classes)
+        assert str(info.value) == f"num_classes {num_classes!r} is not an integer"
+        # from_laplacian checks it before the inverse is computed
+        monkeypatch.setattr(gmrf, "spd_inverse", _no_lapack)
+        with pytest.raises(ValueError) as info:
+            GmrfModel.from_laplacian(two_node_lap(), num_classes)
+        assert str(info.value) == f"num_classes {num_classes!r} is not an integer"
+
     def test_non_pd_rejected(self):
         lap = two_node_lap()
         lap.matrix = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
@@ -387,6 +399,26 @@ class TestCompactingDowndate:
         # measured 0.026 MB, about 8 vectors of |U| = 398 doubles; copying the
         # kept blocks into a fresh state peaked at 1.28 MB
         assert peak <= 12 * 8 * model.num_unlabeled
+
+    def test_fold_peak_is_one_inverse(self, monkeypatch):
+        # the fold's fresh G_0 - V^T V is frozen in place; freezing it by a
+        # copy peaked at two n^2 arrays
+        monkeypatch.setattr(gmrf, "_FOLD_MIN_ROWS", 4)
+        model = GmrfModel.from_laplacian(
+            regularized_laplacian(grid_graph(20, 20, seed=3).graph, 0.005), 2)
+        n = model._fields.shape[1]
+        rows = model._V.shape[0]
+        for node in range(rows):
+            model.observe(node, node % 2)
+        tracemalloc.start()
+        try:
+            model.observe(rows, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model._t == 1  # the step folded V, then appended its column
+        assert not model._base.flags.writeable
+        assert 8 * n * n <= peak <= 1.25 * 8 * n * n
 
     def test_rank_one_update_lands_in_the_state(self, monkeypatch):
         # f2py copies an array of the wrong layout silently; the update must

@@ -1311,6 +1311,19 @@ class TestFromSpec:
         with pytest.raises(ValueError, match=r"'abc' for community option pout in '" + spec):
             from_spec(spec)
 
+    @pytest.mark.parametrize("spec, key", [
+        ("community:6,6:pin=0.9:pout=0.0:pout=0.1", "pout"),
+        ("community:6,6:pin=0.9:pout=0.1:pout=0.0", "pout"),
+        ("community:6,6:pin=0.9:pin=0.8:pout=0.1", "pin"),
+    ])
+    def test_repeated_option_names_option_and_spec(self, monkeypatch, spec, key):
+        # the last value used to win, so swapping the two pout values failed
+        # 50 draws later with "no connected sample"
+        monkeypatch.setattr(graph_mod, "community_graph", _no_compute)
+        with pytest.raises(ValueError) as info:
+            from_spec(spec)
+        assert str(info.value) == f"community option {key} given twice in {spec!r}"
+
 
 # a connected path and a feature matrix, built before any test patches the builders
 PATH3 = Graph(3, {(0, 1): 1.0, (1, 2): 1.0})
@@ -1369,6 +1382,12 @@ class TestScalarRules:
          "community size '10' is not an integer"),
         (lambda: community_graph([10, 10], True, 0.1, 0), "p_in must be finite, got True"),
         (lambda: community_graph([10, 10], 0.8, "0.1", 0), "p_out must be finite, got '0.1'"),
+        (lambda: grid_graph(4, 4, 1.5), "seed 1.5 is not an integer"),
+        (lambda: grid_graph(4, 4, -1), "seed must be >= 0, got -1"),
+        (lambda: grid_graph(4, 4, True), "seed True is not an integer"),
+        (lambda: community_graph([10, 10], 0.8, 0.1, 1.5), "seed 1.5 is not an integer"),
+        (lambda: community_graph([10, 10], 0.8, 0.1, -1), "seed must be >= 0, got -1"),
+        (lambda: community_graph([10, 10], 0.8, 0.1, True), "seed True is not an integer"),
         (lambda: LabeledGraph(PATH3, [0, 1, 0], np.float64(2.0)),
          "num_classes np.float64(2.0) is not an integer"),
         (lambda: regularized_laplacian(PATH3, True), "delta must be finite and > 0, got True"),
@@ -1378,14 +1397,18 @@ class TestScalarRules:
         (lambda: build_from_features(FEATURES, "pearson", threshold="0"),
          "threshold must be finite, got '0'"),
     ], ids=["graph-n-bool", "from-arrays-n-float", "grid-rows", "grid-cols", "community-size",
-            "community-size-str", "p-in-bool", "p-out-str", "num-classes", "delta-bool",
+            "community-size-str", "p-in-bool", "p-out-str", "grid-seed-float",
+            "grid-seed-negative", "grid-seed-bool", "community-seed-float",
+            "community-seed-negative", "community-seed-bool", "num-classes", "delta-bool",
             "delta-str", "sigma-bool", "threshold-str"])
     def test_sites_reject_before_any_graph_or_laplacian(self, monkeypatch, build, message):
         # every graph is checked by _canonical_edges, every grid shares a
-        # _lattice, and every Laplacian starts from the weight matrix
+        # _lattice, every Laplacian starts from the weight matrix, and every
+        # generator draws from one default_rng
         monkeypatch.setattr(graph_mod, "_canonical_edges", _no_compute)
         monkeypatch.setattr(graph_mod, "_lattice", _no_compute)
         monkeypatch.setattr(graph_mod.Graph, "weight_matrix", _no_compute)
+        monkeypatch.setattr(graph_mod.np.random, "default_rng", _no_compute)
         with pytest.raises(ValueError) as info:
             build()
         assert str(info.value) == message
