@@ -81,6 +81,9 @@ class ExperimentConfig:
     eval_on: str = "remaining"
 
     def __post_init__(self):
+        if not isinstance(self.graph, (str, LabeledGraph)):
+            raise ValueError("graph must be a source spec string or a LabeledGraph, "
+                             f"got {self.graph!r}")
         strategies = tuple(self.strategies)
         for i, strat in enumerate(strategies):
             if not isinstance(strat, Strategy):
@@ -161,9 +164,11 @@ def run_experiment(cfg: ExperimentConfig,
     as for every grid, file and ready-graph source) reuses that run's
     Laplacian and inverse; equal graphs give byte-equal inverses, so the
     curves are the same as with a fresh inverse per run. The inverse is
-    made read-only, and one model over it is built, which checks and sums it
-    once; every strategy of those runs starts from a copy of that model, in
-    ``O(C n)``, and aliases the inverse.
+    computed over the Laplacian's own array, which nothing else holds, so
+    set-up holds one ``n^2`` array, not two. It is made read-only, and one
+    model over it is built, which checks and sums it once; every strategy of
+    those runs starts from a copy of that model, in ``O(C n)``, and aliases
+    the inverse.
 
     ``step_hook``, when given, is called as
     ``step_hook(strategy=..., model=..., run=..., t=...)`` after every
@@ -180,7 +185,9 @@ def run_experiment(cfg: ExperimentConfig,
         _check_graph(cfg, lg)
         if lg.graph != graph:
             graph = lg.graph
-            inverse = spd_inverse(regularized_laplacian(graph, cfg.delta).matrix)
+            # the Laplacian is this loop's own, so it is inverted in its buffer
+            inverse = spd_inverse(regularized_laplacian(graph, cfg.delta).matrix,
+                                  overwrite_a=True)
             inverse.flags.writeable = False
             # a source's class count is fixed, so it holds for later equal graphs
             prior = GmrfModel.from_inverse(inverse, lg.num_classes)

@@ -57,19 +57,27 @@ _FOLD_SHARE = 0.125
 _FOLD_MIN_ROWS = 128
 
 
-def spd_inverse(matrix: np.ndarray) -> np.ndarray:
+def spd_inverse(matrix: np.ndarray, *, overwrite_a: bool = False) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix in one working buffer.
 
     The input must be square, finite and exactly symmetric, or it is
-    rejected before LAPACK runs; it is never written. One straight C-order
-    copy is handed to LAPACK as its transpose, a Fortran-order array that
+    rejected before LAPACK runs. The working buffer is a straight C-order
+    array handed to LAPACK as its transpose, a Fortran-order array that
     holds the same matrix because the input is symmetric. ``dpotrf`` factors
     it in place and ``dpotri`` inverts it in place, both reading and writing
     the lower triangle only, and the lower triangle is then mirrored into
     the upper one in blocks of ``_MIRROR_BLOCK`` columns, so the result is
     exactly symmetric and later rank-one downdates cannot drift off the
-    symmetric manifold. The returned array is the C-order copy itself. Peak
-    memory is about one ``n^2`` array above the input.
+    symmetric manifold. The returned array is the working buffer itself.
+
+    By default the buffer is a copy, so the input is never written, and
+    peak memory is about one ``n^2`` array above the input. With
+    ``overwrite_a=True`` (scipy.linalg's name and meaning) a C-contiguous,
+    writeable float64 input is the buffer: the inverse is returned over the
+    input's own memory, and no second ``n^2`` array is allocated. The input
+    is written only once every check has passed, but a matrix that LAPACK
+    finds not positive definite is left overwritten. Any other input is
+    copied as by default.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -81,7 +89,8 @@ def spd_inverse(matrix: np.ndarray) -> np.ndarray:
         raise ValueError("matrix holds non-finite entries")
     # dpotrf reads one triangle, so the other must equal it
     _require_symmetric(a, "matrix")
-    work = np.array(a, order="C").T
+    in_place = overwrite_a and a.flags.c_contiguous and a.flags.writeable
+    work = (a if in_place else np.array(a, order="C")).T
     # clean=0: the upper triangle is overwritten by the mirror below
     work, info = scipy.linalg.lapack.dpotrf(work, lower=1, clean=0, overwrite_a=1)
     if info == 0:
@@ -292,7 +301,11 @@ class GmrfModel:
 
     @classmethod
     def from_laplacian(cls, lap: RegularizedLaplacian, num_classes: int) -> "GmrfModel":
-        """Fresh model with all nodes unlabeled and zero means."""
+        """Fresh model with all nodes unlabeled and zero means.
+
+        The caller keeps ``lap``, so its matrix is inverted in a copy and
+        never written.
+        """
         num_classes = _as_int(num_classes, "num_classes")
         G = spd_inverse(lap.matrix)
         G.flags.writeable = False  # no one else holds it, so the model aliases it

@@ -80,7 +80,8 @@ class Strategy:
     ``pi_t = min(1, scale / sqrt(t))``, the per-iteration probability of a
     uniform exploration query; 0 disables it. ``maxmin``, a bool, replaces the
     expectation over candidate labels by the worst case and applies only to
-    the retraining-based scorers (fl, kl).
+    the retraining-based scorers (fl, kl). ``name``, a string or None, is the
+    label of the strategy's curve; None (or "") labels it by its kind.
     """
 
     kind: str
@@ -99,6 +100,8 @@ class Strategy:
             raise ValueError(f"maxmin must be a bool, got {self.maxmin!r}")
         if self.maxmin and self.kind not in RETRAINING_KINDS:
             raise ValueError("maxmin applies only to the retraining-based scorers (fl, kl)")
+        if self.name is not None and not isinstance(self.name, str):
+            raise ValueError(f"name must be a string or None, got {self.name!r}")
 
     @property
     def label(self) -> str:

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,16 @@ def small_labeled_graph(seed=0, n=12):
     return LabeledGraph(g, labels, 2)
 
 
+def _forbid_compute(monkeypatch):
+    """Make the harness's graph draw, Laplacian and inverse fail if called."""
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute ran before the config was checked")
+
+    monkeypatch.setattr(bench.graph_mod, "from_spec", no_compute)
+    monkeypatch.setattr(bench, "regularized_laplacian", no_compute)
+    monkeypatch.setattr(bench, "spd_inverse", no_compute)
+
+
 class TestConfigValidation:
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError, match="unique"):
@@ -69,15 +80,20 @@ class TestConfigValidation:
         ("seed", np.float64(2.0)), ("delta", "0.1"), ("delta", 10**400),
     ])
     def test_rejects_bad_delta_or_seed_before_any_compute(self, monkeypatch, name, value):
-        def no_compute(*args, **kwargs):
-            raise AssertionError("compute ran before the config was checked")
-
-        monkeypatch.setattr(bench.graph_mod, "from_spec", no_compute)
-        monkeypatch.setattr(bench, "regularized_laplacian", no_compute)
-        monkeypatch.setattr(bench, "spd_inverse", no_compute)
+        _forbid_compute(monkeypatch)
         with pytest.raises(ValueError, match=name):
             run_experiment(ExperimentConfig("grid:4x4", [Strategy("tv")],
                                             **{"budget": 3, name: value}))
+
+    @pytest.mark.parametrize("graph", [123, None, b"grid:4x4"], ids=["int", "None", "bytes"])
+    def test_rejects_graph_that_is_neither_spec_nor_labeled_graph(self, monkeypatch, graph):
+        # an int used to reach run_experiment and fail there with
+        # "AttributeError: 'int' object has no attribute 'partition'"
+        _forbid_compute(monkeypatch)
+        with pytest.raises(ValueError) as info:
+            run_experiment(ExperimentConfig(graph, [Strategy("tv")], budget=3))
+        assert str(info.value) == ("graph must be a source spec string or a LabeledGraph, "
+                                   f"got {graph!r}")
 
     def test_rejects_empty_strategy_list(self):
         with pytest.raises(ValueError, match="^need at least one strategy$"):
@@ -129,7 +145,7 @@ class TestConfigValidation:
             run_experiment(cfg)
 
     def test_binary_only_kind_on_multiclass_graph_fails_before_any_inverse(self, monkeypatch):
-        def no_inverse(matrix):
+        def no_inverse(matrix, **kwargs):
             raise AssertionError("an inverse was computed")
 
         monkeypatch.setattr(bench, "spd_inverse", no_inverse)
@@ -262,9 +278,9 @@ def _count_setup_calls(monkeypatch):
     inverses = []
 
     def wrap(name, fn, keep):
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls[name] += 1
-            out = fn(*args)
+            out = fn(*args, **kwargs)
             keep.append(out)
             return out
         monkeypatch.setattr(bench, name, counted)
@@ -365,6 +381,24 @@ class TestInverseReuse:
         fresh = spd_inverse(regularized_laplacian(grid_graph(5, 5, seed=3).graph,
                                                   cfg.delta).matrix)
         assert np.array_equal(shared, fresh)
+
+    def test_set_up_peaks_at_one_square_array(self):
+        # the inverse is computed over the Laplacian's own array; a copy of
+        # it for LAPACK made the peak two n^2 arrays (2.01 x 8 n^2 here)
+        cfg = ExperimentConfig("grid:30x30", [Strategy("tv")], budget=1, runs=1)
+        run_experiment(cfg)  # first call loads what it needs outside the measurement
+        v_bytes = []
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, step_hook=lambda model, **_: v_bytes.append(model._V.nbytes))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        square = 8 * 900 * 900
+        # the inverse, then the step-column buffers V of the start model and
+        # of its copy; the slack holds the models' (C + 2, n) fields and the
+        # checks' panels
+        assert peak <= square + 2 * v_bytes[0] + 0.1 * square
 
 
 class TestAccuracy:

@@ -662,8 +662,8 @@ class TestCarriedRowSums:
         inverses = []
         inverse = bench.spd_inverse
 
-        def kept(matrix):
-            inverses.append(inverse(matrix))
+        def kept(matrix, **kwargs):
+            inverses.append(inverse(matrix, **kwargs))
             return inverses[-1]
 
         monkeypatch.setattr(bench, "spd_inverse", kept)
@@ -998,25 +998,48 @@ class TestSpdHelpers:
         assert np.array_equal(G, G.T)
         assert G.flags.c_contiguous
 
-    @pytest.mark.parametrize("layout", ["C", "F", "read-only"])
-    def test_input_never_written(self, layout):
+    @pytest.mark.parametrize("layout, overwrite_a", [
+        ("C", False), ("F", False), ("read-only", False),
+        ("F", True), ("read-only", True), ("integer", True),
+    ], ids=["C", "F", "read-only", "F-overwrite", "read-only-overwrite", "integer-overwrite"])
+    def test_input_never_written(self, layout, overwrite_a):
+        # overwrite_a takes over only a C-contiguous, writeable float64
+        # input; any other input is copied
         M = random_lap(np.random.default_rng(21), 30).matrix
-        expected = spd_inverse(M.copy())
+        if layout == "integer":  # strictly diagonally dominant, so positive definite
+            M = 30 * np.eye(30, dtype=np.int64) - np.add.outer(np.arange(30), np.arange(30)) % 2
+        expected = spd_inverse(M.astype(float))
         if layout == "F":
             M = np.asfortranarray(M)
         kept = M.copy()
         if layout == "read-only":
             M.flags.writeable = False
-        G = spd_inverse(M)
+        G = spd_inverse(M, overwrite_a=overwrite_a)
         assert np.array_equal(M, kept)
         assert np.array_equal(G, expected)
         assert not np.shares_memory(G, M)
 
+    def test_overwrite_a_inverts_a_c_contiguous_float_input_in_place(self):
+        # n = 70 crosses a mirror block edge
+        M = random_lap(np.random.default_rng(25), 70).matrix
+        expected = spd_inverse(M)
+        G = spd_inverse(M, overwrite_a=True)
+        assert np.shares_memory(G, M)
+        assert G.flags.c_contiguous
+        assert G.tobytes() == expected.tobytes()
+        messages = []
+        for overwrite_a in (False, True):
+            with pytest.raises(ValueError, match="not positive definite") as info:
+                spd_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]), overwrite_a=overwrite_a)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2)])
     def test_non_square_rejected_before_lapack(self, monkeypatch, shape):
         monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", _no_lapack)
-        with pytest.raises(ValueError, match="must be square"):
-            spd_inverse(np.ones(shape))
+        for overwrite_a in (False, True):
+            with pytest.raises(ValueError, match="must be square"):
+                spd_inverse(np.ones(shape), overwrite_a=overwrite_a)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(3, 0), (0, 3)], ids=["lower", "upper"])
@@ -1024,9 +1047,12 @@ class TestSpdHelpers:
         # dpotrf reads the lower triangle only; an upper entry must not slip by
         M = random_lap(np.random.default_rng(22), 5).matrix
         M[where] = value
+        kept = M.copy()
         monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", _no_lapack)
-        with pytest.raises(ValueError, match="non-finite"):
-            spd_inverse(M)
+        for overwrite_a in (False, True):
+            with pytest.raises(ValueError, match="non-finite"):
+                spd_inverse(M, overwrite_a=overwrite_a)
+            assert np.array_equal(M, kept, equal_nan=True)
 
     def test_asymmetric_rejected_before_lapack(self, monkeypatch):
         # dpotrf would read the upper triangle only and invert [[2, .5], [.5, 2]]

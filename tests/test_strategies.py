@@ -102,6 +102,14 @@ class TestStrategyConfig:
             Strategy("fl", maxmin=value)
         assert str(info.value) == f"maxmin must be a bool, got {value!r}"
 
+    @pytest.mark.parametrize("value", [5, b"x"])
+    def test_name_must_be_a_string_or_none(self, value):
+        # an int used to fail in ExperimentConfig with
+        # "TypeError: argument of type 'int' is not iterable"
+        with pytest.raises(ValueError) as info:
+            Strategy("tv", name=value)
+        assert str(info.value) == f"name must be a string or None, got {value!r}"
+
     def test_unparsable_confidence_constant_named(self):
         with pytest.raises(ValueError, match="^bad confidence spec 'const:abc'$"):
             Strategy("tv", confidence="const:abc")
@@ -644,9 +652,10 @@ class TestBlockScan:
 
     @pytest.fixture(scope="class")
     def multi_block(self):
-        # |U| = 395: 82 rows per default block, so 5 blocks, the last ragged
+        # |U| = 395: a default block holds both label values of 41 rows, so
+        # 10 blocks, the last ragged
         model = _observed_grid(20, ((0, 1), (399, 0), (210, 1), (57, 0), (342, 1)))
-        height = strategies._BLOCK_BYTES // (8 * model.num_unlabeled)
+        height = strategies._BLOCK_BYTES // (2 * 8 * model.num_unlabeled)
         assert model.num_unlabeled > 3 * height and model.num_unlabeled % height
         return model
 
