@@ -25,7 +25,7 @@ import numpy as np
 
 from . import graph as graph_mod
 from .gmrf import GmrfModel, class_decision, spd_inverse
-from .graph import LabeledGraph, _as_int, _as_real, _as_seed, regularized_laplacian
+from .graph import LabeledGraph, _as_count, _as_real, _as_seed, regularized_laplacian
 from .strategies import BINARY_ONLY_KINDS, Strategy, select
 
 EVAL_MODES = ("remaining", "initial")
@@ -98,11 +98,7 @@ class ExperimentConfig:
             if any(ch in label for ch in ',"\r\n'):  # emit_csv writes unquoted fields
                 raise ValueError(f"strategy label {label!r} must not contain , \" CR or LF")
         for name in ("budget", "runs"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name))
-        if self.budget < 1:
-            raise ValueError("budget must be at least 1")
-        if self.runs < 1:
-            raise ValueError("runs must be at least 1")
+            object.__setattr__(self, name, _as_count(getattr(self, name), name))
         object.__setattr__(self, "delta", _as_real(self.delta, "delta", 0, strict=True))
         object.__setattr__(self, "seed", _as_seed(self.seed))
         if self.eval_on not in EVAL_MODES:

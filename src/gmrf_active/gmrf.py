@@ -31,7 +31,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.linalg
 
-from .graph import RegularizedLaplacian, _as_int
+from .graph import RegularizedLaplacian, _as_int, _as_real
 
 # Diagonal entries of G below this are treated as degenerate pivots.
 PIVOT_FLOOR = 1e-12
@@ -169,11 +169,6 @@ def soft_labels(means):
     return np.clip((means + 1.0) / 2.0, 0.0, 1.0)
 
 
-def _without(a: np.ndarray, pos: int) -> np.ndarray:
-    """Copy of ``a`` without entry ``pos`` along its last axis."""
-    return np.concatenate((a[..., :pos], a[..., pos + 1:]), axis=-1)
-
-
 class GmrfModel:
     """C one-vs-rest Gaussian label fields sharing one inverse, C >= 2.
 
@@ -291,7 +286,9 @@ class GmrfModel:
         self._squares = None  # column sums of squares, from the first square_sums()
         self._V = np.empty((min(n, max(_FOLD_MIN_ROWS, int(_FOLD_SHARE * n))), n))
         self._t = 0
-        self._unlabeled_mask = np.ones(n)  # 1.0 for an unlabeled node, 0.0 for a labeled one
+        # 1.0 for an unlabeled node, 0.0 for a labeled one; observe reads
+        # ``unlabeled`` off it
+        self._unlabeled_mask = np.ones(n)
         self._G = None  # G over the unlabeled nodes, built when first read
         # row c: the value every field takes when class c is observed, then
         # the target 0 of G 1
@@ -408,7 +405,13 @@ class GmrfModel:
         return int(self.unlabeled.size)
 
     def position(self, node: int) -> int:
-        """Positional index of an unlabeled node id; raises if labeled."""
+        """Positional index of an unlabeled node id.
+
+        The one node-id check of the model and of every per-node scorer:
+        ``node`` goes through the integer rule, so a bool or a float (``2.0``
+        too) is rejected, and a labeled or unknown id raises.
+        """
+        node = _as_int(node, "node id")
         pos = int(self.unlabeled.searchsorted(node))
         if pos >= self.unlabeled.size or self.unlabeled[pos] != node:
             raise ValueError(f"node {node} is not unlabeled")
@@ -441,9 +444,10 @@ class GmrfModel:
         ``O(n^2)`` when the sums of squares are carried or ``V`` is folded
         and ``O(|U|^2)`` when ``G`` is carried; independent of the class
         count. A node or class id that is a bool or not an integer is
-        rejected before any state changes.
+        rejected before any state changes: the class id here, the node id
+        by :meth:`position`. The unlabeled set is read off the unlabeled
+        mask.
         """
-        node = _as_int(node, "node id")
         class_id = _as_int(class_id, "class id")
         if class_id not in range(self.num_classes):
             raise ValueError(f"class id {class_id} outside 0..{self.num_classes - 1}")
@@ -474,8 +478,8 @@ class GmrfModel:
         self._fields[-1] -= square
         self._t = t + 1
         self._unlabeled_mask[k] = 0.0
-        self.unlabeled = _without(self.unlabeled, pos)
-        self.labeled[node] = class_id
+        self.unlabeled = self._unlabeled_mask.nonzero()[0]
+        self.labeled[k] = class_id
         if self._G is not None:
             self._G = _deleted_downdate(self._G, pos, s.take(self.unlabeled))
         self._gather()
@@ -502,14 +506,16 @@ def conditional_mean_direct(lap: RegularizedLaplacian, labeled: dict) -> np.ndar
     against. The fresh block ``M_UU`` is factored in place through its
     Fortran-ordered transpose, which holds the same matrix because ``M`` is
     exactly symmetric, so the solve holds one ``|U|^2`` array. A labeled id
-    that is not an integer in ``0..n-1`` is rejected before the solve.
+    that is not an integer in ``0..n-1``, or a label value that the
+    real-number rule rejects (a bool, a string, None or a non-finite
+    number), is rejected, naming the node, before anything is factored.
     """
     if not labeled:
         raise ValueError("at least one labeled node is required")
     for node in labeled:
         if not 0 <= _as_int(node, "labeled node id") < lap.n:
             raise ValueError(f"labeled node id {node} outside 0..{lap.n - 1}")
-    labeled = {int(k): float(v) for k, v in labeled.items()}
+    labeled = {int(k): _as_real(v, f"label of node {k}") for k, v in labeled.items()}
     lab_ids = sorted(labeled)
     unl_ids = [i for i in range(lap.n) if i not in labeled]
     if not unl_ids:

@@ -349,6 +349,15 @@ def _as_seed(value) -> int:
     return seed
 
 
+def _as_count(value, what: str) -> int:
+    """A count (``budget``, ``runs``, the iteration ``t``) by the integer
+    rule, which must also be at least 1."""
+    count = _as_int(value, what)
+    if count < 1:
+        raise ValueError(f"{what} must be >= 1, got {count}")
+    return count
+
+
 def _as_real(value, what: str, low: float | None = None, *, strict: bool = False) -> float:
     """The real-number rule of every real scalar input, ``what`` naming it:
     ``value`` as a finite float of at least ``low``, or above it if

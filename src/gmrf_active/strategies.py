@@ -21,7 +21,7 @@ The four closed-form kinds vm, sigma-opt, tv and msd share one scan in
 :func:`utility_scores` over two column norms of ``G``: the carried ``G 1``
 (sigma-opt, tv) and the column sums of squares (vm, msd). For C >= 3, tv and
 msd weigh a node by its class spread ``sum_c (1 - pbar_c^2)`` in place of the
-binary ``1 - mu_i^2``; klg, fl and kl are binary only.
+binary ``1 - mu_i^2``; the kinds in ``BINARY_ONLY_KINDS`` are binary only.
 
 A :class:`Strategy` bundles a scorer with its confidence schedule ``a_t``
 (mixing the posterior toward the uninformative prior) and an optional
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gmrf import DECISION_ATOL, PIVOT_FLOOR, GmrfModel, soft_labels
-from .graph import _as_real
+from .graph import _as_count, _as_real
 
 KINDS = ("random", "unc", "vm", "sigma-opt", "fl", "klg", "kl", "tv", "msd")
 RETRAINING_KINDS = ("fl", "kl")
@@ -151,10 +151,24 @@ def _binary_mu(model: GmrfModel) -> np.ndarray:
     """``model.mu``; a model with more than two classes has none to score."""
     if model.mu is None:
         raise ValueError(
-            "the scorers klg, fl and kl are defined for binary models only, "
-            f"but the model has {model.num_classes} classes"
+            f"the scorers {', '.join(BINARY_ONLY_KINDS)} are defined for binary models "
+            f"only, but the model has {model.num_classes} classes"
         )
     return model.mu
+
+
+def _pivots(model: GmrfModel, positions) -> np.ndarray:
+    """``diag(G)`` at ``positions``, an index array or a slice, of which
+    there must be at least one. If one is degenerate, the positions go to
+    :meth:`GmrfModel.pivot` in order, and the first degenerate one raises,
+    naming its node. A passing scan costs one minimum over its pivots."""
+    pivots = model.diagonal[positions]
+    if pivots.size == 0:
+        raise ValueError("no unlabeled nodes to score")
+    if pivots.min() < PIVOT_FLOOR:
+        for pos in np.arange(model.num_unlabeled)[positions]:
+            model.pivot(int(pos))
+    return pivots
 
 
 def _label_weight(model: GmrfModel, pos: int, binary_scale: float) -> float:
@@ -215,11 +229,12 @@ def _expected_change(model: GmrfModel, kind: str, alpha: float, maxmin: bool,
     Each candidate label gives one total change over ``U \\ {node}``: the
     prediction flips (fl) or the summed Bernoulli divergences of the soft
     labels (kl) that its hypothetical mean causes. The two totals are
-    combined by the confidence-mixed posterior of ``node``, or by the
-    minimum when ``maxmin`` is set. The reference labels (fl), their floored
-    logs (kl) and the mixed posterior are built once per call, and every
-    pivot is checked before any scoring: the first degenerate one in
-    ``positions`` order raises.
+    combined by the posterior of ``node`` mixed by the confidence weight
+    ``alpha``, which the caller takes from a :class:`Strategy` (so it lies
+    in [0, 1]), or by the minimum when ``maxmin`` is set. The reference
+    labels (fl), their floored logs (kl) and the mixed posterior are built
+    once per call, and every pivot is checked by :func:`_pivots` before any
+    scoring: the first degenerate one in ``positions`` order raises.
 
     The candidates are scored in blocks of rows of ``G``, each gathered
     once and scored for both label values in one pass over a
@@ -235,14 +250,9 @@ def _expected_change(model: GmrfModel, kind: str, alpha: float, maxmin: bool,
     holds more than a few ``_BLOCK_BYTES`` of temporaries, so a scan
     materializes no ``|U|^2`` array.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"confidence weight must lie in [0, 1], got {alpha}")
     mu = _binary_mu(model)
     positions = np.asarray(positions, dtype=np.intp)
-    pivots = model.diagonal[positions]
-    degenerate = np.flatnonzero(pivots < PIVOT_FLOOR)
-    if degenerate.size:
-        model.pivot(int(positions[degenerate[0]]))  # raises, naming the node
+    pivots = _pivots(model, positions)
     p = soft_labels(mu)
     if kind == "fl":
         above = mu > DECISION_ATOL
@@ -280,14 +290,17 @@ def _expected_change(model: GmrfModel, kind: str, alpha: float, maxmin: bool,
     return scores
 
 
-def score_fl(model: GmrfModel, node: int, alpha: float = 0.0, maxmin: bool = False) -> float:
+def score_fl(model: GmrfModel, node: int) -> float:
     """Expected number of prediction flips among the other unlabeled nodes.
 
     A node flips when its hypothetical mean changes its binary decision
-    (above ``DECISION_ATOL`` or not) against the current one; see
-    :func:`_expected_change` for how the two labels combine.
+    (above ``DECISION_ATOL`` or not) against the current one. The two
+    labels are weighed by the node's own soft label, the ``none``
+    confidence; a schedule or the worst case is a :class:`Strategy`'s, read
+    through :func:`utility_scores`. This is the scan's own code on a
+    one-row block (:func:`_expected_change`).
     """
-    return float(_expected_change(model, "fl", alpha, maxmin, [model.position(node)])[0])
+    return float(_expected_change(model, "fl", 0.0, False, [model.position(node)])[0])
 
 
 def _bernoulli_kl(p, q) -> np.ndarray:
@@ -329,14 +342,15 @@ def _kl_from_logs(p: np.ndarray, log_q: np.ndarray, log_1mq: np.ndarray) -> np.n
     return np.maximum(term, 0.0, out=term)
 
 
-def score_kl(model: GmrfModel, node: int, alpha: float = 0.0, maxmin: bool = False) -> float:
+def score_kl(model: GmrfModel, node: int) -> float:
     """Summed Bernoulli divergences inflicted on the other unlabeled nodes.
 
     Every other node's soft label moves from ``(mu_j + 1) / 2`` to that of
-    the hypothetical mean; the per-node divergences are summed and the two
-    labels combined as in :func:`_expected_change`.
+    the hypothetical mean, and the per-node divergences are summed. The two
+    labels are weighed as in :func:`score_fl`, by the scan's own code on a
+    one-row block.
     """
-    return float(_expected_change(model, "kl", alpha, maxmin, [model.position(node)])[0])
+    return float(_expected_change(model, "kl", 0.0, False, [model.position(node)])[0])
 
 
 def _top_two_margin(means: np.ndarray) -> np.ndarray:
@@ -363,15 +377,6 @@ def _class_spread(mm: GmrfModel) -> np.ndarray:
     return mm.num_classes - (pbar * pbar).sum(axis=0)
 
 
-def _scan_diag(model: GmrfModel) -> np.ndarray:
-    dg = model.diagonal
-    if dg.size == 0:
-        raise ValueError("no unlabeled nodes to score")
-    if dg.min() < PIVOT_FLOOR:
-        raise ValueError(f"degenerate diagonal in G (min {dg.min():.3e})")
-    return dg
-
-
 def utility_scores(strategy: Strategy, model, t: int) -> np.ndarray:
     """Schedule-adjusted scores of every unlabeled node at iteration ``t``.
 
@@ -381,18 +386,21 @@ def utility_scores(strategy: Strategy, model, t: int) -> np.ndarray:
     score and msd toward the vm score
     (``0.5 a_t * ensemble + (1 - a_t) * adaptive``), while klg/fl/kl take
     their label expectation under the mixed posterior. Returned array aligns
-    with ``model.unlabeled``.
+    with ``model.unlabeled``. ``t`` goes through the integer rule and must
+    be at least 1; every scan rejects a degenerate pivot by
+    :meth:`GmrfModel.pivot`, naming the first such node.
     """
+    t = _as_count(t, "t")
     kind = strategy.kind
     if kind == "random":
         raise ValueError("the random strategy is not score-driven")
     alpha = strategy.alpha(t)
-    dg = _scan_diag(model)
-    if kind == "unc":
-        return _top_two_margin(model.means)
     if kind in RETRAINING_KINDS:
         return _expected_change(model, kind, alpha, strategy.maxmin,
                                 np.arange(model.num_unlabeled))
+    dg = _pivots(model, slice(None))
+    if kind == "unc":
+        return _top_two_margin(model.means)
     if kind == "klg":
         mu = _binary_mu(model)
         if alpha == 0.0:
@@ -433,12 +441,14 @@ def select(strategy: Strategy, model, t: int, rng: np.random.Generator) -> int:
     relative of the best, or within ``TIE_ATOL`` (machine epsilon) per
     unlabeled node of it, tie with it, and of tied nodes the lowest id wins:
     rounding alone never decides a tie, even when every score is at
-    rounding level.
+    rounding level. ``t`` goes through the integer rule and must be at
+    least 1, before any branch, draw or scan.
     """
+    t = _as_count(t, "t")
     ids = model.unlabeled
     if ids.size == 0:
         raise ValueError("no unlabeled nodes to select from")
-    if t <= 1 or strategy.kind == "random":
+    if t == 1 or strategy.kind == "random":
         return _uniform_draw(ids, rng)
     pi_t = strategy.mixing_probability(t)
     if pi_t > 0.0 and rng.random() < pi_t:

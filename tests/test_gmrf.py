@@ -188,6 +188,16 @@ class TestConditionalMeanDirect:
         with pytest.raises(ValueError, match=rf"^labeled node id {bad!r} is not an integer$"):
             conditional_mean_direct(lap, {bad: 1.0})
 
+    @pytest.mark.parametrize("bad", [True, "1", np.nan, np.inf, None])
+    def test_non_real_label_value_rejected_naming_the_node(self, monkeypatch, bad):
+        # True and "1" solved as 1.0, nan failed inside cho_solve after the
+        # factorization, and None raised a TypeError
+        monkeypatch.setattr(scipy.linalg, "cho_factor", _no_lapack)
+        lap = regularized_laplacian(grid_graph(4, 4, seed=0).graph, 0.005)
+        with pytest.raises(ValueError) as info:
+            conditional_mean_direct(lap, {3: 1.0, 0: bad})
+        assert str(info.value) == f"label of node 0 must be finite, got {bad!r}"
+
     def test_integer_ids_of_any_integer_type_accepted(self):
         lap = regularized_laplacian(grid_graph(4, 4, seed=0).graph, 0.005)
         expected = conditional_mean_direct(lap, {3: 1.0, 9: -1.0})

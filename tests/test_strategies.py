@@ -1,5 +1,6 @@
 """Utility scores, confidence schedules, and query selection."""
 
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -284,7 +285,7 @@ class TestFl:
     def test_maxmin_takes_worst_label(self):
         lap = regularized_laplacian(Graph(2, {(0, 1): 1.0}), 0.1)
         model = GmrfModel.from_laplacian(lap, 2)
-        assert score_fl(model, 0, maxmin=True) == 0.0
+        assert utility_scores(Strategy("fl", maxmin=True), model, t=2)[0] == 0.0
 
     def test_move_inside_the_tie_band_is_no_flip(self):
         # querying node 0 moves node 1 from 1e-15 to 3e-15 or -1e-15, inside
@@ -293,7 +294,7 @@ class TestFl:
         G = [[1.0, 2e-15, 0.5], [2e-15, 1.0, 0.0], [0.5, 0.0, 1.0]]
         model = model_with_state([0.0, 1e-15, 0.0], G)
         assert score_fl(model, 0) == 0.5
-        assert score_fl(model, 0, maxmin=True) == 0.0
+        assert utility_scores(Strategy("fl", maxmin=True), model, t=2)[0] == 0.0
 
 
 class TestKl:
@@ -411,10 +412,9 @@ class TestConfidence:
             assert adjusted[idx] == pytest.approx(expected, rel=1e-12)
 
     def test_out_of_range_alpha_rejected(self):
-        rng = np.random.default_rng(14)
-        model = make_model(rng, 6)
+        # the schedule lives in Strategy, the one place that checks it
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            score_fl(model, 0, alpha=1.5)
+            Strategy("fl", confidence="const:1.5")
 
 
 class TestLabelFlipInvariance:
@@ -459,6 +459,9 @@ class TestUniformScaling:
             sa = utility_scores(Strategy(kind), a, t=3)
             sb = utility_scores(Strategy(kind), b, t=3)
             assert int(np.argmax(sa)) == int(np.argmax(sb))
+
+
+PER_NODE_SCORERS = sorted(name for name in gmrf_active.__all__ if name.startswith("score_"))
 
 
 class TestScanConsistency:
@@ -577,6 +580,25 @@ class TestScanConsistency:
         exported = sorted(name for name in gmrf_active.__all__ if name.startswith("score_"))
         scored = sorted("score_" + kind.replace("-", "_") for kind in KINDS if kind != "random")
         assert exported == scored
+        # the schedule is a Strategy's: no scorer takes one of its own
+        for name in exported:
+            params = list(inspect.signature(getattr(gmrf_active, name)).parameters)
+            assert params == ["model", "node"], name
+
+    @pytest.mark.parametrize("name", PER_NODE_SCORERS)
+    @pytest.mark.parametrize("node, message", [
+        (True, "node id True is not an integer"),
+        (np.float64(2.0), "node id np.float64(2.0) is not an integer"),
+    ])
+    def test_per_node_scorer_rejects_non_integer_node_ids(self, name, node, message):
+        # True and 2.0 were scored as nodes 1 and 2, while observe rejected them
+        model = make_model(np.random.default_rng(32), 6)
+        with pytest.raises(ValueError) as raised:
+            getattr(gmrf_active, name)(model, node)
+        assert str(raised.value) == message
+        with pytest.raises(ValueError) as observed:
+            model.observe(node, 1)
+        assert str(observed.value) == message
 
 
 def _column_loop(model, kind, alpha, maxmin):
@@ -709,10 +731,15 @@ class TestBlockScan:
 
     @pytest.mark.parametrize("scorer, kind", [(score_fl, "fl"), (score_kl, "kl")])
     def test_per_node_scorer_is_a_one_row_block(self, multi_block, scorer, kind):
+        # the scorer weighs the labels by the none confidence; a schedule is
+        # read through utility_scores, with the same bits per node
+        scan = utility_scores(Strategy(kind, confidence="const:0.3"), multi_block, t=2)
         for node in multi_block.unlabeled[::37]:
             pos = multi_block.position(int(node))
+            expected = _per_candidate_loop(multi_block, kind, 0.0, False, [pos])[0]
+            assert scorer(multi_block, int(node)) == expected
             expected = _per_candidate_loop(multi_block, kind, 0.3, False, [pos])[0]
-            assert scorer(multi_block, int(node), alpha=0.3) == expected
+            assert scan[pos] == expected
 
     @pytest.mark.parametrize("maxmin", [False, True])
     def test_kl_soft_labels_match_the_former_expression(self, monkeypatch, multi_block, maxmin):
@@ -832,7 +859,7 @@ class TestScanGuards:
     def test_degenerate_diagonal_rejected(self, num_classes, kind):
         G = np.diag([1.0, 0.5 * PIVOT_FLOOR])
         model = GmrfModel(G, np.zeros((num_classes, 2)))
-        with pytest.raises(ValueError, match="degenerate diagonal in G"):
+        with pytest.raises(ValueError, match="degenerate pivot .* at node 1"):
             utility_scores(Strategy(kind), model, t=2)
 
 
@@ -983,6 +1010,30 @@ class TestSelect:
         a = [select(s, model, t, np.random.default_rng(2)) for t in (2, 3)]
         b = [select(s, model, t, np.random.default_rng(2)) for t in (2, 3)]
         assert a == b
+
+    @pytest.mark.parametrize("entry", ["select", "utility_scores"])
+    @pytest.mark.parametrize("t, message", [
+        (0, "t must be >= 1, got 0"),
+        (-3, "t must be >= 1, got -3"),
+        (True, "t True is not an integer"),
+        (1.5, "t 1.5 is not an integer"),
+        (np.float64(2.0), "t np.float64(2.0) is not an integer"),
+    ])
+    def test_bad_iteration_rejected_before_any_draw_or_scan(self, entry, t, message):
+        # 0, -3 and True took the random first-query branch, and 1.5 gave a
+        # schedule another a_t than 2
+        model = make_model(np.random.default_rng(33), 8, observed=1)
+        strategy = Strategy("fl", confidence="inv_sqrt", hybrid_scale=0.5)
+        rng = np.random.default_rng(0)
+        state, before = rng.bit_generator.state, model.retrain_calls
+        with pytest.raises(ValueError) as raised:
+            if entry == "select":
+                select(strategy, model, t, rng)
+            else:
+                utility_scores(strategy, model, t)
+        assert str(raised.value) == message
+        assert rng.bit_generator.state == state
+        assert model.retrain_calls == before
 
     def test_empty_pool_rejected(self):
         model = model_with_state(np.zeros(0), np.zeros((0, 0)))
