@@ -56,6 +56,14 @@ _MIRROR_BLOCK = 64
 _FOLD_SHARE = 0.125
 _FOLD_MIN_ROWS = 128
 
+# Bytes of one row panel of G_0 in the first read of the column sums of
+# squares; the Gram rows of a panel take as many again. With one row in V
+# (one BLAS thread) 256 KB panels read in 0.27, 11 and 41 ms at n=300, 2025
+# and 3969; 128 and 512 KB were within 15% of that at n=2025 and 3969, 64 KB
+# and 4 MB took 1.5-2.4x as long, and the former build over G took 0.84, 47
+# and 158 ms.
+_PANEL_BYTES = 256 * 1024
+
 
 def spd_inverse(matrix: np.ndarray, *, overwrite_a: bool = False) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix in one working buffer.
@@ -213,8 +221,10 @@ class GmrfModel:
     the previous block without row and column ``k``, minus ``s_U s_U^T``,
     with ``s_U`` the step column at the remaining unlabeled nodes, in a
     fresh array. ``G`` and :meth:`square_sums` read the carried block when
-    there is one; otherwise they build one and do not keep it, so a model
-    that never reads rows (every scorer but fl and kl) never carries it.
+    there is one. Otherwise ``G`` builds one and does not keep it, and
+    :meth:`square_sums` streams row panels of ``G_0`` and builds none, so a
+    model that never reads rows (every scorer but fl and kl) never carries
+    it.
 
     :meth:`copy` starts an independent model from this one's state in
     ``O(C n + t n)``, aliasing the same ``G_0`` and checking nothing again,
@@ -387,14 +397,56 @@ class GmrfModel:
     def square_sums(self) -> np.ndarray:
         """Column sums of squares ``||g_j||_2^2`` of ``G`` over ``unlabeled``.
 
-        The first call sums them over ``G``, which it does not keep; from
+        The first call sums them over the carried ``G`` if there is one,
+        else over row panels of ``G_0`` (:meth:`_panel_square_sums`); from
         then on :meth:`observe` carries them.
         """
         if self._squares is None:
-            G = self._block()
-            self._squares = np.zeros(self._fields.shape[1])
-            self._squares[self.unlabeled] = np.einsum("ij,ij->j", G, G)
+            if self._G is None:
+                self._squares = self._panel_square_sums()
+            else:
+                self._squares = np.zeros(self._fields.shape[1])
+                self._squares[self.unlabeled] = np.einsum("ij,ij->j", self._G, self._G)
         return self._squares.take(self.unlabeled)
+
+    def _panel_square_sums(self) -> np.ndarray:
+        """Column sums of squares of ``G_0[U] - V_U^T V``, at every node id.
+
+        The rows of ``G`` at the unlabeled nodes are read in panels of
+        ``_PANEL_BYTES``, over all ``n`` columns, into one reused buffer:
+        each panel is taken from ``G_0``, less its rows of the Gram term,
+        squared in place, and added to the running sums in row order. Row 0
+        of the buffer carries those sums into one axis-0 reduction, which
+        adds row after row as ``einsum("ij,ij->j", G, G)`` does, so no
+        column is gathered and no ``|U|^2`` array is built. The columns at
+        labeled nodes are summed too and never read. A panel's Gram rows
+        come from a BLAS ``gemm``, which rounds as the ``syrk`` of
+        :func:`_minus_gram` does with up to four rows in ``V`` (OpenBLAS 0.3.31,
+        on grids and communities; one row, as ``run_experiment``'s first read
+        has unless the hybrid rule delays it, is a single product either
+        way). With more rows some edge columns of ``syrk`` round otherwise,
+        and the sums differ from the former build's by at most about 6e-16
+        relative.
+        """
+        base, V, ids = self._base, self._V[:self._t], self.unlabeled
+        n = base.shape[0]
+        height = max(1, _PANEL_BYTES // (base.itemsize * max(n, 1)) - 1)
+        work = np.empty((min(height, ids.size) + 1, n))
+        gram = np.empty((work.shape[0] - 1, n))
+        sums = np.zeros(n)
+        for start in range(0, ids.size, height):
+            rows = ids[start:start + height]
+            h = rows.size
+            panel = work[1:h + 1]
+            # the ids are valid, and mode "raise" would buffer out
+            base.take(rows, axis=0, out=panel, mode="clip")
+            # np.dot, not matmul: the same bits, and with one row in V
+            # matmul took numpy's own loop, 3-4x slower
+            panel -= np.dot(V.take(rows, axis=1).T, V, out=gram[:h])
+            panel *= panel
+            work[0] = sums
+            np.add.reduce(work[:h + 1], axis=0, out=sums)
+        return sums
 
     @property
     def num_classes(self) -> int:
@@ -547,9 +599,13 @@ def class_decision(means: np.ndarray) -> np.ndarray:
     means = np.asarray(means, dtype=float)
     if means.shape[0] == 2:
         return (means[1] > DECISION_ATOL).astype(np.intp)
-    soft = np.maximum(means + 1.0, 0.0)
-    mass = soft.sum(axis=1, keepdims=True)
-    scores = np.divide(soft, mass, out=np.full_like(soft, -np.inf), where=mass > 0.0)
+    scores = means + 1.0
+    np.maximum(scores, 0.0, out=scores)
+    mass = scores.sum(axis=1, keepdims=True)
+    if mass.min() > 0.0:
+        scores /= mass
+    else:
+        scores = np.divide(scores, mass, out=np.full_like(scores, -np.inf), where=mass > 0.0)
     return np.argmax(scores, axis=0)
 
 

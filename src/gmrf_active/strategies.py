@@ -108,14 +108,17 @@ class Strategy:
         return self.name or self.kind
 
     def alpha(self, t: int) -> float:
-        """Confidence weight ``a_t`` at iteration ``t`` (1-based)."""
+        """Confidence weight ``a_t`` at iteration ``t``, which goes through
+        the integer rule and must be at least 1."""
+        t = _as_count(t, "t")
         if self._confidence is None:
-            return min(1.0, 1.0 / math.sqrt(max(t, 1)))
+            return min(1.0, 1.0 / math.sqrt(t))
         return self._confidence
 
     def mixing_probability(self, t: int) -> float:
-        """Uniform-branch probability ``pi_t`` at iteration ``t``."""
-        return min(1.0, self.hybrid_scale / math.sqrt(max(t, 1)))
+        """Uniform-branch probability ``pi_t`` at iteration ``t``, which goes
+        through the integer rule and must be at least 1."""
+        return min(1.0, self.hybrid_scale / math.sqrt(_as_count(t, "t")))
 
 
 def _parse_confidence(text: str) -> float | None:
@@ -369,12 +372,22 @@ def score_unc(model: GmrfModel, node: int) -> float:
 
 
 def _class_spread(mm: GmrfModel) -> np.ndarray:
-    """``sum_c (1 - pbar_c^2)`` per node, with pbar the normalized shifted means."""
-    shifted = soft_labels(mm.means)
-    total = shifted.sum(axis=0)
-    safe = np.where(total > 0, total, 1.0)
-    pbar = np.where(total > 0, shifted / safe, 1.0 / mm.num_classes)
-    return mm.num_classes - (pbar * pbar).sum(axis=0)
+    """``sum_c (1 - pbar_c^2)`` per node, with pbar the normalized shifted means.
+
+    A node whose soft labels are all 0 has the uniform pbar ``1 / C``.
+    """
+    # soft_labels(mm.means), in place on one array
+    pbar = mm.means + 1.0
+    pbar /= 2.0
+    np.clip(pbar, 0.0, 1.0, out=pbar)
+    total = pbar.sum(axis=0)
+    if (total > 0).all():
+        pbar /= total
+    else:
+        safe = np.where(total > 0, total, 1.0)
+        pbar = np.where(total > 0, pbar / safe, 1.0 / mm.num_classes)
+    pbar *= pbar
+    return mm.num_classes - pbar.sum(axis=0)
 
 
 def utility_scores(strategy: Strategy, model, t: int) -> np.ndarray:
@@ -390,11 +403,10 @@ def utility_scores(strategy: Strategy, model, t: int) -> np.ndarray:
     be at least 1; every scan rejects a degenerate pivot by
     :meth:`GmrfModel.pivot`, naming the first such node.
     """
-    t = _as_count(t, "t")
+    alpha = strategy.alpha(t)  # the scan's one check of t
     kind = strategy.kind
     if kind == "random":
         raise ValueError("the random strategy is not score-driven")
-    alpha = strategy.alpha(t)
     if kind in RETRAINING_KINDS:
         return _expected_change(model, kind, alpha, strategy.maxmin,
                                 np.arange(model.num_unlabeled))
@@ -444,13 +456,12 @@ def select(strategy: Strategy, model, t: int, rng: np.random.Generator) -> int:
     rounding level. ``t`` goes through the integer rule and must be at
     least 1, before any branch, draw or scan.
     """
-    t = _as_count(t, "t")
+    pi_t = strategy.mixing_probability(t)  # select's one check of t
     ids = model.unlabeled
     if ids.size == 0:
         raise ValueError("no unlabeled nodes to select from")
     if t == 1 or strategy.kind == "random":
         return _uniform_draw(ids, rng)
-    pi_t = strategy.mixing_probability(t)
     if pi_t > 0.0 and rng.random() < pi_t:
         return _uniform_draw(ids, rng)
     scores = utility_scores(strategy, model, t)

@@ -400,6 +400,23 @@ class TestInverseReuse:
         # checks' panels
         assert peak <= square + 2 * v_bytes[0] + 0.1 * square
 
+    @pytest.mark.parametrize("kind", ["vm", "msd"])
+    def test_column_norm_kinds_peak_without_a_square_temporary(self, kind):
+        # the first read of the column sums of squares streams row panels of
+        # the inverse; the former build over G took 3.31 x 8 n^2 here
+        cfg = ExperimentConfig("grid:30x30", [Strategy(kind)], budget=30, runs=1)
+        run_experiment(cfg)  # first call loads what it needs outside the measurement
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured 1.39 x 8 n^2: the inverse, the step-column buffers V of the
+        # start model and of its copy (0.14 each) and two 256 KB panels
+        # (0.08); the margin of 0.11 is about one more V buffer
+        assert peak <= 1.5 * 8 * 900 * 900
+
 
 class TestAccuracy:
     def test_all_correct(self):

@@ -2,6 +2,7 @@
 
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from gmrf_active import (
     run_experiment,
     spd_inverse,
 )
-from gmrf_active import bench, gmrf
+from gmrf_active import bench, gmrf, strategies
 from gmrf_active.bench import accuracy
 from gmrf_active.checks import random_connected_graph
 from gmrf_active.gmrf import DECISION_ATOL, class_decision, soft_labels
@@ -591,6 +592,79 @@ class TestCarriedG:
         assert peak <= 16 * 8 * model._fields.shape[1]
 
 
+def former_square_sums(model):
+    """The former first read of the column sums of squares: ``G`` over the
+    unlabeled nodes built by row and column gathers and ``_minus_gram``."""
+    idx = model.unlabeled
+    G = gmrf._minus_gram(model._base[idx][:, idx], model._V[:model._t][:, idx])
+    return np.einsum("ij,ij->j", G, G)
+
+
+class TestPanelSquareSums:
+    """The first read of the column sums of squares streams row panels of
+    ``G_0`` (35 rows a panel over the 900 nodes of a 30x30 grid, so 26
+    panels, the last one partial) and equals the former build over ``G``."""
+
+    @staticmethod
+    def grid_model(num_classes, steps, rows=30):
+        lap = regularized_laplacian(grid_graph(rows, rows, seed=5).graph, 0.005)
+        model = GmrfModel.from_laplacian(lap, num_classes)
+        rng = np.random.default_rng(90 + num_classes)
+        for node in rng.permutation(model.num_unlabeled)[:steps]:
+            model.observe(int(node), int(rng.integers(num_classes)))
+        return model
+
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_first_read_equals_the_former_build_bit_for_bit(self, num_classes, t):
+        model = self.grid_model(num_classes, t)
+        assert model._t == t and model._G is None
+        expected = former_square_sums(model)
+        assert model.square_sums().tobytes() == expected.tobytes()
+        assert model._G is None
+
+    def test_read_after_a_fold_equals_the_former_build_bit_for_bit(self, monkeypatch):
+        # V folds at 4 rows, so the read sums a private G_0 less two rows of V
+        monkeypatch.setattr(gmrf, "_FOLD_SHARE", 0.0)
+        monkeypatch.setattr(gmrf, "_FOLD_MIN_ROWS", 4)
+        model = self.grid_model(3, 6)
+        assert model._t == 2 and model._base.shape == (900, 900)
+        expected = former_square_sums(model)
+        assert model.square_sums().tobytes() == expected.tobytes()
+
+    def test_carried_G_is_summed_as_before(self):
+        # fl and kl carry G, so their first read sums the carried block
+        model = self.grid_model(2, 1, rows=12)
+        model.rows([0])
+        for node in (3, 70, 141):
+            model.observe(node, 1)
+        G = model.G
+        assert model.square_sums().tobytes() == np.einsum("ij,ij->j", G, G).tobytes()
+
+    def test_follows_the_built_G_up_to_forty_rows_of_V(self):
+        model = self.grid_model(3, 0, rows=20)
+        rng = np.random.default_rng(93)
+        for node in rng.permutation(model.num_unlabeled)[:40]:
+            model.observe(int(node), int(rng.integers(3)))
+            twin = model.copy()  # not read yet, so its first read streams
+            G = twin.G
+            np.testing.assert_allclose(twin.square_sums(), (G * G).sum(axis=0),
+                                       rtol=1e-12, atol=0)
+
+    def test_peak_memory_is_two_panels(self):
+        model = self.grid_model(2, 1)
+        model.copy().square_sums()  # loads what it needs outside the measurement
+        tracemalloc.start()
+        try:
+            model.square_sums()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one |U|^2 array would take 6.5 MB; a panel and its Gram rows take
+        # _PANEL_BYTES each, and the sums and their gather O(n)
+        assert peak <= 2 * gmrf._PANEL_BYTES + 64 * 900
+
+
 class TestCarriedRowSums:
     """``row_sums`` follows ``G 1`` and ``G`` stays exactly symmetric."""
 
@@ -949,6 +1023,61 @@ class TestClassDecision:
             winners = class_decision(means)
         # masses 1.8 and 1.85: column 2 scores 0.1/1.8 against 0.05/1.85
         assert winners.tolist() == [1, 2, 1, 1]
+
+
+class TestMulticlassRulesMatchFormerFormulas:
+    """``class_decision`` (C >= 3) and the tv / msd class spread divide in
+    place and pick the winner by row comparisons; both equal the former
+    masked formulas bit for bit."""
+
+    @staticmethod
+    def fuzzed_means(rng, cases):
+        """Seeded ``(C, |U|)`` means, C >= 3, with the edge cases of the
+        multi-class rules: a class with no mass, means exactly at -1,
+        classes tied exactly, and nodes whose soft labels are all 0."""
+        for case in range(cases):
+            c, m = int(rng.integers(3, 6)), int(rng.integers(1, 30))
+            means = rng.uniform(-1.4, 1.2, (c, m))
+            if case % 2:  # means exactly at -1
+                means[rng.random((c, m)) < 0.3] = -1.0
+            if case % 3 == 0:  # a class with no mass
+                means[rng.integers(c)] = -1.0 - rng.uniform(0.0, 0.2, m)
+            if case % 4 == 0:  # two classes tied exactly, at every node or at some
+                a, b = rng.choice(c, 2, replace=False)
+                tied = np.ones(m, dtype=bool) if case % 8 == 0 else rng.random(m) < 0.5
+                means[b, tied] = means[a, tied]
+            if case % 5 == 0:  # nodes whose soft labels are all 0
+                means[:, rng.random(m) < 0.3] = -1.0
+            yield means
+
+    def test_class_decision(self):
+        def former(means):
+            soft = np.maximum(means + 1.0, 0.0)
+            mass = soft.sum(axis=1, keepdims=True)
+            scores = np.divide(soft, mass, out=np.full_like(soft, -np.inf),
+                               where=mass > 0.0)
+            return np.argmax(scores, axis=0)
+
+        for means in self.fuzzed_means(np.random.default_rng(19), 2000):
+            with np.errstate(all="raise"):
+                winners = class_decision(means)
+            assert winners.dtype == np.intp
+            assert np.array_equal(winners, former(means))
+
+    def test_class_spread(self):
+        def former(means):
+            c = means.shape[0]
+            shifted = soft_labels(means)
+            total = shifted.sum(axis=0)
+            safe = np.where(total > 0, total, 1.0)
+            pbar = np.where(total > 0, shifted / safe, 1.0 / c)
+            return c - (pbar * pbar).sum(axis=0)
+
+        for means in self.fuzzed_means(np.random.default_rng(23), 2000):
+            model = SimpleNamespace(means=means, num_classes=means.shape[0])
+            with np.errstate(all="raise"):
+                spread = strategies._class_spread(model)
+            assert spread.tobytes() == former(means).tobytes()
 
 
 def cho_solve_inverse(M):

@@ -143,6 +143,23 @@ class TestStrategyConfig:
             with pytest.raises(ValueError, match="hybrid_scale"):
                 Strategy("tv", hybrid_scale=bad)
 
+    @pytest.mark.parametrize("schedule", ["alpha", "mixing_probability"])
+    @pytest.mark.parametrize("t, message", [
+        (0, "t must be >= 1, got 0"),
+        (-3, "t must be >= 1, got -3"),
+        (True, "t True is not an integer"),
+        (1.5, "t 1.5 is not an integer"),
+    ])
+    def test_schedules_reject_a_bad_iteration(self, schedule, t, message):
+        # each returned 1.0 for True, 0 and -3, and a_t for 1.5 was 0.816
+        strategy = Strategy("tv", confidence="inv_sqrt", hybrid_scale=2.0)
+        with pytest.raises(ValueError) as raised:
+            getattr(strategy, schedule)(t)
+        assert str(raised.value) == message
+        # a constant schedule, which does not read t, checks it too
+        with pytest.raises(ValueError, match="^t "):
+            getattr(Strategy("tv", confidence="const:0.2"), schedule)(t)
+
     def test_mixing_schedule_nonincreasing(self):
         s = Strategy("unc", hybrid_scale=1.0)
         values = [s.mixing_probability(t) for t in range(1, 30)]
