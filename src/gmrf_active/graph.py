@@ -56,7 +56,7 @@ class Graph:
 
     def __init__(self, n: int, edges: Mapping[Edge, float]):
         m = len(edges)
-        ends = _node_array(list(edges)) if m else np.empty((0, 2), dtype=np.intp)
+        ends = np.array(list(edges), dtype=object) if m else np.empty((0, 2), dtype=np.intp)
         if ends.shape != (m, 2):
             raise ValueError("edge keys must be (i, j) node pairs")
         self._set(n, ends[:, 0], ends[:, 1], np.fromiter(edges.values(), float, m))
@@ -149,15 +149,15 @@ class _EdgeError(ValueError):
         self.at, self.earlier = at, earlier
 
 
-def _node_array(ids) -> np.ndarray:
-    """``np.array(ids)``, but ints past int64 stay exact as objects, not floats."""
-    a = np.array(ids)
-    return np.array(ids, dtype=object) if a.dtype.kind == "f" and (abs(a) >= 2.0**63).any() else a
-
-
 def _node_str(v) -> str:
+    """An id as an edge message names it: an integer id as its int, another
+    number as its value and anything else by its repr, so ``'a'`` and
+    ``'2.0'`` do not read as numbers."""
+    k = _exact_id(v)
+    if k is not None:
+        return str(k)
     v = v.item() if isinstance(v, np.generic) else v
-    return str(int(v) if isinstance(v, float) and v.is_integer() else v)
+    return str(v) if isinstance(v, numbers.Number) else repr(v)
 
 
 def _canonical_edges(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, *, zero_ok=False):
@@ -169,9 +169,9 @@ def _canonical_edges(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, *, zer
     non-zero weight (zero passes if ``zero_ok``), and the weight of the
     pair's earlier occurrence, if any.
     """
-    (a, a_integral), (b, b_integral) = _checked_ids(i), _checked_ids(j)
+    (a, a_integral), (b, b_integral) = _integer_ids(i), _integer_ids(j)
     passed = (
-        a_integral & b_integral,
+        np.broadcast_to(a_integral & b_integral, w.shape),
         (a <= _INT64_MAX) & (b <= _INT64_MAX),
         (0 <= a) & (a < n) & (0 <= b) & (b < n),
         a != b,
@@ -205,7 +205,7 @@ def _canonical_edges(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, *, zer
     if first < len(w):
         failed = next(c for c, mask in enumerate(passed) if not mask[first])
         raise _EdgeError(_EDGE_ERRORS[failed].format(
-            a=_node_str(a[first]), b=_node_str(b[first]), top=n - 1,
+            a=_node_str(i[first]), b=_node_str(j[first]), top=n - 1,
             x=float(w[first])), first)
     if repeat.any():
         keep = np.ones(first, dtype=bool)
@@ -214,27 +214,42 @@ def _canonical_edges(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, *, zer
     return lo, hi, x
 
 
-def _checked_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Node ids as the edge checks compare them, and which are integral.
+def _integer_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray | bool]:
+    """Ids as the id checks compare them, and which are integers.
 
-    Integer arrays pass as they are and other arrays are cast to float,
-    except object arrays: their Python ints are compared exactly, since ints
-    past int64 must stay exact and past about 1e308 a float cast overflows.
+    The one id rule of node ids, class ids and label keys: an id is an
+    integer iff ``int(id)`` equals it or its float. ``1``, ``1.0``, ``'1'``,
+    ``Fraction(2, 2)`` and ``True`` pass; ``1.5``, ``'1.0'``, NaN, None,
+    ``'a'`` and ``1+2j`` do not. Integer arrays pass untouched, their mask
+    the scalar True, so they take no extra pass; bool and float arrays are
+    compared as floats. Any other array is cast through ``int`` and
+    ``float`` inside numpy, and only a failed cast walks the ids one at a
+    time (:func:`_exact_id`), reading each exactly, so ids past int64 stay
+    exact; an id that fails the rule reads as 0.
     """
     if ids.dtype.kind in "iu":
-        return ids, np.ones(len(ids), dtype=bool)
-    if ids.dtype == object:
-        return ids, np.frompyfunc(_is_integral, 1, 1)(ids).astype(bool)
-    f = ids.astype(float)
-    return f, np.isfinite(f) & (f == np.floor(f))
-
-
-def _is_integral(x) -> bool:
-    """Whether ``int(x)`` equals ``x``, compared without a float cast."""
+        return ids, True
+    if ids.dtype.kind in "bf":
+        f = ids.astype(float)
+        return f, np.isfinite(f) & (f == np.floor(f))
+    ids = ids.astype(object, copy=False)
     try:
-        return int(x) == x
+        k = ids.astype(np.int64)
+        return k, k == ids.astype(float)
     except (TypeError, ValueError, OverflowError):
-        return False
+        exact = np.fromiter(map(_exact_id, ids.flat), object, ids.size).reshape(ids.shape)
+        integral = np.not_equal(exact, None)
+        exact[~integral] = 0
+        return exact, integral
+
+
+def _exact_id(x) -> int | None:
+    """``int(x)`` if it equals ``x`` or ``float(x)``, else None."""
+    try:
+        k = int(x)
+        return k if k == x or k == float(x) else None
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
 def _count_components(n: int, edges) -> int:
@@ -269,7 +284,8 @@ class LabeledGraph:
 
     ``labels`` is a read-only int64 array indexed by node id, copied from a
     sequence indexed by node id or a ``{node: class}`` mapping over every
-    node. Class ids are integers by :func:`as_integer`; every class occurs.
+    node. Class ids are integers by the id rule of :func:`_integer_ids`;
+    every class occurs.
     Frozen: no field can be reassigned past these checks.
     """
 
@@ -288,20 +304,12 @@ class LabeledGraph:
             labels = np.fromiter(labels, dtype=object)
         if labels is None or labels.shape != (n,):
             raise ValueError("every node needs exactly one label")
-        if labels.dtype.kind not in "biu":
-            # int and float of each id, cast inside numpy; the loop runs on failure only
-            labels = labels.astype(object)
-            try:
-                ids = labels.astype(np.int64)
-                integral = (ids == labels.astype(float)).all()
-            except (TypeError, ValueError, OverflowError):
-                integral = False
-            if not integral:
-                _raise_first_fractional(labels)
-            labels = ids
-        if not ((labels >= 0) & (labels < self.num_classes)).all():
+        ids, integral = _integer_ids(labels)
+        if integral is not True and not integral.all():
+            _raise_first_fractional(labels, integral)
+        if not ((ids >= 0) & (ids < self.num_classes)).all():
             raise ValueError("labels must lie in 0..num_classes-1")
-        labels = labels.astype(np.int64)
+        labels = ids.astype(np.int64)
         labels.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         if not np.bincount(labels, minlength=self.num_classes).all():
@@ -311,23 +319,13 @@ class LabeledGraph:
 def _in_node_order(mapping: Mapping, n: int) -> np.ndarray | None:
     """Values of ``{node: value}`` as an object array indexed by node id, or
     None unless the keys are exactly the nodes ``0..n-1``."""
-    nodes = np.array(list(mapping))
-    if (nodes.shape != (n,) or nodes.dtype.kind not in "iuf"
+    nodes, integral = _integer_ids(np.array(list(mapping), dtype=object))
+    if (nodes.shape != (n,) or not integral.all()
             or not np.array_equal(np.sort(nodes), np.arange(n))):
         return None
     values = np.empty(n, dtype=object)
     values[nodes.astype(np.intp)] = np.fromiter(mapping.values(), dtype=object, count=n)
     return values
-
-
-def as_integer(x) -> int | None:
-    """``int(x)`` if it equals ``x`` or ``float(x)``, else None: ``2.0`` and
-    ``'2'`` give 2; ``2.5``, ``'2.5'`` and NaN give None."""
-    try:
-        k = int(x)
-        return k if k == x or k == float(x) else None
-    except (TypeError, ValueError, OverflowError):
-        return None
 
 
 def _as_int(value, what: str) -> int:
@@ -373,14 +371,12 @@ def _as_real(value, what: str, low: float | None = None, *, strict: bool = False
     raise ValueError(f"{what} must be finite{bound}, got {value!r}")
 
 
-def _raise_first_fractional(labels: np.ndarray) -> None:
-    """Raise for the first node whose class id is not an integer; if every id
-    is one, a cast failed on an id too large for the class range."""
-    for i, c in enumerate(labels.tolist()):
-        if as_integer(c) is None:
-            c = c.item() if isinstance(c, np.generic) else c
-            raise ValueError(f"class id {c!r} of node {i} is not an integer")
-    raise ValueError("labels must lie in 0..num_classes-1")
+def _raise_first_fractional(labels: np.ndarray, integral: np.ndarray) -> None:
+    """Raise for the first node whose class id is not an integer, the first
+    False of ``integral``."""
+    i = int(np.argmin(integral))
+    c = labels[i].item() if isinstance(labels[i], np.generic) else labels[i]
+    raise ValueError(f"class id {c!r} of node {i} is not an integer")
 
 
 @dataclass
@@ -609,7 +605,7 @@ def load_edge_list(path) -> Graph:
     line; zero-weight records join the conflict check, then are dropped.
     """
     lines, i, j, w = zip(*_records(path, "i j w", (int, int, float)))
-    ends = _node_array((i, j))
+    ends, _ = _integer_ids(np.array((i, j), dtype=object))
     n = max(int(ends.max()) + 1, 1)
     try:
         lo, hi, w = _canonical_edges(n, ends[0], ends[1], np.array(w), zero_ok=True)

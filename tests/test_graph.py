@@ -1455,3 +1455,77 @@ class TestRejectedInput:
         with pytest.raises(ValueError) as info:
             build()
         assert str(info.value) == message
+
+
+# Forms of the id 1, and ids that are not integers with the names the edge
+# and class-id messages give them.
+FORMS_OF_ONE = [1, 1.0, np.int64(1), "1", np.str_("1"), Fraction(2, 2), True]
+NOT_INTEGERS = [
+    (1.5, "1.5", "1.5"),
+    ("1.0", "'1.0'", "'1.0'"),
+    (math.nan, "nan", "nan"),
+    (None, "None", "None"),
+    ("a", "'a'", "'a'"),
+    (1 + 2j, "(1+2j)", "(1+2j)"),
+    (Fraction(1, 2), "1/2", "Fraction(1, 2)"),
+]
+
+
+class TestIdRule:
+    """Edge end points, class ids and label-mapping keys read ids by one rule."""
+
+    @pytest.mark.parametrize("x", FORMS_OF_ONE, ids=repr)
+    def test_every_form_of_one_is_one_at_every_site(self, x):
+        assert dict(Graph(3, {(x, 0): 1.0}).edges) == {(0, 1): 1.0}
+        column = np.array([x, 2], dtype=object)
+        assert Graph.from_arrays(3, column, [0, 0], [1.0, 2.0]) == Graph(
+            3, {(0, 1): 1.0, (0, 2): 2.0})
+        assert LabeledGraph(PATH3, [x, 0, 1], 2).labels.tolist() == [1, 0, 1]
+        assert LabeledGraph(PATH3, {2: 1, x: 0, 0: 1}, 2).labels.tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize("x, node_name, class_name", NOT_INTEGERS,
+                             ids=[repr(c[0]) for c in NOT_INTEGERS])
+    def test_every_non_integer_is_rejected_at_every_site(self, x, node_name, class_name):
+        # a ValueError naming the first bad edge or node, never a TypeError
+        # or a warning (tier-1 turns warnings into errors)
+        with pytest.raises(ValueError) as info:
+            Graph(3, {(2, 0): 1.0, (x, 0): 1.0})
+        assert str(info.value) == f"non-integral node id in edge ({node_name}, 0)"
+        with pytest.raises(ValueError) as info:
+            Graph.from_arrays(3, np.array([2, x], dtype=object), [0, 0], [1.0, 1.0])
+        assert str(info.value) == f"non-integral node id in edge ({node_name}, 0)"
+        with pytest.raises(ValueError) as info:
+            LabeledGraph(PATH3, [0, x, 1], 2)
+        assert str(info.value) == f"class id {class_name} of node 1 is not an integer"
+        with pytest.raises(ValueError) as info:
+            LabeledGraph(PATH3, {2: 1, x: 0, 0: 1}, 2)
+        assert str(info.value) == "every node needs exactly one label"
+
+    def test_mixed_pairs_keep_their_float_ids(self):
+        # numpy would read the pair as the strings '0' and '2.0'
+        assert dict(Graph(3, {("0", 2.0): 1.0}).edges) == {(0, 2): 1.0}
+
+    @pytest.mark.parametrize("edges, message", [
+        ({(2.0, "2.0"): 1.0}, "non-integral node id in edge (2, '2.0')"),
+        ({(0, 1): 1.0, ("b", 2.5): 1.0}, "non-integral node id in edge ('b', 2.5)"),
+        ({("5", 0): 1.0}, "edge (5, 0) outside node range 0..2"),
+        ({(np.float64(1.0), "1"): 1.0}, "self-loop on node 1 is not allowed"),
+    ])
+    def test_edge_messages_name_numbers_by_value_and_others_by_repr(self, edges, message):
+        with pytest.raises(ValueError) as info:
+            Graph(3, edges)
+        assert str(info.value) == message
+
+    def test_valid_object_and_string_ids_never_walk(self, monkeypatch):
+        def no_walk(x):
+            raise AssertionError("the per-id fallback ran on valid ids")
+
+        monkeypatch.setattr(graph_mod, "_exact_id", no_walk)
+        g = Graph(3, {("0", "1"): 1.0, (np.str_("2"), 1.0): 2.0})
+        assert g == Graph.from_arrays(3, [0, 1], [1, 2], [1.0, 2.0])
+        columns = Graph.from_arrays(3, np.array(["0", 1.0], dtype=object),
+                                    np.array([Fraction(1), "2"], dtype=object), [1.0, 2.0])
+        assert columns == g
+        for labels in ({"0": 1, 1: "0", 2.0: 1}, np.array(["1", "0", "1"]),
+                       np.array([1, "0", 1.0], dtype=object)):
+            assert LabeledGraph(g, labels, 2).labels.tolist() == [1, 0, 1]
