@@ -171,6 +171,7 @@ def run_experiment(cfg: ExperimentConfig,
     observation, which is handy for invariant tracking.
     """
     curves = {s.label: np.zeros((cfg.runs, cfg.budget)) for s in cfg.strategies}
+    budget, eval_on = cfg.budget, cfg.eval_on
     source = cfg.graph
     if isinstance(source, str) and source.startswith("file:"):
         source = graph_mod.from_spec(source)  # file sources ignore the seed
@@ -191,10 +192,11 @@ def run_experiment(cfg: ExperimentConfig,
         for strat in cfg.strategies:
             model = prior.copy()
             rng = np.random.default_rng(run_seed)
-            for t in range(1, cfg.budget + 1):
+            row = curves[strat.label][r]
+            for t in range(1, budget + 1):
                 node = select(strat, model, t, rng)
                 model.observe(node, truth[node])
-                curves[strat.label][r, t - 1] = accuracy(model, truth, cfg.eval_on)
+                row[t - 1] = accuracy(model, truth, eval_on)
                 if step_hook is not None:
                     step_hook(strategy=strat, model=model, run=r, t=t)
     return {s.label: AccuracyCurve(s.label, curves[s.label]) for s in cfg.strategies}

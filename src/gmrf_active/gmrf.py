@@ -26,6 +26,7 @@ labels: the sign rule for C = 2, class-mass normalization for C >= 3.
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -364,9 +365,9 @@ class GmrfModel:
         # stored, not properties, because the scans read mu per node; views
         # of one fresh copy, so an array a caller holds never changes
         fields = self._fields.take(self.unlabeled, axis=1)
-        fields.flags.writeable = False
+        fields.setflags(write=False)
         self.means, self.row_sums, self.diagonal = fields[:-2], fields[-2], fields[-1]
-        self.mu = self.means[1] if self.num_classes == 2 else None
+        self.mu = fields[1] if self._targets.shape[0] == 2 else None
 
     def _block(self) -> np.ndarray:
         """``G`` over the unlabeled nodes, never written: the carried block,
@@ -501,7 +502,7 @@ class GmrfModel:
         mask.
         """
         class_id = _as_int(class_id, "class id")
-        if class_id not in range(self.num_classes):
+        if not 0 <= class_id < self._targets.shape[0]:
             raise ValueError(f"class id {class_id} outside 0..{self.num_classes - 1}")
         pos = self.position(node)
         gkk = self.pivot(pos)
@@ -510,11 +511,15 @@ class GmrfModel:
             self._fold()
         base, V, t = self._base, self._V[:self._t], self._t
         s = self._V[t]
-        np.subtract(base[k], V[:, k] @ V, out=s)
+        # np.dot here and below: the same bits as matmul, through less of
+        # numpy's dispatch
+        np.dot(V[:, k], V, out=s)
+        np.subtract(base[k], s, out=s)
         s *= self._unlabeled_mask
-        root = np.sqrt(gkk)
+        root = math.sqrt(gkk)
         s /= root
-        moved = self._fields[:-1]
+        fields = self._fields
+        moved = fields[:-1]
         c = moved[:, k] - self._targets[class_id]
         c /= root
         # moved -= outer(c, s); moved.T is F-contiguous, so BLAS writes the
@@ -522,12 +527,13 @@ class GmrfModel:
         scipy.linalg.blas.dger(-1.0, s, c, a=moved.T, overwrite_a=1)
         square = s * s
         if self._squares is not None:
-            Gs = base @ s
-            Gs -= (V @ s) @ V
+            Gs = np.dot(base, s)
+            Gs -= np.dot(np.dot(V, s), V)
             Gs *= s
             scipy.linalg.blas.daxpy(Gs, self._squares, a=-2.0)
-            scipy.linalg.blas.daxpy(square, self._squares, a=square.sum())
-        self._fields[-1] -= square
+            scipy.linalg.blas.daxpy(square, self._squares, a=np.add.reduce(square))
+        diagonal = fields[-1]  # ``fields[-1] -= ...`` would copy the row onto itself
+        diagonal -= square
         self._t = t + 1
         self._unlabeled_mask[k] = 0.0
         self.unlabeled = self._unlabeled_mask.nonzero()[0]
@@ -601,12 +607,12 @@ def class_decision(means: np.ndarray) -> np.ndarray:
         return (means[1] > DECISION_ATOL).astype(np.intp)
     scores = means + 1.0
     np.maximum(scores, 0.0, out=scores)
-    mass = scores.sum(axis=1, keepdims=True)
-    if mass.min() > 0.0:
+    mass = np.add.reduce(scores, axis=1, keepdims=True)
+    if np.minimum.reduce(mass, axis=None) > 0.0:
         scores /= mass
     else:
         scores = np.divide(scores, mass, out=np.full_like(scores, -np.inf), where=mass > 0.0)
-    return np.argmax(scores, axis=0)
+    return scores.argmax(axis=0)
 
 
 # Not a model: ``perfbench/tracing.py`` still looks up the observe and

@@ -244,10 +244,11 @@ def _integer_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray | bool]:
 
 
 def _exact_id(x) -> int | None:
-    """``int(x)`` if it equals ``x`` or ``float(x)``, else None."""
+    """``int(x)`` if ``x`` is a string, which ``int`` reads exactly, or if it
+    equals ``x`` or ``float(x)``, else None."""
     try:
         k = int(x)
-        return k if k == x or k == float(x) else None
+        return k if isinstance(x, str) or k == x or k == float(x) else None
     except (TypeError, ValueError, OverflowError):
         return None
 

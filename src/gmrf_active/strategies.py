@@ -168,7 +168,8 @@ def _pivots(model: GmrfModel, positions) -> np.ndarray:
     pivots = model.diagonal[positions]
     if pivots.size == 0:
         raise ValueError("no unlabeled nodes to score")
-    if pivots.min() < PIVOT_FLOOR:
+    # the entry argmin picks is the minimum, or the first NaN, as min() gives
+    if pivots[pivots.argmin()] < PIVOT_FLOOR:
         for pos in np.arange(model.num_unlabeled)[positions]:
             model.pivot(int(pos))
     return pivots
@@ -376,18 +377,21 @@ def _class_spread(mm: GmrfModel) -> np.ndarray:
 
     A node whose soft labels are all 0 has the uniform pbar ``1 / C``.
     """
-    # soft_labels(mm.means), in place on one array
+    # soft_labels(mm.means), in place on one array; clip is max then min
     pbar = mm.means + 1.0
     pbar /= 2.0
-    np.clip(pbar, 0.0, 1.0, out=pbar)
-    total = pbar.sum(axis=0)
-    if (total > 0).all():
+    np.maximum(pbar, 0.0, out=pbar)
+    np.minimum(pbar, 1.0, out=pbar)
+    c = pbar.shape[0]
+    total = np.add.reduce(pbar, axis=0)
+    if total[total.argmin()] > 0:  # (total > 0).all(), NaN included
         pbar /= total
     else:
         safe = np.where(total > 0, total, 1.0)
-        pbar = np.where(total > 0, pbar / safe, 1.0 / mm.num_classes)
+        pbar = np.where(total > 0, pbar / safe, 1.0 / c)
     pbar *= pbar
-    return mm.num_classes - pbar.sum(axis=0)
+    spread = np.add.reduce(pbar, axis=0)
+    return np.subtract(c, spread, out=spread)
 
 
 def utility_scores(strategy: Strategy, model, t: int) -> np.ndarray:
@@ -413,30 +417,55 @@ def utility_scores(strategy: Strategy, model, t: int) -> np.ndarray:
     dg = _pivots(model, slice(None))
     if kind == "unc":
         return _top_two_margin(model.means)
+    # every scan below runs in place on fresh arrays, each step rounding as
+    # the expression in its comment, evaluated left to right
     if kind == "klg":
         mu = _binary_mu(model)
         if alpha == 0.0:
-            return (1.0 - mu * mu) / (2.0 * dg)
-        w_plus = _mix(alpha, soft_labels(mu))
-        return (w_plus * (1.0 - mu) ** 2 + (1.0 - w_plus) * (1.0 + mu) ** 2) / (2.0 * dg)
+            # (1 - mu * mu) / (2 dg)
+            scores = mu * mu
+            np.subtract(1.0, scores, out=scores)
+        else:
+            # (w (1 - mu)^2 + (1 - w) (1 + mu)^2) / (2 dg)
+            w = _mix(alpha, soft_labels(mu))
+            scores = 1.0 - mu
+            scores *= scores
+            scores *= w
+            plus = 1.0 + mu
+            plus *= plus
+            plus *= np.subtract(1.0, w, out=w)
+            scores += plus
+        scores /= 2.0 * dg
+        return scores
     l1 = kind in ("tv", "sigma-opt")
+    # sigma-opt and tv read the model's own G 1; square_sums() is fresh
     norm = model.row_sums if l1 else model.square_sums()
     adaptive = kind in ("tv", "msd")
     if adaptive:
+        # weight * norm / dg (tv) or weight * norm / (dg * dg) (msd), with
+        # weight 2 (1 - mu * mu) (tv), 1 - mu * mu (msd) or the class spread
         mu = model.mu
         if mu is None:
-            weight = _class_spread(model)
+            base = _class_spread(model)
         else:
-            weight = 1.0 - mu * mu
+            base = mu * mu
+            np.subtract(1.0, base, out=base)
             if l1:
-                weight = 2.0 * weight
-        base = weight * norm / dg if l1 else weight * norm / (dg * dg)
+                base *= 2.0
+        base *= norm
+        base /= dg if l1 else dg * dg
         if alpha == 0.0:
             return base
-    ensemble = norm * norm / dg if l1 else norm / dg
+    # norm * norm / dg (sigma-opt, tv) or norm / dg (vm, msd)
+    ensemble = norm * norm if l1 else norm
+    ensemble /= dg
     if not adaptive:
         return ensemble
-    return 0.5 * alpha * ensemble + (1.0 - alpha) * base
+    # 0.5 alpha * ensemble + (1 - alpha) * base
+    ensemble *= 0.5 * alpha
+    base *= 1.0 - alpha
+    ensemble += base
+    return ensemble
 
 
 def _uniform_draw(ids: np.ndarray, rng: np.random.Generator) -> int:
@@ -465,7 +494,8 @@ def select(strategy: Strategy, model, t: int, rng: np.random.Generator) -> int:
     if pi_t > 0.0 and rng.random() < pi_t:
         return _uniform_draw(ids, rng)
     scores = utility_scores(strategy, model, t)
-    best = float(scores.max())
+    # the entry argmax picks is the maximum, or the first NaN, as max() gives
+    best = float(scores[scores.argmax()])
     tol = max(TIE_RTOL * abs(best), TIE_ATOL * ids.size)
     return int(ids[(scores >= best - tol).argmax()])
 

@@ -1080,6 +1080,46 @@ class TestMulticlassRulesMatchFormerFormulas:
             assert spread.tobytes() == former(means).tobytes()
 
 
+class TestStepMatchesFormerMatmul:
+    """observe fetches the row ``G_0[k] - V[:, k] @ V`` and moves the carried
+    column sums of squares through ``np.dot``; the step column, the diagonal
+    and the sums equal the former matmul expressions bit for bit at every
+    ``t`` up to the fold size and across one fold."""
+
+    @pytest.mark.parametrize("source, num_classes, steps", [
+        (lambda: grid_graph(12, 12, seed=2), 2, 143),  # V folds at t = 128
+        (lambda: community_graph([90, 100, 110], 0.15, 0.006, seed=6), 3, 140),
+    ], ids=["grid-12x12", "community-300"])
+    def test_step_column_and_carried_sums(self, source, num_classes, steps):
+        rng = np.random.default_rng(num_classes)
+        lg = source()
+        model = GmrfModel.from_laplacian(regularized_laplacian(lg.graph, 0.005), num_classes)
+        model.square_sums()  # carried from here on
+        folds = 0
+        for node in rng.permutation(lg.graph.n)[:steps]:
+            node = int(node)
+            gkk = model.pivot(model.position(node))
+            mask = model._unlabeled_mask.copy()
+            diagonal, squares = model._fields[-1].copy(), model._squares.copy()
+            full = model._t == model._V.shape[0]
+            model.observe(node, int(rng.integers(num_classes)))
+            folds += full
+            base, t = model._base, model._t - 1
+            V, s = model._V[:t], model._V[t]
+            assert t == 0 or not full
+            expected = (base[node] - V[:, node] @ V) * mask / np.sqrt(gkk)
+            assert s.tobytes() == expected.tobytes(), t
+            square = s * s
+            assert model._fields[-1].tobytes() == (diagonal - square).tobytes(), t
+            Gs = base @ s
+            Gs -= (V @ s) @ V
+            Gs *= s
+            scipy.linalg.blas.daxpy(Gs, squares, a=-2.0)
+            scipy.linalg.blas.daxpy(square, squares, a=square.sum())
+            assert model._squares.tobytes() == squares.tobytes(), t
+        assert folds == 1
+
+
 def cho_solve_inverse(M):
     """The former spd_inverse: ``cho_solve`` against I, then ``(inv + inv.T) / 2``."""
     factor = scipy.linalg.cho_factor(M, lower=True)

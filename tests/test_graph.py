@@ -1516,6 +1516,33 @@ class TestIdRule:
             Graph(3, edges)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("big", [10**30, 2**53 + 1], ids=["past-int64", "past-float"])
+    @pytest.mark.parametrize("beside", [[], ["a"]], ids=["alone", "beside-a"])
+    def test_a_decimal_string_is_read_exactly_as_its_int(self, big, beside):
+        # int() reads the string exactly, whether numpy's cast or the per-id
+        # walk reads the column: the same message as the int, naming it by value
+        def message(node):
+            edges = {(node, 0): 1.0, **{(x, 0): 1.0 for x in beside}}
+            with pytest.raises(ValueError) as info:
+                Graph(3, edges)
+            return str(info.value)
+
+        assert message(str(big)) == message(big)
+        assert message(str(big)).startswith(
+            f"node id in edge ({big}, 0) does not fit int64" if big > 2**63
+            else f"edge ({big}, 0) outside node range 0..2")
+        with pytest.raises(ValueError) as info:
+            LabeledGraph(PATH3, [str(big), *(beside or [0]), 1], 2)
+        with pytest.raises(ValueError) as as_int:
+            LabeledGraph(PATH3, [big, *(beside or [0]), 1], 2)
+        assert str(info.value) == str(as_int.value)
+
+    def test_a_decimal_point_string_stays_rejected(self):
+        for column in (["1.0"], ["1.0", "a"]):
+            with pytest.raises(ValueError) as info:
+                Graph(3, {(x, 0): 1.0 for x in column})
+            assert str(info.value) == "non-integral node id in edge ('1.0', 0)"
+
     def test_valid_object_and_string_ids_never_walk(self, monkeypatch):
         def no_walk(x):
             raise AssertionError("the per-id fallback ran on valid ids")

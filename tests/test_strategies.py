@@ -861,6 +861,85 @@ class TestColumnSumsOfSquares:
                 rtol=1e-10, atol=0)
 
 
+def _former_closed_form(kind, model, alpha):
+    """The closed-form scans as they were written before they ran in place:
+    one fresh array per operation, ``np.clip`` and ``.sum()``."""
+    dg = model.diagonal
+    if kind == "klg":
+        mu = model.mu
+        if alpha == 0.0:
+            return (1.0 - mu * mu) / (2.0 * dg)
+        w_plus = 0.5 * alpha + (1.0 - alpha) * np.clip((mu + 1.0) / 2.0, 0.0, 1.0)
+        return (w_plus * (1.0 - mu) ** 2 + (1.0 - w_plus) * (1.0 + mu) ** 2) / (2.0 * dg)
+    l1 = kind in ("tv", "sigma-opt")
+    norm = model.row_sums if l1 else model.square_sums()
+    adaptive = kind in ("tv", "msd")
+    if adaptive:
+        mu = model.mu
+        if mu is None:
+            c = model.num_classes
+            pbar = np.clip((model.means + 1.0) / 2.0, 0.0, 1.0)
+            total = pbar.sum(axis=0)
+            if (total > 0).all():
+                pbar = pbar / total
+            else:
+                pbar = np.where(total > 0, pbar / np.where(total > 0, total, 1.0), 1.0 / c)
+            weight = c - (pbar * pbar).sum(axis=0)
+        else:
+            weight = 1.0 - mu * mu
+            if l1:
+                weight = 2.0 * weight
+        base = weight * norm / dg if l1 else weight * norm / (dg * dg)
+        if alpha == 0.0:
+            return base
+    ensemble = norm * norm / dg if l1 else norm / dg
+    if not adaptive:
+        return ensemble
+    return 0.5 * alpha * ensemble + (1.0 - alpha) * base
+
+
+def _seeded_states(source, num_classes, seed):
+    """A model over ``source``'s graph after 0, 1, 3 and 7 seeded queries."""
+    rng = np.random.default_rng(seed)
+    model = GmrfModel.from_laplacian(regularized_laplacian(source.graph, 0.005), num_classes)
+    yield model
+    for step, node in enumerate(rng.permutation(source.graph.n)[:7], start=1):
+        model.observe(int(node), int(rng.integers(num_classes)))
+        if step in (1, 3, 7):
+            yield model
+
+
+def _readers(model):
+    return [model.unlabeled, model.means, model.row_sums, model.diagonal,
+            model.square_sums(), model.G]
+
+
+class TestInPlaceScansMatchFormerExpressions:
+    """The closed-form scans run in place on fresh arrays, in the former
+    operation order: every score equals the former expression bit for bit,
+    the result shares memory with no array of the model, and no reader of
+    the model changes."""
+
+    SOURCES = [("grid", lambda: grid_graph(10, 10, seed=3)),
+               ("community", lambda: community_graph([15, 20, 25], 0.4, 0.03, seed=8))]
+
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    @pytest.mark.parametrize("source", [s[1] for s in SOURCES], ids=[s[0] for s in SOURCES])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+    def test_scores_equal_the_former_expressions(self, source, num_classes, alpha):
+        kinds = ["tv", "msd", "vm", "sigma-opt"] + (["klg"] if num_classes == 2 else [])
+        for model in _seeded_states(source(), num_classes, seed=int(10 * alpha) + num_classes):
+            for kind in kinds:
+                before = [a.tobytes() for a in _readers(model)]
+                scores = utility_scores(Strategy(kind, confidence=f"const:{alpha}"), model, t=4)
+                for name, value in vars(model).items():
+                    if isinstance(value, np.ndarray):
+                        assert not np.shares_memory(scores, value), (kind, name)
+                assert [a.tobytes() for a in _readers(model)] == before, kind
+                former = _former_closed_form(kind, model, alpha)
+                assert scores.tobytes() == former.tobytes(), (kind, model.num_unlabeled)
+
+
 SCORED_KINDS = [(2, kind) for kind in ("tv", "msd", "klg", "vm", "sigma-opt", "unc", "fl", "kl")]
 SCORED_KINDS += [(3, kind) for kind in ("tv", "msd", "vm", "sigma-opt", "unc")]
 
