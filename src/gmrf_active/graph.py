@@ -218,14 +218,15 @@ def _integer_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray | bool]:
     """Ids as the id checks compare them, and which are integers.
 
     The one id rule of node ids, class ids and label keys: an id is an
-    integer iff ``int(id)`` equals it or its float. ``1``, ``1.0``, ``'1'``,
-    ``Fraction(2, 2)`` and ``True`` pass; ``1.5``, ``'1.0'``, NaN, None,
-    ``'a'`` and ``1+2j`` do not. Integer arrays pass untouched, their mask
-    the scalar True, so they take no extra pass; bool and float arrays are
-    compared as floats. Any other array is cast through ``int`` and
-    ``float`` inside numpy, and only a failed cast walks the ids one at a
-    time (:func:`_exact_id`), reading each exactly, so ids past int64 stay
-    exact; an id that fails the rule reads as 0.
+    integer iff ``int(id)`` equals it or its float, or it is a string that
+    ``int`` reads. ``1``, ``1.0``, ``'1'``, ``Fraction(2, 2)`` and ``True``
+    pass; ``1.5``, ``'1.0'``, NaN, None, ``'a'`` and ``1+2j`` do not.
+    Integer arrays pass untouched, their mask the scalar True, so they take
+    no extra pass; bool and float arrays are compared as floats. Any other
+    array is cast through ``int`` and ``float`` inside numpy, and only a
+    failed cast walks the ids one at a time (:func:`_exact_id`), reading
+    each exactly, so ids past int64 stay exact; an id that fails the rule
+    reads as 0.
     """
     if ids.dtype.kind in "iu":
         return ids, True
