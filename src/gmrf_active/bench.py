@@ -25,7 +25,7 @@ import numpy as np
 
 from . import graph as graph_mod
 from .gmrf import GmrfModel, class_decision, spd_inverse
-from .graph import LabeledGraph, _as_count, _as_real, _as_seed, regularized_laplacian
+from .graph import LabeledGraph, _as_int, _as_real, regularized_laplacian
 from .strategies import BINARY_ONLY_KINDS, Strategy, select
 
 EVAL_MODES = ("remaining", "initial")
@@ -98,9 +98,9 @@ class ExperimentConfig:
             if any(ch in label for ch in ',"\r\n'):  # emit_csv writes unquoted fields
                 raise ValueError(f"strategy label {label!r} must not contain , \" CR or LF")
         for name in ("budget", "runs"):
-            object.__setattr__(self, name, _as_count(getattr(self, name), name))
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, 1))
         object.__setattr__(self, "delta", _as_real(self.delta, "delta", 0, strict=True))
-        object.__setattr__(self, "seed", _as_seed(self.seed))
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed", 0))
         if self.eval_on not in EVAL_MODES:
             raise ValueError(f"eval_on must be one of {EVAL_MODES}")
 
@@ -160,11 +160,12 @@ def run_experiment(cfg: ExperimentConfig,
     as for every grid, file and ready-graph source) reuses that run's
     Laplacian and inverse; equal graphs give byte-equal inverses, so the
     curves are the same as with a fresh inverse per run. The inverse is
-    computed over the Laplacian's own array, which nothing else holds, so
-    set-up holds one ``n^2`` array, not two. It is made read-only, and one
-    model over it is built, which checks and sums it once; every strategy of
-    those runs starts from a copy of that model, in ``O(C n)``, and aliases
-    the inverse.
+    computed over the Laplacian's own array, which nothing else holds, and
+    the previous graph's inverse is let go before the new Laplacian is
+    built, so inverting holds one ``n^2`` array, not two, on every graph. It
+    is made read-only, and one model over it is built, which checks and sums
+    it once; every strategy of those runs starts from a copy of that model,
+    in ``O(C n)``, and aliases the inverse.
 
     ``step_hook``, when given, is called as
     ``step_hook(strategy=..., model=..., run=..., t=...)`` after every
@@ -182,6 +183,9 @@ def run_experiment(cfg: ExperimentConfig,
         _check_graph(cfg, lg)
         if lg.graph != graph:
             graph = lg.graph
+            # the start model and the last strategy's model alias the previous
+            # inverse; letting all three go frees it before the next is built
+            prior = model = inverse = None
             # the Laplacian is this loop's own, so it is inverted in its buffer
             inverse = spd_inverse(regularized_laplacian(graph, cfg.delta).matrix,
                                   overwrite_a=True)

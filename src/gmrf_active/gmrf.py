@@ -173,9 +173,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def soft_labels(means):
-    """Soft labels ``clamp((m + 1) / 2, 0, 1)`` of field means (Zhu et al., ICML 2003)."""
-    return np.clip((means + 1.0) / 2.0, 0.0, 1.0)
+def soft_labels(means, out=None):
+    """Soft labels ``clamp((m + 1) / 2, 0, 1)`` of an array of field means
+    (Zhu et al., ICML 2003), written into ``out`` (which may be ``means``)
+    if given, else into a fresh array. The steps run in place in that order,
+    the clamp as a maximum with 0 and then a minimum with 1, which rounds as
+    ``np.clip`` does."""
+    p = np.add(means, 1.0, out=out)
+    p /= 2.0
+    np.maximum(p, 0.0, out=p)
+    return np.minimum(p, 1.0, out=p)
 
 
 class GmrfModel:

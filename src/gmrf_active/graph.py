@@ -330,32 +330,21 @@ def _in_node_order(mapping: Mapping, n: int) -> np.ndarray | None:
     return values
 
 
-def _as_int(value, what: str) -> int:
+def _as_int(value, what: str, low: int | None = None) -> int:
     """The integer rule of every integer scalar input, ``what`` naming it:
-    ``value`` as an int; a bool or a number that is not an integer is rejected."""
+    ``value`` as an int of at least ``low``; a bool or a number that is not
+    an integer is rejected. Seeds pass ``low=0``; ``budget``, ``runs`` and
+    the iteration ``t`` pass ``low=1``."""
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            number = operator.index(value)
         except TypeError:
             pass
+        else:
+            if low is None or number >= low:
+                return number
+            raise ValueError(f"{what} must be >= {low}, got {number}")
     raise ValueError(f"{what} {value!r} is not an integer")
-
-
-def _as_seed(value) -> int:
-    """A random seed by the integer rule, which must also be at least 0."""
-    seed = _as_int(value, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
-def _as_count(value, what: str) -> int:
-    """A count (``budget``, ``runs``, the iteration ``t``) by the integer
-    rule, which must also be at least 1."""
-    count = _as_int(value, what)
-    if count < 1:
-        raise ValueError(f"{what} must be >= 1, got {count}")
-    return count
 
 
 def _as_real(value, what: str, low: float | None = None, *, strict: bool = False) -> float:
@@ -523,7 +512,7 @@ def grid_graph(rows: int, cols: int, seed: int) -> LabeledGraph:
     and every labeled grid of that shape shares the one immutable
     :class:`Graph`; only the labels are drawn per call.
     """
-    rows, cols, seed = _as_int(rows, "rows"), _as_int(cols, "cols"), _as_seed(seed)
+    rows, cols, seed = _as_int(rows, "rows"), _as_int(cols, "cols"), _as_int(seed, "seed", 0)
     if rows < 4 or cols < 4:
         raise ValueError("grid must be at least 4x4 to hold both 3x3 class blocks")
     graph = _lattice(rows, cols)
@@ -550,7 +539,7 @@ def community_graph(sizes, p_in: float, p_out: float, seed: int) -> LabeledGraph
     >= 0) until the graph is connected, up to ``_CONNECT_ATTEMPTS`` attempts.
     """
     sizes = [_as_int(s, "community size") for s in sizes]
-    p_in, p_out, seed = _as_real(p_in, "p_in"), _as_real(p_out, "p_out"), _as_seed(seed)
+    p_in, p_out, seed = _as_real(p_in, "p_in"), _as_real(p_out, "p_out"), _as_int(seed, "seed", 0)
     if len(sizes) < 2:
         raise ValueError(f"need at least two communities, got sizes {sizes}")
     if any(s < 2 for s in sizes):
@@ -565,9 +554,9 @@ def community_graph(sizes, p_in: float, p_out: float, seed: int) -> LabeledGraph
     hit = np.empty((n, n), dtype=bool)
     rng = np.random.default_rng(seed)
     for _ in range(_CONNECT_ATTEMPTS):
-        draw = rng.random((n, n))
+        # each community's rows of one (n, n) uniform draw, drawn as compared
         for c, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
-            np.less(draw[a:b], thresholds[c], out=hit[a:b])
+            np.less(rng.random((b - a, n)), thresholds[c], out=hit[a:b])
         # hits above the diagonal in row-major order: sorted by (lo, hi)
         ii, jj = np.divmod(np.flatnonzero(hit), n)
         upper = ii < jj

@@ -13,8 +13,8 @@ its row sums ``G 1`` and the conditional mean ``mu``:
   Bernoulli divergences. They are the only scorers that evaluate
   hypothetical means: two per candidate, formed for both label values of a
   block of candidates at once from rows of ``G``, with everything else built
-  once per scan. They are also the only scorers that read rows of ``G``,
-  which the model carries from their first scan on.
+  once per scan. They are also the only scorers that read rows of ``G`` by
+  :meth:`GmrfModel.rows`, so the model carries ``G`` from their first scan on.
 - ``unc``: negative top-two soft-label margin.
 
 The four closed-form kinds vm, sigma-opt, tv and msd share one scan in
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gmrf import DECISION_ATOL, PIVOT_FLOOR, GmrfModel, soft_labels
-from .graph import _as_count, _as_real
+from .graph import _as_int, _as_real
 
 KINDS = ("random", "unc", "vm", "sigma-opt", "fl", "klg", "kl", "tv", "msd")
 RETRAINING_KINDS = ("fl", "kl")
@@ -110,7 +110,7 @@ class Strategy:
     def alpha(self, t: int) -> float:
         """Confidence weight ``a_t`` at iteration ``t``, which goes through
         the integer rule and must be at least 1."""
-        t = _as_count(t, "t")
+        t = _as_int(t, "t", 1)
         if self._confidence is None:
             return min(1.0, 1.0 / math.sqrt(t))
         return self._confidence
@@ -118,7 +118,7 @@ class Strategy:
     def mixing_probability(self, t: int) -> float:
         """Uniform-branch probability ``pi_t`` at iteration ``t``, which goes
         through the integer rule and must be at least 1."""
-        return min(1.0, self.hybrid_scale / math.sqrt(_as_count(t, "t")))
+        return min(1.0, self.hybrid_scale / math.sqrt(_as_int(t, "t", 1)))
 
 
 def _parse_confidence(text: str) -> float | None:
@@ -144,10 +144,13 @@ def _parse_confidence(text: str) -> float | None:
 def _gcol(model, node: int) -> tuple[int, np.ndarray, float]:
     """Position, column ``g_i`` and diagonal ``g_ii`` of ``node`` in ``model.G``.
 
-    The column is read as the equal row, in ``O(|U|)``: ``G`` is symmetric.
+    The column is read as the equal row of ``model.G``, which is symmetric.
+    That builds ``G`` in ``O(|U|^2 t)``, or copies a carried one, and keeps
+    nothing: unlike :meth:`GmrfModel.rows`, it never makes the model carry
+    ``G``, so scoring one node leaves every later step's cost as it was.
     """
     pos = model.position(node)
-    return pos, model.rows(pos), model.pivot(pos)
+    return pos, model.G[pos], model.pivot(pos)
 
 
 def _binary_mu(model: GmrfModel) -> np.ndarray:
@@ -187,9 +190,9 @@ def _label_weight(model: GmrfModel, pos: int, binary_scale: float) -> float:
 def score_klg(model: GmrfModel, node: int) -> float:
     """Expected Gaussian-field divergence: ``(1 - mu_i^2) / (2 g_ii)``."""
     mu = _binary_mu(model)
-    pos, _, gii = _gcol(model, node)
+    pos = model.position(node)
     mui = float(mu[pos])
-    return (1.0 - mui * mui) / (2.0 * gii)
+    return (1.0 - mui * mui) / (2.0 * model.pivot(pos))
 
 
 def score_tv(model: GmrfModel, node: int) -> float:
@@ -277,11 +280,7 @@ def _expected_change(model: GmrfModel, kind: str, alpha: float, maxmin: bool,
             flips[own] = False
             totals[:, block] = np.count_nonzero(flips, axis=2)
         else:
-            # soft_labels(means), in place on the block
-            means += 1.0
-            means /= 2.0
-            np.clip(means, 0.0, 1.0, out=means)
-            per_node = _kl_from_logs(means, *logs)
+            per_node = _kl_from_logs(soft_labels(means, out=means), *logs)
             per_node[own] = 0
             totals[:, block] = per_node.sum(axis=2)
     plus, minus = totals
@@ -377,11 +376,7 @@ def _class_spread(mm: GmrfModel) -> np.ndarray:
 
     A node whose soft labels are all 0 has the uniform pbar ``1 / C``.
     """
-    # soft_labels(mm.means), in place on one array; clip is max then min
-    pbar = mm.means + 1.0
-    pbar /= 2.0
-    np.maximum(pbar, 0.0, out=pbar)
-    np.minimum(pbar, 1.0, out=pbar)
+    pbar = soft_labels(mm.means)
     c = pbar.shape[0]
     total = np.add.reduce(pbar, axis=0)
     if total[total.argmin()] > 0:  # (total > 0).all(), NaN included

@@ -879,6 +879,23 @@ class TestPosteriorAndPredict:
         p_plus = soft_labels(model.mu)[model.position(1)]
         assert p_plus == pytest.approx((1 / 1.1 + 1) / 2, abs=1e-12)
 
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_soft_labels_in_place_match_the_clip_expression(self, num_classes):
+        # the kl scan writes the soft labels over its block of means
+        rng = np.random.default_rng(41)
+        edges = [1.0, -1.0, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), 1.0 + 2e-16,
+                 -1.0 - 2e-16, 1.0 - 2**-53, -1.0 + 2**-53, 0.0, -0.0, np.nan]
+        row = np.concatenate([edges, rng.uniform(-1.3, 1.3, 40)])
+        means = (np.stack([-row, row]) if num_classes == 2
+                 else np.stack([row, rng.permutation(row), -row]))
+        expected = np.clip((means + 1.0) / 2.0, 0.0, 1.0).tobytes()
+        before = means.tobytes()
+        fresh = soft_labels(means)
+        assert not np.shares_memory(fresh, means) and means.tobytes() == before
+        assert fresh.tobytes() == expected
+        assert soft_labels(means, out=means) is means
+        assert means.tobytes() == expected
+
     def test_predict_signs_and_tie(self):
         lap = two_node_lap()
         G = spd_inverse(lap.matrix)

@@ -935,6 +935,25 @@ class TestCommunityGraph:
         assert same
         assert attempts > 1
 
+    @pytest.mark.parametrize("seed", [11, 12, 17])
+    def test_row_block_draws_match_the_full_draw_at_1000_nodes(self, seed):
+        # each community's rows are drawn as they are compared, from the
+        # same stream as the reference's one (n, n) draw
+        assert draws_match([250] * 4, 0.05, 0.002, seed)[0]
+
+    def test_draw_holds_no_square_float_array(self):
+        sizes, n = [250] * 4, 1000
+        community_graph(sizes, 0.05, 0.002, seed=11)  # loads what it needs first
+        tracemalloc.start()
+        try:
+            community_graph(sizes, 0.05, 0.002, seed=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured 0.39 x 8 n^2: the (n, n) bool hits (0.125) and one
+        # community's rows of the draw (0.25); a full (n, n) draw read 1.22
+        assert peak <= 0.5 * 8 * n * n
+
     def test_sizes_and_classes(self):
         lg = community_graph((250, 350, 400), 0.05, 0.002, seed=0)
         assert lg.graph.n == 1000

@@ -1012,6 +1012,34 @@ class TestRetrainCounters:
         assert np.array_equal(model.row_sums, row_sums)
 
 
+def _former_gcol(model, node):
+    """The row read as it was: through ``rows()``, which keeps ``G``."""
+    pos = model.position(node)
+    return pos, model.rows(pos), model.pivot(pos)
+
+
+class TestPerNodeScorersCarryNoG:
+    @pytest.mark.parametrize("num_classes, scorer", [
+        (2, score_tv), (2, score_msd), (2, score_vm), (2, score_sigma_opt), (2, score_klg),
+        (3, score_tv), (3, score_msd), (3, score_vm), (3, score_sigma_opt),
+    ])
+    def test_scoring_leaves_the_steps_factored_and_scores_as_before(self, monkeypatch,
+                                                                   num_classes, scorer):
+        # a row read through rows() made the model carry G, so every later
+        # observe downdated a fresh |U|^2 array
+        source = community_graph([15, 20, 25], 0.4, 0.03, seed=8)
+        *_, model = _seeded_states(source, num_classes, seed=40 + num_classes)
+        twin = model.copy()
+        nodes = [int(node) for node in model.unlabeled[::5]]
+        scores = [scorer(model, node) for node in nodes]
+        assert model._G is None
+        model.observe(int(model.unlabeled[1]), 1)
+        assert model._G is None
+        # the same bits as the former read, on a model that carried no G
+        monkeypatch.setattr(strategies, "_gcol", _former_gcol)
+        assert [scorer(twin, node) for node in nodes] == scores
+
+
 class TestSelect:
     def test_first_iteration_is_seeded_uniform(self):
         rng_a = np.random.default_rng(3)
