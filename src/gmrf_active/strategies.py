@@ -144,13 +144,14 @@ def _parse_confidence(text: str) -> float | None:
 def _gcol(model, node: int) -> tuple[int, np.ndarray, float]:
     """Position, column ``g_i`` and diagonal ``g_ii`` of ``node`` in ``model.G``.
 
-    The column is read as the equal row of ``model.G``, which is symmetric.
-    That builds ``G`` in ``O(|U|^2 t)``, or copies a carried one, and keeps
-    nothing: unlike :meth:`GmrfModel.rows`, it never makes the model carry
-    ``G``, so scoring one node leaves every later step's cost as it was.
+    The column is read as the equal row, ``G`` being symmetric: a copy of
+    the carried ``G``'s row in ``O(|U|)``, else of a ``G`` built in
+    ``O(|U|^2 t)`` and not kept. Unlike :meth:`GmrfModel.rows`, it never
+    makes the model carry ``G``, so scoring one node leaves every later
+    step's cost as it was.
     """
     pos = model.position(node)
-    return pos, model.G[pos], model.pivot(pos)
+    return pos, model._block().take(pos, axis=0), model.pivot(pos)
 
 
 def _binary_mu(model: GmrfModel) -> np.ndarray:

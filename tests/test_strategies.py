@@ -1039,6 +1039,26 @@ class TestPerNodeScorersCarryNoG:
         monkeypatch.setattr(strategies, "_gcol", _former_gcol)
         assert [scorer(twin, node) for node in nodes] == scores
 
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    @pytest.mark.parametrize("scorer", [score_tv, score_msd, score_vm, score_sigma_opt])
+    def test_scoring_a_carrying_model_copies_one_row(self, monkeypatch, num_classes, scorer):
+        # once an fl or kl scan has made the model carry G, a score reads
+        # the carried row; a read through model.G copied all of G first
+        *_, model = _seeded_states(grid_graph(20, 20, seed=3), num_classes, seed=7)
+        model.rows(0)
+        block_bytes = model.num_unlabeled ** 2 * 8
+        nodes = [int(node) for node in model.unlabeled[::40]]
+        scorer(model, nodes[0])  # loads what it needs outside the measurement
+        tracemalloc.start()
+        try:
+            scores = [scorer(model, node) for node in nodes]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * block_bytes
+        monkeypatch.setattr(strategies, "_gcol", _former_gcol)
+        assert [scorer(model, node) for node in nodes] == scores
+
 
 class TestSelect:
     def test_first_iteration_is_seeded_uniform(self):
