@@ -109,24 +109,26 @@ def accuracy(model: GmrfModel, labels: np.ndarray, eval_on: str = "remaining") -
     """Fraction of correctly predicted nodes.
 
     The model predicts by :func:`~gmrf_active.gmrf.class_decision`, the same
-    rule as :meth:`GmrfModel.predict`. ``labels`` is the 1-D array of true
-    class ids indexed by node id, as ``LabeledGraph.labels`` holds;
-    any other input is rejected. With ``eval_on="remaining"`` the fraction
-    is over the unlabeled nodes; with ``"initial"`` it is over all nodes, and
-    the queried ones count as correct because they carry their disclosed
-    label.
+    rule as :meth:`GmrfModel.predict`. The model's node count ``n`` is its
+    unlabeled plus its labeled nodes, and ``labels`` must hold one true
+    class id per model node, an array of shape ``(n,)`` indexed by node id,
+    as ``LabeledGraph.labels`` holds; any other input is rejected before
+    anything is counted. With ``eval_on="remaining"`` the fraction is over
+    the unlabeled nodes; with ``"initial"`` it is over the model's ``n``
+    nodes, and the queried ones count as correct because they carry their
+    disclosed label.
     """
     if eval_on not in EVAL_MODES:
         raise ValueError(f"eval_on must be one of {EVAL_MODES}")
-    if not isinstance(labels, np.ndarray) or labels.ndim != 1:
-        raise ValueError("labels must be a 1-D array of class ids indexed by node id")
     ids = model.unlabeled
+    n = ids.size + len(model.labeled)
+    if not isinstance(labels, np.ndarray) or labels.shape != (n,):
+        raise ValueError(f"labels must be a 1-D array of class ids, one per model node (n={n})")
     if ids.size == 0:
         raise ValueError("no unlabeled nodes left to evaluate")
     hits = int(np.count_nonzero(class_decision(model.means) == labels[ids]))
     if eval_on == "remaining":
         return hits / ids.size
-    n = labels.size
     return (hits + (n - ids.size)) / n
 
 

@@ -27,7 +27,7 @@ from . import checks
 from . import graph as graph_mod
 from .bench import EVAL_MODES, ExperimentConfig, emit_csv, emit_summary, run_experiment
 from .graph import _as_real
-from .strategies import KINDS, RETRAINING_KINDS, Strategy
+from .strategies import KINDS, Strategy
 
 OUTDIR_ENV = "GMRF_ACTIVE_OUTDIR"
 
@@ -60,11 +60,17 @@ def _int_flag(low: int):
     return parse
 
 
-def _confidence(text: str) -> str:
+def _strategy(kind: str, **options) -> None:
+    """Check ``Strategy(kind, **options)`` by the library's own rules; a usage
+    error if it is rejected."""
     try:
-        Strategy("tv", confidence=text)
+        Strategy(kind, **options)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _confidence(text: str) -> str:
+    _strategy("tv", confidence=text)
     return text
 
 
@@ -77,8 +83,7 @@ def _strategy_list(text: str) -> list[str]:
     if not names:
         raise argparse.ArgumentTypeError("empty strategy list")
     for name in names:
-        if name not in KINDS:
-            raise argparse.ArgumentTypeError(f"unknown strategy {name!r}; choose from {KINDS}")
+        _strategy(name)
     if len(set(names)) != len(names):
         raise argparse.ArgumentTypeError("duplicate strategies in list")
     return names
@@ -229,9 +234,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "maxmin", False) and args.strategy not in RETRAINING_KINDS:
-            parser.error(f"--maxmin applies only to {'/'.join(RETRAINING_KINDS)}, "
-                         f"not --strategy {args.strategy}")
+        if getattr(args, "maxmin", False):
+            try:
+                _strategy(args.strategy, maxmin=True)
+            except argparse.ArgumentTypeError as exc:
+                parser.error(f"argument --maxmin: {exc}")
     except SystemExit as exc:  # argparse already printed the usage text
         return int(exc.code or 0)
     try:

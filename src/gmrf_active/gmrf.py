@@ -165,14 +165,6 @@ def _require_symmetric(a: np.ndarray, name: str) -> None:
                              f"{float(a[i, j])!r} but {name}[{j}, {i}] = {float(a[j, i])!r}")
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """``a`` itself if it is read-only, else a read-only copy of it."""
-    if a.flags.writeable:
-        a = a.copy()
-        a.flags.writeable = False
-    return a
-
-
 def soft_labels(means, out=None):
     """Soft labels ``clamp((m + 1) / 2, 0, 1)`` of an array of field means
     (Zhu et al., ICML 2003), written into ``out`` (which may be ``means``)
@@ -228,9 +220,9 @@ class GmrfModel:
     :meth:`rows` read and kept. From then on :meth:`observe` carries it:
     the previous block without row and column ``k``, minus ``s_U s_U^T``,
     with ``s_U`` the step column at the remaining unlabeled nodes, in a
-    fresh array. ``G`` and :meth:`square_sums` read the carried block when
-    there is one. Otherwise ``G`` builds one and does not keep it, and
-    :meth:`square_sums` streams row panels of ``G_0`` and builds none, so a
+    fresh array. Only ``G`` reads the carried block when there is one;
+    otherwise it builds one and does not keep it. :meth:`square_sums` always
+    streams row panels of ``G_0`` on its first read and builds none, so a
     model that never reads rows (every scorer but fl and kl) never carries
     it.
 
@@ -300,7 +292,10 @@ class GmrfModel:
         # the scans read row i of G as column i, and G 1 as the column l1 norms
         _require_symmetric(G, "G")
         self._fields[-1] = np.diagonal(G)
-        self._base = _frozen(G)
+        if G.flags.writeable:  # the caller may write its array; the model never does
+            G = G.copy()
+            G.flags.writeable = False
+        self._base = G
         self._squares = None  # column sums of squares, from the first square_sums()
         self._V = np.empty((min(n, max(_FOLD_MIN_ROWS, int(_FOLD_SHARE * n))), n))
         self._t = 0
@@ -405,16 +400,14 @@ class GmrfModel:
     def square_sums(self) -> np.ndarray:
         """Column sums of squares ``||g_j||_2^2`` of ``G`` over ``unlabeled``.
 
-        The first call sums them over the carried ``G`` if there is one,
-        else over row panels of ``G_0`` (:meth:`_panel_square_sums`); from
-        then on :meth:`observe` carries them.
+        The first call sums them over row panels of ``G_0``
+        (:meth:`_panel_square_sums`), which reads only ``G_0``, ``V`` and the
+        unlabeled set, never a carried ``G``, so the sums are the same bits
+        whether or not the model's rows were read; from then on
+        :meth:`observe` carries them.
         """
         if self._squares is None:
-            if self._G is None:
-                self._squares = self._panel_square_sums()
-            else:
-                self._squares = np.zeros(self._fields.shape[1])
-                self._squares[self.unlabeled] = np.einsum("ij,ij->j", self._G, self._G)
+            self._squares = self._panel_square_sums()
         return self._squares.take(self.unlabeled)
 
     def _panel_square_sums(self) -> np.ndarray:

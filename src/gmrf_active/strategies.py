@@ -112,7 +112,7 @@ class Strategy:
         the integer rule and must be at least 1."""
         t = _as_int(t, "t", 1)
         if self._confidence is None:
-            return min(1.0, 1.0 / math.sqrt(t))
+            return 1.0 / math.sqrt(t)
         return self._confidence
 
     def mixing_probability(self, t: int) -> float:

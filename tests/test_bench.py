@@ -525,6 +525,29 @@ class TestAccuracy:
         with pytest.raises(ValueError, match="labels"):
             accuracy(model, dict(enumerate(lg.labels.tolist())))
 
+    @pytest.mark.parametrize("extra", [-1, 1, 16], ids=["n-1", "n+1", "2n"])
+    @pytest.mark.parametrize("eval_on", EVAL_MODES)
+    def test_rejects_labels_not_one_per_model_node_before_counting(self, monkeypatch,
+                                                                   extra, eval_on):
+        lg = grid_graph(4, 4, seed=3)
+        model = GmrfModel.from_laplacian(regularized_laplacian(lg.graph, 0.1), 2)
+        model.observe(5, lg.labels[5])
+        labels = np.resize(lg.labels, 16 + extra)
+        monkeypatch.setattr(bench, "class_decision", None)  # counting would call it
+        with pytest.raises(ValueError, match=r"^labels must be a 1-D array of class ids"
+                                             r".*\bn=16\b"):
+            accuracy(model, labels, eval_on=eval_on)
+
+    def test_initial_divides_by_the_model_node_count(self):
+        lg = grid_graph(4, 4, seed=3)
+        model = GmrfModel.from_laplacian(regularized_laplacian(lg.graph, 0.1), 2)
+        model.observe(5, lg.labels[5])
+        hits = sum(pred == lg.labels[node] for node, pred in model.predict().items())
+        assert accuracy(model, lg.labels, eval_on="initial") == (hits + 1) / 16
+        # a label array twice as long names no more nodes of the model
+        with pytest.raises(ValueError, match="n=16"):
+            accuracy(model, np.concatenate([lg.labels, lg.labels]), eval_on="initial")
+
     def test_rejects_a_model_with_no_unlabeled_node(self):
         lg = small_labeled_graph(seed=12, n=4)
         model = GmrfModel.from_laplacian(regularized_laplacian(lg.graph, 0.1), 2)

@@ -632,14 +632,23 @@ class TestPanelSquareSums:
         expected = former_square_sums(model)
         assert model.square_sums().tobytes() == expected.tobytes()
 
-    def test_carried_G_is_summed_as_before(self):
-        # fl and kl carry G, so their first read sums the carried block
-        model = self.grid_model(2, 1, rows=12)
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    @pytest.mark.parametrize("steps", [1, 5, 40, 129])
+    def test_first_read_does_not_depend_on_a_carried_G(self, num_classes, steps):
+        # one model reads rows, so it carries G from then on, and its twin
+        # never does; after the same observes their first reads of the sums
+        # are the same bits. At n=144 V folds at 128 rows, so 129 observes
+        # cross a fold.
+        model = self.grid_model(num_classes, 0, rows=12)
+        twin = model.copy()
         model.rows([0])
-        for node in (3, 70, 141):
-            model.observe(node, 1)
-        G = model.G
-        assert model.square_sums().tobytes() == np.einsum("ij,ij->j", G, G).tobytes()
+        rng = np.random.default_rng(94 + num_classes)
+        for node in rng.permutation(model.num_unlabeled)[:steps]:
+            label = int(rng.integers(num_classes))
+            model.observe(int(node), label)
+            twin.observe(int(node), label)
+        assert model._G is not None and twin._G is None
+        assert model.square_sums().tobytes() == twin.square_sums().tobytes()
 
     def test_follows_the_built_G_up_to_forty_rows_of_V(self):
         model = self.grid_model(3, 0, rows=20)
