@@ -160,6 +160,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--maxmin", action="store_true",
                      help="worst-case label aggregation (fl/kl only)")
     _add_experiment_args(run)
+    # main checks --maxmin against --strategy and reports it as run's error
+    run.set_defaults(parser=run)
 
     cmp_ = sub.add_parser("compare", help="run several strategies under shared seeds")
     cmp_.add_argument("--strategies", required=True, type=_strategy_list,
@@ -238,7 +240,7 @@ def main(argv=None) -> int:
             try:
                 _strategy(args.strategy, maxmin=True)
             except argparse.ArgumentTypeError as exc:
-                parser.error(f"argument --maxmin: {exc}")
+                args.parser.error(f"argument --maxmin: {exc}")
     except SystemExit as exc:  # argparse already printed the usage text
         return int(exc.code or 0)
     try:

@@ -26,11 +26,13 @@ labels: the sign rule for C = 2, class-mass normalization for C >= 3.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import cython_blas, cython_lapack
 
 from .graph import RegularizedLaplacian, _as_int, _as_real
 
@@ -65,6 +67,85 @@ _FOLD_MIN_ROWS = 128
 # and 158 ms.
 _PANEL_BYTES = 256 * 1024
 
+# Columns of the largest diagonal block _invert_lower hands to one dtrtri.
+# Leaves of 32, 64, 96 and 128 columns, one BLAS thread: 64 was fastest or
+# within 1.3% of it from n=100 to n=2025, and at n=100 took 0.056 ms against
+# 0.075 for 128 and 0.070 for dtrtri on the whole factor. With n <= 64 the
+# whole factor is one leaf, so the inverse has dpotri's bits.
+_INV_LEAF = 64
+
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _cython_function(module, name: str, *argtypes):
+    """The BLAS or LAPACK routine ``name`` that scipy's Cython module
+    ``module`` exports, as a ctypes function of the Fortran convention: every
+    argument by pointer. It is the entry point scipy's own wrappers call, but
+    it takes a pointer into any array, where an f2py wrapper copies a
+    non-contiguous view."""
+    capsule = module.__pyx_capi__[name]
+    return ctypes.CFUNCTYPE(None, *argtypes)(_capsule_pointer(capsule, _capsule_name(capsule)))
+
+
+_char, _int = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int)
+_double, _address = ctypes.POINTER(ctypes.c_double), ctypes.c_void_p
+# side, uplo, transa, diag, m, n, alpha, a, lda, b, ldb
+_dtrmm = _cython_function(cython_blas, "dtrmm", _char, _char, _char, _char, _int, _int,
+                          _double, _address, _int, _address, _int)
+# uplo, diag, n, a, lda, info
+_dtrtri = _cython_function(cython_lapack, "dtrtri", _char, _char, _int, _address, _int, _int)
+
+
+def _invert_lower(work: np.ndarray) -> int:
+    """Invert in place the lower triangular matrix in the lower triangle of
+    the Fortran-order square float64 array ``work``; returns 0, or ``k`` if
+    its ``k``-th diagonal entry is zero (LAPACK's ``info``).
+
+    A block of more than ``_INV_LEAF`` columns, ``[[L11, 0], [L21, L22]]``,
+    is split in half. Both halves are inverted in place, and then
+    ``L21 <- -inv(L22) L21`` and ``L21 <- L21 inv(L11)``, in that order, by
+    two ``dtrmm`` calls that read and write their blocks in ``work`` itself,
+    with leading dimension ``n``, so no block is copied. A leaf block goes to
+    one ``dtrtri``. Bientinesi, Gunter & van de Geijn (ACM TOMS 35(1), 2008)
+    build the inverse from the same level-3 calls. With one OpenBLAS 0.3.31
+    thread it took 0.82 ms at n=400 and 52 ms at n=2025, where ``dtrtri`` on
+    the whole factor took 1.99 and 79 ms. The strict upper triangle is
+    neither read nor written.
+    """
+    n = work.shape[0]
+    if (work.shape != (n, n) or work.dtype != np.float64 or not work.flags.f_contiguous
+            or not work.flags.writeable):
+        raise ValueError("work must be a square, writeable, Fortran-order float64 array")
+    return _invert_diagonal_block(work.ctypes.data, n, 0, n)
+
+
+def _invert_diagonal_block(base: int, n: int, j: int, m: int) -> int:
+    """:func:`_invert_lower` on the diagonal block ``[j, j + m)`` of the
+    ``n x n`` Fortran-order float64 array at address ``base``.
+
+    It takes the address, not the array: no closure or frame of the
+    recursion holds the buffer, so the caller's last reference frees it.
+    """
+    ld = ctypes.byref(ctypes.c_int(n))
+    corner = base + 8 * j * (n + 1)  # the address of [j, j]
+    if m <= _INV_LEAF:
+        info = ctypes.c_int(0)
+        _dtrtri(b"L", b"N", ctypes.byref(ctypes.c_int(m)), corner, ld, ctypes.byref(info))
+        return info.value and j + info.value
+    h = m // 2
+    info = _invert_diagonal_block(base, n, j, h) or _invert_diagonal_block(base, n, j + h, m - h)
+    if info == 0:
+        rows, cols = ctypes.byref(ctypes.c_int(m - h)), ctypes.byref(ctypes.c_int(h))
+        below = corner + 8 * h  # the address of [j + h, j]
+        _dtrmm(b"L", b"L", b"N", b"N", rows, cols, ctypes.byref(ctypes.c_double(-1.0)),
+               corner + 8 * h * (n + 1), ld, below, ld)
+        _dtrmm(b"R", b"L", b"N", b"N", rows, cols, ctypes.byref(ctypes.c_double(1.0)),
+               corner, ld, below, ld)
+    return info
+
 
 def spd_inverse(matrix: np.ndarray, *, overwrite_a: bool = False) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix in one working buffer.
@@ -73,11 +154,15 @@ def spd_inverse(matrix: np.ndarray, *, overwrite_a: bool = False) -> np.ndarray:
     rejected before LAPACK runs. The working buffer is a straight C-order
     array handed to LAPACK as its transpose, a Fortran-order array that
     holds the same matrix because the input is symmetric. ``dpotrf`` factors
-    it in place and ``dpotri`` inverts it in place, both reading and writing
-    the lower triangle only, and the lower triangle is then mirrored into
-    the upper one in blocks of ``_MIRROR_BLOCK`` columns, so the result is
-    exactly symmetric and later rank-one downdates cannot drift off the
-    symmetric manifold. The returned array is the working buffer itself.
+    it into ``L L^T``, :func:`_invert_lower` overwrites ``L`` with its
+    inverse by recursive level-3 blocks, and ``dlauum`` forms
+    ``inv(L)^T inv(L)``, all in place and reading and writing the lower
+    triangle only. For n <= ``_INV_LEAF`` this is ``dpotri`` bit for bit;
+    above it the result differs from ``dpotri``'s in the last bits. The
+    lower triangle is then mirrored into the upper one in blocks of
+    ``_MIRROR_BLOCK`` columns, so the result is exactly symmetric and later
+    rank-one downdates cannot drift off the symmetric manifold. The returned
+    array is the working buffer itself.
 
     By default the buffer is a copy, so the input is never written, and
     peak memory is about one ``n^2`` array above the input. With
@@ -103,7 +188,9 @@ def spd_inverse(matrix: np.ndarray, *, overwrite_a: bool = False) -> np.ndarray:
     # clean=0: the upper triangle is overwritten by the mirror below
     work, info = scipy.linalg.lapack.dpotrf(work, lower=1, clean=0, overwrite_a=1)
     if info == 0:
-        work, info = scipy.linalg.lapack.dpotri(work, lower=1, overwrite_c=1)
+        info = _invert_lower(work)
+    if info == 0:
+        work, info = scipy.linalg.lapack.dlauum(work, lower=1, overwrite_c=1)
     if info != 0:
         raise ValueError(f"matrix is not positive definite: {info}-th leading minor "
                          "of the array is not positive definite")

@@ -195,7 +195,9 @@ def test_maxmin_with_closed_form_strategy_is_usage_error(tmp_path, capsys):
         "--T", "3", "--runs", "1", "--out", str(out),
     ])
     assert code == 2
-    assert "--maxmin" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gmrf-active run")
+    assert "gmrf-active run: error: argument --maxmin:" in err
     assert not out.exists()
 
 

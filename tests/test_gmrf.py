@@ -1154,20 +1154,36 @@ def cho_solve_inverse(M):
 
 
 def column_loop_inverse(M):
-    """The former spd_inverse: a Fortran-order copy, ``dpotrf`` and ``dpotri``
-    in place, then one mirror copy per column."""
+    """The former spd_inverse's mirror: a Fortran-order copy, ``dpotrf``,
+    ``gmrf._invert_lower`` and ``dlauum`` in place, then one mirror copy per
+    column."""
     work = np.array(M, order="F")
     work, info = scipy.linalg.lapack.dpotrf(work, lower=1, clean=0, overwrite_a=1)
     assert info == 0
-    work, info = scipy.linalg.lapack.dpotri(work, lower=1, overwrite_c=1)
+    assert gmrf._invert_lower(work) == 0
+    work, info = scipy.linalg.lapack.dlauum(work, lower=1, overwrite_c=1)
     assert info == 0
     for j in range(1, work.shape[0]):
         work[:j, j] = work[j, :j]
     return work.T
 
 
+def lapack_inverse(M):
+    """The inverse by ``dpotrf`` and ``dpotri``, its lower triangle mirrored."""
+    work, info = scipy.linalg.lapack.dpotrf(np.array(M, order="F"), lower=1, clean=0)
+    assert info == 0
+    work, info = scipy.linalg.lapack.dpotri(work, lower=1)
+    assert info == 0
+    return np.tril(work) + np.tril(work, -1).T
+
+
 def _no_lapack(*args, **kwargs):
     raise AssertionError("LAPACK ran before the input was checked")
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 class TestSpdHelpers:
@@ -1202,6 +1218,47 @@ class TestSpdHelpers:
         assert np.array_equal(G, expected)
         assert np.array_equal(G, G.T)
         assert G.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 100, 128, 129, 257, 300, 400])
+    def test_triangular_inverse_matches_lapack(self, n):
+        # n <= gmrf._INV_LEAF (64) is one dtrtri, so dpotri's bits; above it
+        # the halves are uneven (65 = 32 + 33, 257 = 128 + 129) and so are
+        # the leaves (300 -> 150 -> 75 -> 37 + 38)
+        A = np.random.default_rng(n).normal(size=(n, n))
+        M = A @ A.T + n * np.eye(n)
+        M = (M + M.T) / 2.0
+        factor, info = scipy.linalg.lapack.dpotrf(np.array(M, order="F"), lower=1, clean=1)
+        assert info == 0
+        expected, info = scipy.linalg.lapack.dtrtri(factor, lower=1)
+        assert info == 0
+        work = factor.copy(order="F")
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        work[upper] = 7.25  # a wrong offset into the buffer would write here
+        assert gmrf._invert_lower(work) == 0
+        assert (work[upper] == 7.25).all()
+        inverse = np.tril(work)
+        ref = lapack_inverse(M)
+        G = spd_inverse(M)
+        if n <= gmrf._INV_LEAF:
+            assert np.array_equal(inverse, expected)
+            assert np.array_equal(G, ref)
+        else:
+            assert np.abs(inverse - expected).max() <= 1e-14 * np.abs(expected).max()
+            assert np.abs(G - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.eye(4),
+        lambda: np.eye(4, 3, order="F"),
+        lambda: np.eye(4, dtype=np.float32, order="F"),
+        lambda: np.eye(8, order="F")[::2, ::2],
+        lambda: _read_only(np.eye(4, order="F")),
+    ], ids=["C-order", "not-square", "float32", "strided", "read-only"])
+    def test_triangular_inverse_rejects_a_buffer_it_cannot_address(self, make):
+        work = make()
+        kept = work.copy()
+        with pytest.raises(ValueError, match="writeable, Fortran-order float64"):
+            gmrf._invert_lower(work)
+        assert np.array_equal(work, kept)
 
     @pytest.mark.parametrize("layout, overwrite_a", [
         ("C", False), ("F", False), ("read-only", False),
@@ -1238,6 +1295,20 @@ class TestSpdHelpers:
                 spd_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]), overwrite_a=overwrite_a)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
+
+    def test_not_positive_definite_past_a_split_names_its_minor(self):
+        # n = 130 splits into 65 + 65; the first 99 pivots are positive and
+        # the 100th is about -1
+        M = np.random.default_rng(130).normal(scale=1e-3, size=(130, 130))
+        M = M + M.T + 130.0 * np.eye(130)
+        M[99, 99] = -1.0
+        messages = []
+        for overwrite_a in (False, True):
+            with pytest.raises(ValueError, match="not positive definite") as info:
+                spd_inverse(M.copy(), overwrite_a=overwrite_a)
+            messages.append(str(info.value))
+        assert messages == ["matrix is not positive definite: 100-th leading minor "
+                            "of the array is not positive definite"] * 2
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2)])
     def test_non_square_rejected_before_lapack(self, monkeypatch, shape):
