@@ -148,8 +148,7 @@ def check_retraining_equivalence(seed: int = 3) -> CheckResult:
         n = int(rng.integers(6, 31))
         _, lap, model = random_model(rng, n, num_observed=int(rng.integers(1, n // 2 + 1)))
         signed = {k: 2.0 * c - 1.0 for k, c in model.labeled.items()}
-        for pos, node in enumerate(model.unlabeled.tolist()):
-            gi = model.rows(pos)
+        for pos, (node, gi) in enumerate(zip(model.unlabeled.tolist(), model.G)):
             gii = model.diagonal[pos]
             others = np.delete(model.mu, pos)
             for value in (1.0, -1.0):

@@ -10,13 +10,13 @@ moves the C conditional means and the row sums ``G 1`` (the l1 norms of the
 columns of ``G`` that the tv and sigma-opt scans read) by one
 Schur-complement step, one in-place BLAS rank-one update on a
 ``(C + 1, n)`` array whatever C is; no refactorization happens after
-initialization. A model whose rows of ``G`` are read (the fl and kl scans)
-builds ``G`` over the unlabeled nodes once, on the first read, and from then
-on each step downdates it in ``O(|U|^2)``. Readers get compact arrays over
-the unlabeled nodes, gathered afresh after each step, so
-:meth:`GmrfModel.observe` never writes an array a caller holds. A binary
-problem is the case C = 2, whose field ``mu`` is the class-1 row of the
-means.
+initialization. The fl and kl scan reads ``G`` over the unlabeled nodes
+through :meth:`GmrfModel.rows`, which builds it once and makes every later
+step downdate it in ``O(|U|^2)`` into a fresh read-only block. Readers get
+read-only compact arrays over the unlabeled nodes, gathered afresh after
+each step, so :meth:`GmrfModel.observe` never writes an array a caller
+holds. A binary problem is the case C = 2, whose field ``mu`` is the
+class-1 row of the means.
 :func:`conditional_mean_direct` re-solves the linear system from scratch and
 serves as the reference implementation the incremental path is tested
 against. :func:`soft_labels` is the one mean -> probability rule,
@@ -207,18 +207,23 @@ def spd_inverse(matrix: np.ndarray, *, overwrite_a: bool = False) -> np.ndarray:
 
 
 def _minus_gram(B: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """``B - V^T V`` in a fresh array, exactly symmetric if ``B`` is.
+    """``B - V^T V`` in a fresh read-only array, exactly symmetric if ``B`` is.
 
     numpy computes a product of a matrix with its own transpose by one BLAS
     ``syrk`` and copies the triangle it wrote into the other, so ``V^T V``
-    is exactly symmetric, and so is the difference.
+    is exactly symmetric, and so is the difference. Both callers keep the
+    result as a value that nothing writes: a built ``G`` and a folded
+    ``G_0``.
     """
     gram = V.T @ V
-    return np.subtract(B, gram, out=gram)
+    np.subtract(B, gram, out=gram)
+    gram.flags.writeable = False
+    return gram
 
 
 def _deleted_downdate(G: np.ndarray, pos: int, s: np.ndarray) -> np.ndarray:
-    """``G`` without row and column ``pos``, minus ``s s^T``, in a fresh array.
+    """``G`` without row and column ``pos``, minus ``s s^T``, in a fresh
+    read-only array.
 
     The delete is four quadrant copies, and the downdate is one BLAS
     ``dger`` on the copy. A product ``s_i s_j`` equals ``s_j s_i`` bit for
@@ -232,6 +237,7 @@ def _deleted_downdate(G: np.ndarray, pos: int, s: np.ndarray) -> np.ndarray:
     out[pos:, pos:] = G[pos + 1:, pos + 1:]
     if m:  # BLAS rejects a leading dimension of 0
         scipy.linalg.blas.dger(-1.0, s, s, a=out.T, overwrite_a=1)
+    out.flags.writeable = False
     return out
 
 
@@ -304,23 +310,24 @@ class GmrfModel:
     starts empty again.
 
     ``G`` itself, exactly symmetric, is built on a model's first
-    :meth:`rows` read and kept. From then on :meth:`observe` carries it:
-    the previous block without row and column ``k``, minus ``s_U s_U^T``,
-    with ``s_U`` the step column at the remaining unlabeled nodes, in a
-    fresh array. Only ``G`` reads the carried block when there is one;
-    otherwise it builds one and does not keep it. :meth:`square_sums` always
+    :meth:`rows` read, which only the fl and kl scan makes, and kept. From
+    then on :meth:`observe` carries it: the previous block without row and
+    column ``k``, minus ``s_U s_U^T``, with ``s_U`` the step column at the
+    remaining unlabeled nodes, in a fresh array. The carried block is
+    read-only from the moment it is built, so it is a value: ``G`` returns
+    it itself, and a copy of the model shares it. Without one, ``G`` builds
+    a read-only block and does not keep it. :meth:`square_sums` always
     streams row panels of ``G_0`` on its first read and builds none, so a
-    model that never reads rows (every scorer but fl and kl) never carries
-    it.
+    model that no fl or kl scan reads never carries ``G``.
 
     :meth:`copy` starts an independent model from this one's state in
-    ``O(C n + t n)``, aliasing the same ``G_0`` and checking nothing again,
-    so an inverse shared by many models is validated and summed once.
+    ``O(C n + t n)``, aliasing the same ``G_0`` and carried ``G`` and
+    checking nothing again, so an inverse shared by many models is
+    validated and summed once.
 
-    Readers see the unlabeled nodes only. ``means``, ``mu``, ``row_sums``
-    and ``diagonal`` are read-only compact arrays that :meth:`observe`
-    gathers afresh, so an array a caller holds never changes; ``G`` and
-    :meth:`rows` return fresh compact copies.
+    Readers see the unlabeled nodes only. ``means``, ``mu``, ``row_sums``,
+    ``diagonal`` and ``G`` are read-only arrays that :meth:`observe`
+    replaces and never writes, so an array a caller holds never changes.
 
     Attributes
     ----------
@@ -331,8 +338,8 @@ class GmrfModel:
         node id -> observed class id.
     G : ndarray
         Inverse of the regularized Laplacian restricted to ``unlabeled``,
-        exactly symmetric; each read is an ``O(|U|^2)`` copy of the carried
-        block, or an ``O(|U|^2 t)`` build.
+        exactly symmetric and read-only: the carried block, or an
+        ``O(|U|^2 t)`` build.
     means : ndarray
         Conditional means of the C fields over ``unlabeled``, shape
         ``(C, |U|)``.
@@ -389,7 +396,7 @@ class GmrfModel:
         # 1.0 for an unlabeled node, 0.0 for a labeled one; observe reads
         # ``unlabeled`` off it
         self._unlabeled_mask = np.ones(n)
-        self._G = None  # G over the unlabeled nodes, built when first read
+        self._G = None  # G over the unlabeled nodes, carried from the first rows()
         # row c: the value every field takes when class c is observed, then
         # the target 0 of G 1
         self._targets = np.zeros((c, c + 1))
@@ -421,15 +428,16 @@ class GmrfModel:
         return cls(G, np.zeros((_as_int(num_classes, "num_classes"), G.shape[0])))
 
     def copy(self) -> "GmrfModel":
-        """Independent model in the same state, still aliasing the read-only ``G_0``.
+        """Independent model in the same state, aliasing the read-only ``G_0`` and ``G``.
 
-        Costs ``O(C n + t n)``, plus ``O(|U|^2)`` for a carried ``G``: it
-        copies the ``(C + 2, n)`` fields, the labels, the unlabeled mask, the
-        ``t`` used rows of ``V`` (into a buffer of the same size, unwritten
-        past them) and the carried ``G`` and column sums of squares, and
-        checks nothing again. ``run_experiment`` validates each shared
-        inverse once, by the constructor, and starts every strategy of every
-        run on it from a copy of that model.
+        Costs ``O(C n + t n)``: it copies the ``(C + 2, n)`` fields, the
+        labels, the unlabeled mask, the ``t`` used rows of ``V`` (into a
+        buffer of the same size, unwritten past them) and the carried column
+        sums of squares, shares the carried ``G``, which :meth:`observe`
+        replaces and never writes, and checks nothing again.
+        ``run_experiment`` validates each shared inverse once, by the
+        constructor, and starts every strategy of every run on it from a
+        copy of that model.
         """
         # set in the constructor's order, so that the copy keeps CPython's
         # compact instance layout (reading or updating __dict__ would drop it,
@@ -445,7 +453,7 @@ class GmrfModel:
         new._V[:self._t] = self._V[:self._t]
         new._t = self._t
         new._unlabeled_mask = self._unlabeled_mask.copy()
-        new._G = None if self._G is None else self._G.copy()
+        new._G = self._G
         new._targets = self._targets
         new._gather()
         return new
@@ -458,31 +466,27 @@ class GmrfModel:
         self.means, self.row_sums, self.diagonal = fields[:-2], fields[-2], fields[-1]
         self.mu = fields[1] if self._targets.shape[0] == 2 else None
 
-    def _block(self) -> np.ndarray:
-        """``G`` over the unlabeled nodes, never written: the carried block,
-        else one built in ``O(|U|^2 t)`` and not kept."""
+    @property
+    def G(self) -> np.ndarray:
+        """``G`` over the unlabeled nodes, read-only and exactly symmetric:
+        the carried block itself, else one built in ``O(|U|^2 t)`` and not
+        kept, so reading it never starts the carry."""
         if self._G is not None:
             return self._G
         idx = self.unlabeled
         return _minus_gram(self._base.take(idx, axis=0).take(idx, axis=1),
                            self._V[:self._t].take(idx, axis=1))
 
-    @property
-    def G(self) -> np.ndarray:
-        block = self._block()
-        return block.copy() if block is self._G else block
+    def rows(self) -> np.ndarray:
+        """``G``, carried by :meth:`observe` from this read on.
 
-    def rows(self, positions) -> np.ndarray:
-        """Fresh compact copy of ``G[positions]``, sliced from the carried ``G``.
-
-        ``G`` is exactly symmetric, so row ``i`` is also column ``i``. The
-        model's first read builds ``G`` in ``O(|U|^2 t)`` and keeps it, and
-        from then on :meth:`observe` carries it, so a row is the same bits in
-        every block of a scan.
+        The fl and kl scan is its one reader: it reads every row of ``G`` in
+        each scan, so its first read builds ``G`` once and every later step
+        downdates it in ``O(|U|^2)``, and a row is the same bits in every
+        block of a scan.
         """
-        if self._G is None:
-            self._G = self._block()
-        return self._G.take(positions, axis=0)
+        self._G = self.G  # the carried block itself, if there is one
+        return self._G
 
     def square_sums(self) -> np.ndarray:
         """Column sums of squares ``||g_j||_2^2`` of ``G`` over ``unlabeled``.
@@ -580,7 +584,8 @@ class GmrfModel:
         ``k``, so ``G - s s^T`` has a zero row and column ``k``, and the
         carried column sums of squares move to
         ``q - 2 s (G s) + s^2 ||s||^2``, one gemv on ``G_0``. A carried
-        ``G`` is downdated to ``G_{-k} - s_U s_U^T``. Cost ``O(t n)``, plus
+        ``G`` is replaced by ``G_{-k} - s_U s_U^T``, a fresh read-only
+        block, and never written. Cost ``O(t n)``, plus
         ``O(n^2)`` when the sums of squares are carried or ``V`` is folded
         and ``O(|U|^2)`` when ``G`` is carried; independent of the class
         count. A node or class id that is a bool or not an integer is
@@ -633,7 +638,6 @@ class GmrfModel:
     def _fold(self) -> None:
         """Fold ``V`` into a private ``G_0 - V^T V`` and empty it."""
         self._base = _minus_gram(self._base, self._V[:self._t])
-        self._base.flags.writeable = False  # fresh, so frozen in place, not copied
         self._t = 0
 
     def predict(self) -> dict[int, int]:

@@ -13,8 +13,11 @@ its row sums ``G 1`` and the conditional mean ``mu``:
   Bernoulli divergences. They are the only scorers that evaluate
   hypothetical means: two per candidate, formed for both label values of a
   block of candidates at once from rows of ``G``, with everything else built
-  once per scan. They are also the only scorers that read rows of ``G`` by
-  :meth:`GmrfModel.rows`, so the model carries ``G`` from their first scan on.
+  once per scan. Their scan in :func:`utility_scores` is the only reader of
+  :meth:`GmrfModel.rows`, so only it makes the model carry ``G``, from its
+  first scan on. The one-node :func:`score_fl` and :func:`score_kl`, like
+  every other per-node scorer, read ``model.G`` and leave the model
+  factored.
 - ``unc``: negative top-two soft-label margin.
 
 The four closed-form kinds vm, sigma-opt, tv and msd share one scan in
@@ -144,14 +147,13 @@ def _parse_confidence(text: str) -> float | None:
 def _gcol(model, node: int) -> tuple[int, np.ndarray, float]:
     """Position, column ``g_i`` and diagonal ``g_ii`` of ``node`` in ``model.G``.
 
-    The column is read as the equal row, ``G`` being symmetric: a copy of
-    the carried ``G``'s row in ``O(|U|)``, else of a ``G`` built in
-    ``O(|U|^2 t)`` and not kept. Unlike :meth:`GmrfModel.rows`, it never
-    makes the model carry ``G``, so scoring one node leaves every later
-    step's cost as it was.
+    The column is read as the equal row, ``G`` being symmetric: a view of
+    the carried block, else of one built in ``O(|U|^2 t)`` and not kept.
+    Reading ``G`` never makes the model carry it, so scoring one node
+    leaves every later step's cost as it was.
     """
     pos = model.position(node)
-    return pos, model._block().take(pos, axis=0), model.pivot(pos)
+    return pos, model.G[pos], model.pivot(pos)
 
 
 def _binary_mu(model: GmrfModel) -> np.ndarray:
@@ -231,8 +233,9 @@ def _mix(alpha: float, p):
 
 
 def _expected_change(model: GmrfModel, kind: str, alpha: float, maxmin: bool,
-                     positions) -> np.ndarray:
-    """fl / kl scores of the unlabeled nodes at ``positions``.
+                     positions, rows: np.ndarray) -> np.ndarray:
+    """fl / kl scores of the unlabeled nodes at ``positions``, whose rows of
+    ``G`` are ``rows``.
 
     Each candidate label gives one total change over ``U \\ {node}``: the
     prediction flips (fl) or the summed Bernoulli divergences of the soft
@@ -244,9 +247,9 @@ def _expected_change(model: GmrfModel, kind: str, alpha: float, maxmin: bool,
     once per call, and every pivot is checked by :func:`_pivots` before any
     scoring: the first degenerate one in ``positions`` order raises.
 
-    The candidates are scored in blocks of rows of ``G``, each gathered
-    once and scored for both label values in one pass over a
-    ``(2, rows, |U|)`` array of about ``_BLOCK_BYTES``. For a block ``pb``
+    The candidates are scored in blocks of ``h`` rows, each a basic slice
+    of ``rows``, not a copy, and scored for both label values in one pass
+    over a ``(2, h, |U|)`` array of about ``_BLOCK_BYTES``. For a block ``pb``
     of positions, pivots ``g = diag(G)`` and label values ``v = (+1, -1)``,
     entry ``[i, r]`` of
     ``G[pb] * ((v[:, None] - mu[pb]) / g[pb])[:, :, None] + mu`` is the
@@ -256,7 +259,7 @@ def _expected_change(model: GmrfModel, kind: str, alpha: float, maxmin: bool,
     last axis. Each candidate still costs two hypothetical means,
     ``O(|U|)`` each, all counted in ``model.retrain_calls``; a block never
     holds more than a few ``_BLOCK_BYTES`` of temporaries, so a scan
-    materializes no ``|U|^2`` array.
+    materializes no ``|U|^2`` array beyond the ``G`` it reads.
     """
     mu = _binary_mu(model)
     positions = np.asarray(positions, dtype=np.intp)
@@ -273,7 +276,7 @@ def _expected_change(model: GmrfModel, kind: str, alpha: float, maxmin: bool,
         block = slice(start, start + height)
         pb = positions[block]
         own = (slice(None), np.arange(pb.size), pb)
-        means = model.rows(pb) * ((values - mu[pb]) / pivots[block])[:, :, None]
+        means = rows[block] * ((values - mu[pb]) / pivots[block])[:, :, None]
         means += mu
         if kind == "fl":
             flips = means > DECISION_ATOL
@@ -302,9 +305,10 @@ def score_fl(model: GmrfModel, node: int) -> float:
     labels are weighed by the node's own soft label, the ``none``
     confidence; a schedule or the worst case is a :class:`Strategy`'s, read
     through :func:`utility_scores`. This is the scan's own code on a
-    one-row block (:func:`_expected_change`).
+    one-row block (:func:`_expected_change`), read from ``model.G``.
     """
-    return float(_expected_change(model, "fl", 0.0, False, [model.position(node)])[0])
+    pos = model.position(node)
+    return float(_expected_change(model, "fl", 0.0, False, [pos], model.G[pos:pos + 1])[0])
 
 
 def _bernoulli_kl(p, q) -> np.ndarray:
@@ -354,7 +358,8 @@ def score_kl(model: GmrfModel, node: int) -> float:
     labels are weighed as in :func:`score_fl`, by the scan's own code on a
     one-row block.
     """
-    return float(_expected_change(model, "kl", 0.0, False, [model.position(node)])[0])
+    pos = model.position(node)
+    return float(_expected_change(model, "kl", 0.0, False, [pos], model.G[pos:pos + 1])[0])
 
 
 def _top_two_margin(means: np.ndarray) -> np.ndarray:
@@ -408,8 +413,9 @@ def utility_scores(strategy: Strategy, model, t: int) -> np.ndarray:
     if kind == "random":
         raise ValueError("the random strategy is not score-driven")
     if kind in RETRAINING_KINDS:
+        # every row of G, once a scan: the one read that makes the model carry G
         return _expected_change(model, kind, alpha, strategy.maxmin,
-                                np.arange(model.num_unlabeled))
+                                np.arange(model.num_unlabeled), model.rows())
     dg = _pivots(model, slice(None))
     if kind == "unc":
         return _top_two_margin(model.means)

@@ -446,6 +446,26 @@ class TestInverseReuse:
         # (0.08); the margin of 0.11 is about one more V buffer
         assert peak <= 1.5 * 8 * 900 * 900
 
+    @pytest.mark.parametrize("kind", ["fl", "kl"])
+    def test_retraining_kinds_peak_at_one_carried_block(self, kind):
+        # fl and kl carry one |U|^2 block of G from their first scan on
+        run_experiment(ExperimentConfig("grid:4x4", [Strategy(kind)], budget=5, runs=1))
+        cfg = ExperimentConfig("grid:30x30", [Strategy(kind)], budget=30, runs=1)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured 3.31 x 8 n^2 for both: the inverse, two square arrays at
+        # once (about 2; the first build of the carried block holds its row
+        # and column gathers, and each early downdate the old and the new
+        # block), and the step-column buffers V of the start model and of
+        # its copy (0.14 each). The margin is 0.09: a
+        # scan that copied the carried block read 3.41 (fl) and 3.52 (kl),
+        # and a second block kept beside the carried one 4.3
+        assert peak <= 3.4 * 8 * 900 * 900
+
 
 class TestAccuracy:
     def test_all_correct(self):

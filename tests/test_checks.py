@@ -47,8 +47,8 @@ def test_squared_distance_suite_catches_a_sampler_with_the_wrong_covariance(monk
 
 
 def test_retraining_suite_catches_rows_of_G_read_wrong(monkeypatch):
-    rows = GmrfModel.rows
-    monkeypatch.setattr(GmrfModel, "rows", lambda self, positions: 1.01 * rows(self, positions))
+    G = GmrfModel.G
+    monkeypatch.setattr(GmrfModel, "G", property(lambda self: 1.01 * G.fget(self)))
     result = checks.check_retraining_equivalence()
     assert not result.passed
     assert reported(result.detail, "max l1 error") > 1e-8

@@ -242,7 +242,7 @@ class TestObserve:
         model.observe(0, 1)
         pos = model.position(3)
         step = (model.mu[pos] - model.mu[pos]) / model.diagonal[pos]
-        updated = model.mu + step * model.rows(pos)
+        updated = model.mu + step * model.G[pos]
         assert np.array_equal(updated, model.mu)
 
     def test_observe_labeled_node_rejected(self):
@@ -265,7 +265,7 @@ class TestObserve:
     ])
     def test_non_integer_id_rejected_before_any_change(self, node, class_id, message):
         model = GmrfModel.from_laplacian(random_lap(np.random.default_rng(6), 5), 2)
-        model.rows(0)
+        model.rows()
         before = (model.means.copy(), model.G, model.unlabeled.copy(), model._t)
         with pytest.raises(ValueError) as raised:
             model.observe(node, class_id)
@@ -481,7 +481,7 @@ class TestCompactingDowndate:
         model = GmrfModel.from_laplacian(random_lap(rng, 12), num_classes)
         held = []
         while model.num_unlabeled:
-            arrays = [model.G, model.means, model.row_sums, model.diagonal, model.rows(0)]
+            arrays = [model.G, model.means, model.row_sums, model.diagonal, model.rows()[0]]
             held.append([(a, a.copy()) for a in arrays])
             model.observe(int(rng.choice(model.unlabeled)), int(rng.integers(num_classes)))
             for pairs in held:
@@ -492,29 +492,30 @@ class TestCompactingDowndate:
     def test_reader_arrays_are_read_only(self):
         model = GmrfModel.from_laplacian(random_lap(np.random.default_rng(44), 6), 2)
         model.observe(2, 1)
-        for a in (model.means, model.mu, model.row_sums, model.diagonal):
+        # G built afresh, then the block that rows() makes the model carry
+        for a in (model.means, model.mu, model.row_sums, model.diagonal, model.G,
+                  model.rows()):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.5
         writable = model.class_means()
         writable[0, 0] = 0.5
         assert model.means[0, 0] != 0.5
 
-    def test_rows_are_compact_copies_of_G(self):
+    def test_rows_are_the_read_only_carried_G(self):
         model = GmrfModel.from_laplacian(random_lap(np.random.default_rng(45), 14), 3)
         for node in (13, 0, 6):
             model.observe(node, 2)
         G = model.G
-        assert G.shape == (11, 11)
-        for pos in range(11):
-            row = model.rows(pos)
-            assert np.array_equal(row, G[pos])
-            assert not np.shares_memory(row, model._G)
-            assert not np.shares_memory(row, model._base)
-        block = model.rows(np.array([4, 0, 10]))
-        assert np.array_equal(block, G[[4, 0, 10]])
-        assert not np.shares_memory(G, model._G)
+        assert G.shape == (11, 11) and model._G is None
+        rows = model.rows()
+        # the carried block is the built one, and G returns it itself
+        assert rows is model._G and model.G is rows
+        assert rows.tobytes() == G.tobytes()
+        assert not np.shares_memory(rows, model._base)
         # the carried diagonal against the one of the built G
         np.testing.assert_allclose(model.diagonal, np.diagonal(G), rtol=1e-12, atol=0)
+        model.observe(4, 1)
+        assert model.G is model._G and not model.G.flags.writeable
 
     @pytest.mark.parametrize("num_classes", [2, 3])
     def test_G_exactly_symmetric_after_every_step(self, num_classes):
@@ -545,8 +546,8 @@ class TestCarriedG:
         rng = np.random.default_rng(70 + num_classes)
         model = GmrfModel.from_laplacian(random_lap(rng, 15), num_classes)
         model.observe(int(rng.choice(model.unlabeled)), int(rng.integers(num_classes)))
-        held = [model.rows(np.arange(model.num_unlabeled)), model.G]
-        held = [(a, a.copy()) for a in held]
+        G = model.rows()
+        held = [(G, G.copy())]
         while model.num_unlabeled:
             model.observe(int(rng.choice(model.unlabeled)), int(rng.integers(num_classes)))
             G = model.G
@@ -557,8 +558,7 @@ class TestCarriedG:
                                        atol=1e-12 * np.abs(built).max(initial=0.0))
             for a, kept in held:
                 assert np.array_equal(a, kept)
-            rows = model.rows([0, -1]) if model.num_unlabeled else G
-            held += [(a, a.copy()) for a in (G, rows)]
+            held.append((G, G.copy()))
         assert model._G.shape == (0, 0)
 
     def test_G_and_square_sums_do_not_start_the_carry(self):
@@ -569,7 +569,7 @@ class TestCarriedG:
         np.testing.assert_allclose(squares, (G * G).sum(axis=0), rtol=1e-12, atol=0)
         model.observe(7, 0)
         assert model._G is None
-        model.rows(0)
+        model.rows()
         assert model._G is not None
         model.observe(0, 1)
         assert model._G.shape == (model.num_unlabeled,) * 2
@@ -641,7 +641,7 @@ class TestPanelSquareSums:
         # cross a fold.
         model = self.grid_model(num_classes, 0, rows=12)
         twin = model.copy()
-        model.rows([0])
+        model.rows()
         rng = np.random.default_rng(94 + num_classes)
         for node in rng.permutation(model.num_unlabeled)[:steps]:
             label = int(rng.integers(num_classes))
@@ -809,7 +809,7 @@ class TestCopy:
         for step in range(steps):
             model.observe(int(rng.choice(model.unlabeled)), int(rng.integers(num_classes)))
             if step == 0 and carry in ("G", "fold"):
-                model.rows([0])
+                model.rows()
             if step == 0 and carry in ("squares", "fold"):
                 model.square_sums()
         assert (carry == "fold") == (model._t < steps)
@@ -838,7 +838,12 @@ class TestCopy:
         twin = model.copy()
         assert list(vars(twin)) == list(vars(model))  # every attribute, in one order
         assert twin._base is model._base and not twin._base.flags.writeable
-        for name in ("_fields", "_unlabeled_mask", "_V", "_G", "_squares"):
+        # the carried G is a read-only value, shared as G_0 is
+        assert twin._G is model._G
+        for G in (model.G, twin.G):
+            with pytest.raises(ValueError, match="read-only"):
+                G[0, 0] = 0.0
+        for name in ("_fields", "_unlabeled_mask", "_V", "_squares"):
             a, b = getattr(model, name), getattr(twin, name)
             assert (a is None) == (b is None)
             assert a is None or not np.shares_memory(a, b)
@@ -853,14 +858,24 @@ class TestCopy:
 
     @pytest.mark.parametrize("carry", ["none", "G", "squares", "fold"])
     def test_observing_a_copy_leaves_the_source_untouched(self, carry):
+        # and the reverse: observing the source leaves a second copy, which
+        # shares its carried G, byte-identical
+        def kept(m):
+            return [a.copy() if isinstance(a, (np.ndarray, dict)) else a for a in self.state(m)]
+
+        def walk(m):
+            for node in rng.permutation(m.unlabeled)[:12]:
+                m.observe(int(node), int(rng.integers(3)))
+            m.square_sums()
+            m.rows()
+
         model, rng = self.source(carry, 3)
-        kept = [a.copy() if isinstance(a, (np.ndarray, dict)) else a for a in self.state(model)]
-        twin = model.copy()
-        for node in rng.permutation(twin.unlabeled)[:12]:
-            twin.observe(int(node), int(rng.integers(3)))
-        twin.square_sums()
-        twin.rows([0])
-        self.assert_same(self.state(model), kept)
+        twin, other = model.copy(), model.copy()
+        kept_model, kept_other = kept(model), kept(other)
+        walk(twin)
+        self.assert_same(self.state(model), kept_model)
+        walk(model)
+        self.assert_same(self.state(other), kept_other)
 
     def test_copy_checks_nothing_again(self, monkeypatch):
         model = GmrfModel.from_laplacian(random_lap(np.random.default_rng(83), 12), 2)

@@ -175,7 +175,7 @@ def test_csv_digest_with_G_readers(name, tmp_path):
     # reading rows after every observe starts the carried G of every model in
     # the state the t = 2 scan would build it in, so no digest moves
     def read_G(*, model, **_):
-        model.rows(0)
+        model.rows()
         assert model.G.shape == (model.num_unlabeled,) * 2
 
     cfg, digest = GOLDEN[name]

@@ -49,7 +49,7 @@ def make_model(rng, n, delta=0.005, observed=0):
 def rank_one_mean(model, pos, value):
     """``mu`` after field value ``value`` at ``pos``: the rank-one step on
     column ``G[:, pos]``."""
-    return model.mu + ((value - model.mu[pos]) / model.diagonal[pos]) * model.rows(pos)
+    return model.mu + ((value - model.mu[pos]) / model.diagonal[pos]) * model.G[pos]
 
 
 def retrained_move(lap, model, node, value):
@@ -703,7 +703,8 @@ class TestBlockScan:
     @pytest.mark.parametrize("maxmin", [False, True])
     def test_bit_identical_to_per_candidate_loop(self, multi_block, kind, alpha, maxmin):
         positions = np.arange(multi_block.num_unlabeled)
-        scan = strategies._expected_change(multi_block, kind, alpha, maxmin, positions)
+        scan = strategies._expected_change(multi_block, kind, alpha, maxmin, positions,
+                                           multi_block.G)
         expected = _per_candidate_loop(multi_block, kind, alpha, maxmin, positions)
         assert scan.max() > 0
         assert np.array_equal(scan, expected)
@@ -726,17 +727,25 @@ class TestBlockScan:
     def test_bit_identical_for_two_label_blocks_of_any_height(self, monkeypatch, rows, kind,
                                                               maxmin):
         # a block holds both label values of its rows; the model has carried
-        # G through one observe since its first row read
+        # G through one observe since its first rows() read. The scan reads
+        # rows() once and takes every block as a basic slice of the carried
+        # G, never a gathered copy
         model = _observed_grid(10, ((0, 1), (99, 0)))
-        model.rows(0)
+        model.rows()
         model.observe(45, 1)
         monkeypatch.setattr(strategies, "_BLOCK_BYTES", rows * 2 * 8 * model.num_unlabeled)
-        heights = []
+        reads, blocks = [], []
         read_rows = model.rows
 
-        def recording_rows(positions):
-            heights.append(len(positions))
-            return read_rows(positions)
+        class RecordingRows(np.ndarray):
+            def __getitem__(self, key):
+                if self.ndim == 2:  # a read of the block, not of an array made from one
+                    blocks.append(key)
+                return super().__getitem__(key)
+
+        def recording_rows():
+            reads.append(read_rows())
+            return reads[-1].view(RecordingRows)
 
         monkeypatch.setattr(model, "rows", recording_rows)
         strategy = Strategy(kind, confidence="inv_sqrt", maxmin=maxmin)
@@ -744,6 +753,9 @@ class TestBlockScan:
         positions = range(model.num_unlabeled)
         expected = _per_candidate_loop(model, kind, strategy.alpha(4), maxmin, positions)
         assert np.array_equal(scan, expected)
+        assert len(reads) == 1 and reads[0] is model._G
+        assert all(isinstance(key, slice) for key in blocks)
+        heights = [len(positions[key]) for key in blocks]
         assert heights[0] == rows and sum(heights) == model.num_unlabeled
 
     @pytest.mark.parametrize("scorer, kind", [(score_fl, "fl"), (score_kl, "kl")])
@@ -766,7 +778,8 @@ class TestBlockScan:
         expected = _per_candidate_loop(multi_block, "kl", 0.3, maxmin, positions,
                                        soft=_former_soft_labels)
         assert np.array_equal(
-            strategies._expected_change(multi_block, "kl", 0.3, maxmin, positions), expected)
+            strategies._expected_change(multi_block, "kl", 0.3, maxmin, positions,
+                                        multi_block.G), expected)
         n = 60
         G = np.full((n, n), 0.1)
         G[np.diag_indices(n)] += 1.0
@@ -779,7 +792,7 @@ class TestBlockScan:
         expected = _per_candidate_loop(model, "kl", 0.3, maxmin, positions,
                                        soft=_former_soft_labels)
         assert np.array_equal(
-            strategies._expected_change(model, "kl", 0.3, maxmin, positions), expected)
+            strategies._expected_change(model, "kl", 0.3, maxmin, positions, model.G), expected)
 
     @pytest.mark.parametrize("kind", ["fl", "kl"])
     def test_first_degenerate_pivot_in_order_raises(self, monkeypatch, kind):
@@ -794,7 +807,8 @@ class TestBlockScan:
             _per_candidate_loop(model, kind, 0.0, False, positions)
         before = model.retrain_calls
         with pytest.raises(ValueError) as raised:
-            strategies._expected_change(model, kind, 0.0, False, positions)
+            strategies._expected_change(model, kind, 0.0, False, positions,
+                                        model.G[positions])
         assert str(raised.value) == str(expected.value)
         assert "at node 5" in str(raised.value)
         assert model.retrain_calls == before
@@ -808,11 +822,11 @@ class TestBlockScan:
         mu = np.random.default_rng(3).uniform(-0.9, 0.9, n)
         model = model_with_state(mu, G)
         del G
-        positions = np.arange(n)
-        strategies._expected_change(model, kind, 0.3, False, positions)
+        positions, rows = np.arange(n), model.G
+        strategies._expected_change(model, kind, 0.3, False, positions, rows)
         tracemalloc.start()
         try:
-            strategies._expected_change(model, kind, 0.3, False, positions)
+            strategies._expected_change(model, kind, 0.3, False, positions, rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1015,18 +1029,20 @@ class TestRetrainCounters:
 def _former_gcol(model, node):
     """The row read as it was: through ``rows()``, which keeps ``G``."""
     pos = model.position(node)
-    return pos, model.rows(pos), model.pivot(pos)
+    return pos, model.rows()[pos], model.pivot(pos)
 
 
 class TestPerNodeScorersCarryNoG:
     @pytest.mark.parametrize("num_classes, scorer", [
         (2, score_tv), (2, score_msd), (2, score_vm), (2, score_sigma_opt), (2, score_klg),
         (3, score_tv), (3, score_msd), (3, score_vm), (3, score_sigma_opt),
+        (2, score_fl), (2, score_kl),
     ])
     def test_scoring_leaves_the_steps_factored_and_scores_as_before(self, monkeypatch,
                                                                    num_classes, scorer):
         # a row read through rows() made the model carry G, so every later
-        # observe downdated a fresh |U|^2 array
+        # observe downdated a fresh |U|^2 array; one-node fl and kl read
+        # through rows() too until they read model.G
         source = community_graph([15, 20, 25], 0.4, 0.03, seed=8)
         *_, model = _seeded_states(source, num_classes, seed=40 + num_classes)
         twin = model.copy()
@@ -1043,9 +1059,10 @@ class TestPerNodeScorersCarryNoG:
     @pytest.mark.parametrize("scorer", [score_tv, score_msd, score_vm, score_sigma_opt])
     def test_scoring_a_carrying_model_copies_one_row(self, monkeypatch, num_classes, scorer):
         # once an fl or kl scan has made the model carry G, a score reads
-        # the carried row; a read through model.G copied all of G first
+        # the carried row in place; a read through model.G copied all of G
+        # until G returned the read-only carried block itself
         *_, model = _seeded_states(grid_graph(20, 20, seed=3), num_classes, seed=7)
-        model.rows(0)
+        model.rows()
         block_bytes = model.num_unlabeled ** 2 * 8
         nodes = [int(node) for node in model.unlabeled[::40]]
         scorer(model, nodes[0])  # loads what it needs outside the measurement
