@@ -512,12 +512,13 @@ class GmrfModel:
         adds row after row as ``einsum("ij,ij->j", G, G)`` does, so no
         column is gathered and no ``|U|^2`` array is built. The columns at
         labeled nodes are summed too and never read. A panel's Gram rows
-        come from a BLAS ``gemm``, which rounds as the ``syrk`` of
-        :func:`_minus_gram` does with up to four rows in ``V`` (OpenBLAS 0.3.31,
-        on grids and communities; one row, as ``run_experiment``'s first read
-        has unless the hybrid rule delays it, is a single product either
-        way). With more rows some edge columns of ``syrk`` round otherwise,
-        and the sums differ from the former build's by at most about 6e-16
+        come from a BLAS ``gemm``. With one row in ``V``, as
+        ``run_experiment``'s first read has unless the hybrid rule delays
+        it, each entry is a single product, the same bits as the ``syrk``
+        of :func:`_minus_gram`. With more rows the two kernels may round
+        some entries otherwise (after a fold on a 30x30 grid, with two rows
+        in ``V``, about 800 entries of ``G`` differed in the last bit), and
+        the sums differ from a build over ``G`` by at most about 6e-16
         relative.
         """
         base, V, ids = self._base, self._V[:self._t], self.unlabeled
@@ -699,7 +700,7 @@ def class_decision(means: np.ndarray) -> np.ndarray:
     scores = means + 1.0
     np.maximum(scores, 0.0, out=scores)
     mass = np.add.reduce(scores, axis=1, keepdims=True)
-    if np.minimum.reduce(mass, axis=None) > 0.0:
+    if mass[mass.argmin(), 0] > 0.0:  # (mass > 0).all(), NaN included
         scores /= mass
     else:
         scores = np.divide(scores, mass, out=np.full_like(scores, -np.inf), where=mass > 0.0)

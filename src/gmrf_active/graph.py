@@ -414,7 +414,10 @@ def regularized_laplacian(graph: Graph, delta: float) -> RegularizedLaplacian:
 def normalize_features(features) -> np.ndarray:
     """Affinely map every feature column onto ``[-1, 1]``.
 
-    Constant columns map to all zeros (the midpoint) instead of erroring.
+    Each entry is ``2 q - 1`` with ``q = (x - lo) / span`` per column, one
+    masked divide whose fill 0.5 maps a constant column to all zeros (the
+    midpoint) instead of erroring. Doubling is exact, so this rounds as
+    ``2 (x - lo) / span - 1`` does.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1:
@@ -423,10 +426,8 @@ def normalize_features(features) -> np.ndarray:
         raise ValueError("non-finite feature entries")
     lo = X.min(axis=0)
     span = X.max(axis=0) - lo
-    out = np.zeros_like(X)
-    varying = span > 0
-    out[:, varying] = 2.0 * (X[:, varying] - lo[varying]) / span[varying] - 1.0
-    return out
+    q = np.divide(X - lo, span, out=np.full_like(X, 0.5), where=span > 0)
+    return 2.0 * q - 1.0
 
 
 def build_from_features(features, method: str = "rbf", *, sigma: float = 1.0,
@@ -440,7 +441,11 @@ def build_from_features(features, method: str = "rbf", *, sigma: float = 1.0,
     method : {"rbf", "pearson"}
         ``rbf`` uses ``exp(-||x_i - x_j||^2 / sigma^2)``; ``pearson`` uses
         ``<x_i, x_j> / (||x_i|| ||x_j||)`` on the raw rows (callers normalize
-        columns beforehand, e.g. via :func:`normalize_features`).
+        columns beforehand, e.g. via :func:`normalize_features`). Pearson
+        divides ``X X^T`` by the outer product of the row norms in one masked
+        divide, so a pair with a zero row gets weight 0. It holds three
+        ``(n, n)`` arrays at once, the product, the outer product and ``W``,
+        and frees the outer product before the edges are read from ``W``.
     threshold : float
         Weights below ``threshold`` are dropped. Non-positive weights are
         always dropped, so all negative pearson similarities disappear.
@@ -472,8 +477,8 @@ def build_from_features(features, method: str = "rbf", *, sigma: float = 1.0,
     elif method == "pearson":
         norms = np.linalg.norm(X, axis=1)
         denom = np.outer(norms, norms)
-        safe = np.where(denom > 0, denom, 1.0)
-        W = np.where(denom > 0, (X @ X.T) / safe, 0.0)
+        W = np.divide(X @ X.T, denom, out=np.zeros((n, n)), where=denom > 0)
+        del denom
     else:
         raise ValueError(f"unknown similarity method {method!r}")
     iu, ju = np.triu_indices(n, k=1)

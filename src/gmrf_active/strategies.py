@@ -388,8 +388,7 @@ def _class_spread(mm: GmrfModel) -> np.ndarray:
     if total[total.argmin()] > 0:  # (total > 0).all(), NaN included
         pbar /= total
     else:
-        safe = np.where(total > 0, total, 1.0)
-        pbar = np.where(total > 0, pbar / safe, 1.0 / c)
+        pbar = np.divide(pbar, total, out=np.full_like(pbar, 1.0 / c), where=total > 0)
     pbar *= pbar
     spread = np.add.reduce(pbar, axis=0)
     return np.subtract(c, spread, out=spread)

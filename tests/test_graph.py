@@ -77,6 +77,27 @@ GOLDEN_GEN = {
     ),
 }
 
+# sha256 of the edge and label files ``gmrf-active build-graph`` writes for
+# ``feature_rows()``, scaled and with ``--no-normalize``
+GOLDEN_BUILD = {
+    ("rbf", False): (
+        "e12b426cc31022bd1fd408a906fc9e39629974f03aadfba5d7d0f13f14e5f31e",
+        "5c3057cfddda9f923c88f1cfbc5f59a51259ee2fbf06e9733b30274c643beb81",
+    ),
+    ("rbf", True): (
+        "316c603363b1622bf4c08e7341a891801d149cf7147498c253c3f165c62e4cee",
+        "5c3057cfddda9f923c88f1cfbc5f59a51259ee2fbf06e9733b30274c643beb81",
+    ),
+    ("pearson", False): (
+        "252421bd4b236adb2145f6c542f099916f1d9861efb91dce2fc357319f698136",
+        "5c3057cfddda9f923c88f1cfbc5f59a51259ee2fbf06e9733b30274c643beb81",
+    ),
+    ("pearson", True): (
+        "4632ec5fa4d5af5db6b5b582834aef08e83029c8dc37a6b0ead965e5b6da9353",
+        "5c3057cfddda9f923c88f1cfbc5f59a51259ee2fbf06e9733b30274c643beb81",
+    ),
+}
+
 # sha256 of (n, sorted edges with repr(w)) of rbf similarity graphs over
 # normalize_features(uniform(-3, 3)) rows, one matrix per shape, drawn in
 # this order from seed 0. Pearson weights come from a BLAS product whose
@@ -101,6 +122,27 @@ GOLDEN_SIMILARITY = [
     ((97, 5), "pearson", {"threshold": 0.0},
      "fbc3047e52ed2533bae6f485dbf24afc8997332f82df41ec61d9e83b7d61a078"),
 ]
+
+
+def feature_rows():
+    """30 seeded rows of 4 features and their labels. The column ranges
+    differ by up to 100x, and the last column is constant."""
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(30, 4)) * [1.0, 10.0, 0.1, 0.0] + [0.0, 5.0, -2.0, 3.0]
+    return X, (X[:, 0] > 0).astype(int)
+
+
+def build_graph_files(tmp_path, method, raw):
+    """Run ``build-graph`` on ``feature_rows()`` and return its two files."""
+    X, y = feature_rows()
+    csv_path = tmp_path / "f.csv"
+    csv_path.write_text("".join(",".join(map(repr, row.tolist())) + f",{label}\n"
+                                for row, label in zip(X, y)))
+    edges, labels = tmp_path / "f.edges", tmp_path / "f.labels"
+    argv = ["build-graph", "--features", str(csv_path), "--method", method,
+            "--out-edges", str(edges), "--out-labels", str(labels)]
+    assert main(argv + ["--no-normalize"] * raw) == 0
+    return edges, labels
 
 
 def edge_digest(g, labels=None, weights=True) -> str:
@@ -128,6 +170,22 @@ class TestGoldenGraphs:
                      "--out-edges", str(edges), "--out-labels", str(labels)]) == 0
         digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (edges, labels))
         assert digests == GOLDEN_GEN[(spec, seed)]
+
+    @pytest.mark.parametrize("method, raw", sorted(GOLDEN_BUILD))
+    def test_build_graph_writes_same_bytes(self, tmp_path, method, raw):
+        files = build_graph_files(tmp_path, method, raw)
+        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in files)
+        assert digests == GOLDEN_BUILD[(method, raw)]
+
+    @pytest.mark.parametrize("method", ["rbf", "pearson"])
+    def test_no_normalize_builds_on_the_raw_rows(self, tmp_path, method):
+        edges, _ = build_graph_files(tmp_path, method, raw=True)
+        X, _ = feature_rows()
+        save_edge_list(build_from_features(X, method), tmp_path / "raw.edges")
+        save_edge_list(build_from_features(normalize_features(X), method),
+                       tmp_path / "scaled.edges")
+        assert edges.read_bytes() == (tmp_path / "raw.edges").read_bytes()
+        assert edges.read_bytes() != (tmp_path / "scaled.edges").read_bytes()
 
     def test_similarity_graphs_unchanged(self):
         rng = np.random.default_rng(0)
@@ -689,6 +747,23 @@ class TestBuildFromFeatures:
         # copies; the former (n, n, d) difference array and its square took
         # 2 d = 68 n^2 doubles on their own
         assert peak <= 8 * 8 * n * n
+
+    def test_pearson_peak_memory(self):
+        n, d = 600, 12
+        X = normalize_features(np.random.default_rng(0).uniform(-3, 3, size=(n, d)))
+        build_from_features(X[:20], "pearson")  # loads what it needs outside the measurement
+        tracemalloc.start()
+        try:
+            g = build_from_features(X, "pearson")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.num_edges == 89863
+        # measured 3.13 x 8 n^2: X X^T, the norms' outer product, W and the
+        # mask of one masked divide. A safe-denominator copy and a second
+        # np.where read 5.09, and the outer product kept through the edge
+        # read 4.09.
+        assert peak <= 3.4 * 8 * n * n
 
 
 class TestNormalizeFeatures:
