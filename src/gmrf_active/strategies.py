@@ -18,7 +18,8 @@ its row sums ``G 1`` and the conditional mean ``mu``:
   first scan on. The one-node :func:`score_fl` and :func:`score_kl`, like
   every other per-node scorer, read ``model.G`` and leave the model
   factored.
-- ``unc``: negative top-two soft-label margin.
+- ``unc``: negative gap between the two largest class means, twice the
+  top-two soft-label margin wherever neither soft label is clamped.
 
 The four closed-form kinds vm, sigma-opt, tv and msd share one scan in
 :func:`utility_scores` over two column norms of ``G``: the carried ``G 1``
@@ -373,7 +374,9 @@ def _top_two_margin(means: np.ndarray) -> np.ndarray:
 
 
 def score_unc(model: GmrfModel, node: int) -> float:
-    """Negative top-two soft-label margin (higher = more uncertain)."""
+    """Negative gap between the node's two largest class means (higher =
+    more uncertain): twice its top-two soft-label margin wherever neither
+    soft label is clamped, ``-2 |mu|`` for C = 2."""
     return float(_top_two_margin(model.means[:, model.position(node)]))
 
 
